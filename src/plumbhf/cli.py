@@ -23,12 +23,12 @@ from .report import (
     report_to_csv,
     reverify_cache,
     rows_to_csv,
+    sigma_star,
     survey_all_minus_two,
     survey_brieskorn,
     s3_rows,
 )
 from .files import parse_graph_file
-from .seifert import brieskorn, star_graph
 
 CACHE_ENV = "PLUMB_HF_CACHE"
 
@@ -47,11 +47,21 @@ def _add_output_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--output", metavar="PATH", help="write here instead of stdout")
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _add_scan_flags(p: argparse.ArgumentParser, default_early_stop: int | None) -> None:
     g = p.add_mutually_exclusive_group()
     g.add_argument(
         "--early-stop",
-        type=int,
+        type=_positive_int,
         metavar="K",
         default=default_early_stop,
         help="stop scanning once K good initials are found",
@@ -95,7 +105,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=0,
         metavar="N",
-        help="recompute N cached rows and fail on any mismatch",
+        help="recompute N cached rows of this run and fail on any mismatch (needs a cache)",
     )
     _add_output_flags(p)
 
@@ -148,9 +158,7 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_brieskorn(args) -> int:
-    inv = brieskorn(args.multiplicities)
-    name = "sigma" + str(tuple(args.multiplicities))
-    graph = blow_down(star_graph(inv, name=name))
+    graph = blow_down(sigma_star(tuple(args.multiplicities)))
     report = analyze(
         graph,
         early_stop=_early_stop(args),
@@ -161,8 +169,12 @@ def _cmd_brieskorn(args) -> int:
     return 0
 
 
+def _cache_path(args) -> str | None:
+    return (args.cache if args.cache is not None else os.environ.get(CACHE_ENV)) or None
+
+
 def _cmd_survey(args) -> int:
-    cache_path = args.cache if args.cache is not None else os.environ.get(CACHE_ENV)
+    cache_path = _cache_path(args)
     cache = ResultCache(cache_path) if cache_path else None
     if args.mode == "all-minus-two":
         rows = survey_all_minus_two(max_p=args.max_p, rays=args.rays)
@@ -175,8 +187,7 @@ def _cmd_survey(args) -> int:
         )
     _emit_rows(rows, args)
     if cache is not None and args.reverify_sample > 0:
-        used = [r.graph_hash for r in rows if r.graph_hash]
-        problems = reverify_cache(cache, used, args.reverify_sample)
+        problems = reverify_cache(cache, rows, args.reverify_sample)
         if problems:
             for line in problems:
                 print(line, file=sys.stderr)
@@ -191,7 +202,10 @@ def _cmd_s3(args) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.command == "survey" and args.reverify_sample > 0 and _cache_path(args) is None:
+        parser.error(f"--reverify-sample needs --cache or ${CACHE_ENV}")
     handler = {
         "analyze": _cmd_analyze,
         "brieskorn": _cmd_brieskorn,

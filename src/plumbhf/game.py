@@ -180,18 +180,10 @@ class GoodInitialResult:
 
 
 class AssociationGame:
-    """Search context for one graph, with cross-start memoization.
+    """Search context for one graph, with cross-start memoization."""
 
-    ``move_order`` only changes the order in which legal moves are
-    expanded ("ascending" or "descending" vertex id); results are
-    independent of it, which the tests assert.
-    """
-
-    def __init__(self, graph: PlumbingGraph, move_order: str = "ascending") -> None:
-        if move_order not in ("ascending", "descending"):
-            raise ValueError(f"unknown move order {move_order!r}")
+    def __init__(self, graph: PlumbingGraph) -> None:
         self.graph = graph
-        self._descending = move_order == "descending"
         self._kmax = tuple(-w for w in graph.weights)
         self._nbrs = graph.neighbors
         self._bad = bad_vertices(graph)
@@ -265,8 +257,6 @@ class AssociationGame:
             if not triggered:
                 good = True
                 break
-            if self._descending:
-                triggered.reverse()
             move = None
             for v in triggered:
                 if all(s[u] < kmax[u] for u in nbrs[v]):
@@ -311,9 +301,8 @@ class AssociationGame:
             if not triggered or reach.get(s):
                 goal = s  # final, or already known to reach a final
                 break
-            order = sorted(triggered, reverse=self._descending)
             stuck = True
-            for v in order:
+            for v in sorted(triggered):
                 if any(s[u] >= kmax[u] for u in nbrs[v]):
                     continue  # a neighbor sits at its bound: illegal
                 stuck = False
@@ -444,13 +433,9 @@ def completes_to_good(n0: Association) -> GoodSequence | None:
     return AssociationGame(n0.graph).completes_to_good(n0)
 
 
-def good_initial_count(
-    graph: PlumbingGraph,
-    early_stop: int | None = None,
-    move_order: str = "ascending",
-) -> GoodInitialResult:
+def good_initial_count(graph: PlumbingGraph, early_stop: int | None = None) -> GoodInitialResult:
     """One-shot wrapper; see AssociationGame.good_initial_count."""
-    return AssociationGame(graph, move_order).good_initial_count(early_stop)
+    return AssociationGame(graph).good_initial_count(early_stop)
 
 
 def interior_association_count(graph: PlumbingGraph) -> int:

@@ -137,27 +137,33 @@ def intersection_matrix(g: PlumbingGraph) -> IntersectionMatrix:
     return IntersectionMatrix(tuple(tuple(r) for r in rows))
 
 
-def determinant(m: IntersectionMatrix) -> int:
-    """Exact determinant by fraction-free (Bareiss) elimination.
+def _bareiss(entries: Sequence[Sequence[int]]) -> tuple[int, bool]:
+    """Exact (det, negative_definite) by one fraction-free sweep.
 
     Every intermediate quantity is an integer; each division is by the
     previous pivot and is exact.  Row pivoting handles zero pivots, so
-    singular matrices return 0 correctly.  The empty matrix has det 1.
+    singular matrices get det 0.  Until a row swap happens the k-th pivot
+    is the k-th leading principal minor, and the form is negative
+    definite iff that minor has sign (-1)^k for k = 1..n; a zero minor
+    (the only reason to swap) already refutes definiteness.  The empty
+    matrix has det 1 and is vacuously negative definite.
     """
-    a = [list(row) for row in m.entries]
+    a = [list(row) for row in entries]
     n = len(a)
-    if n == 0:
-        return 1
     sign = 1
     prev = 1
-    for k in range(n - 1):
+    negative_definite = True
+    for k in range(n):
         if a[k][k] == 0:
+            negative_definite = False
             swap = next((r for r in range(k + 1, n) if a[r][k] != 0), None)
             if swap is None:
-                return 0
+                return 0, False
             a[k], a[swap] = a[swap], a[k]
             sign = -sign
         pk = a[k][k]
+        if (pk < 0) != (k % 2 == 0):
+            negative_definite = False
         row_k = a[k]
         for i in range(k + 1, n):
             row_i = a[i]
@@ -167,7 +173,12 @@ def determinant(m: IntersectionMatrix) -> int:
                 row_i[j] = (row_i[j] * pk - aik * row_k[j]) // prev
             row_i[k] = 0
         prev = pk
-    return sign * a[n - 1][n - 1]
+    return sign * prev, negative_definite
+
+
+def determinant(m: IntersectionMatrix) -> int:
+    """Exact determinant; see _bareiss."""
+    return _bareiss(m.entries)[0]
 
 
 def graph_determinant(g: PlumbingGraph) -> int:
@@ -186,32 +197,8 @@ def is_homology_sphere(g: PlumbingGraph) -> bool:
 
 
 def is_negative_definite(g: PlumbingGraph) -> bool:
-    """Leading-principal-minor test in exact integer arithmetic.
-
-    The form is negative definite iff the k-th leading principal minor
-    has sign (-1)^k for k = 1..n.  Minors are produced by unpivoted
-    Bareiss sweeps; a zero minor already refutes definiteness, so the
-    exact divisions below it are never reached.  The empty form is
-    vacuously negative definite.
-    """
-    a = [list(row) for row in intersection_matrix(g).entries]
-    n = len(a)
-    prev = 1
-    for k in range(n):
-        minor = a[k][k]  # after k sweeps: the (k+1)x(k+1) leading minor
-        if minor == 0:
-            return False
-        if (minor < 0) != (k % 2 == 0):
-            return False
-        row_k = a[k]
-        for i in range(k + 1, n):
-            row_i = a[i]
-            aik = row_i[k]
-            for j in range(k + 1, n):
-                row_i[j] = (row_i[j] * minor - aik * row_k[j]) // prev
-            row_i[k] = 0
-        prev = minor
-    return True
+    """Leading-principal-minor test in exact integer arithmetic; see _bareiss."""
+    return _bareiss(intersection_matrix(g).entries)[1]
 
 
 def bad_vertices(g: PlumbingGraph) -> list[int]:

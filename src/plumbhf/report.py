@@ -1,9 +1,10 @@
 """Reports, surveys, and the append-only result cache.
 
-Reports are plain dataclasses with snake_case JSON emissions; the CSV
-emissions carry the same data field-by-field, with tuple-valued columns
-joined by ';'.  The survey cache is a JSONL file keyed by the canonical
-graph hash, reused only when the stored early_stop setting matches.
+Reports are plain dataclasses whose JSON emissions are their fields in
+declaration order; the CSV emissions carry the same data column by
+column, with tuple-valued columns joined by ';'.  The survey cache is a
+JSONL file keyed by the canonical graph hash, reused only when the
+stored early_stop setting matches.
 """
 
 from __future__ import annotations
@@ -15,13 +16,13 @@ import json
 import math
 import random
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .contfrac import expand_cf
-from .errors import PlumbingError
+from .errors import ParseError, PlumbingError
 from .files import canonical_graph_hash
 from .game import (
     AssociationGame,
@@ -48,6 +49,18 @@ from .seifert import (
 ASSUMPTION_NOTE = "good initial associations are assumed linearly independent in Ker(U)"
 
 
+def _plain(value):
+    """Tuples become lists, recursively; everything else is emitted as is."""
+    if isinstance(value, tuple):
+        return [_plain(v) for v in value]
+    return value
+
+
+def _fields_obj(row) -> dict:
+    """A dataclass as a JSON object, keys in field order."""
+    return {f.name: _plain(getattr(row, f.name)) for f in fields(row)}
+
+
 @dataclass(frozen=True)
 class AnalysisReport:
     """Everything the analyze path computes for one graph."""
@@ -65,27 +78,13 @@ class AnalysisReport:
     good_initials: tuple[tuple[int, ...], ...]
     elapsed_ms: int
     early_stop: int | None
+    assumes_independent_generators: str = field(default=ASSUMPTION_NOTE, init=False)
     sequences: tuple[dict, ...] | None = None
 
     def to_obj(self) -> dict:
-        obj = {
-            "name": self.name,
-            "graph_hash": self.graph_hash,
-            "vertex_count": self.vertex_count,
-            "det": self.det,
-            "negative_definite": self.negative_definite,
-            "bad_vertices": list(self.bad_vertices),
-            "is_homology_sphere": self.is_homology_sphere,
-            "initial_count": self.initial_count,
-            "good_initial_count": self.good_initial_count,
-            "partial": self.partial,
-            "good_initials": [list(v) for v in self.good_initials],
-            "elapsed_ms": self.elapsed_ms,
-            "early_stop": self.early_stop,
-            "assumes_independent_generators": ASSUMPTION_NOTE,
-        }
-        if self.sequences is not None:
-            obj["sequences"] = list(self.sequences)
+        obj = _fields_obj(self)
+        if self.sequences is None:
+            del obj["sequences"]
         return obj
 
 
@@ -136,30 +135,33 @@ class SurveyRow:
     reason: str | None = None
 
     def to_obj(self) -> dict:
-        return {
-            "params": list(self.params),
-            "verdict": self.verdict,
-            "count": self.count,
-            "partial": self.partial,
-            "graph_hash": self.graph_hash,
-            "reason": self.reason,
-        }
+        return _fields_obj(self)
 
 
 class ResultCache:
-    """Append-only JSONL cache of analyze results keyed by graph hash."""
+    """Append-only JSONL cache of analyze results keyed by graph hash.
+
+    A record that is not a JSON object with graph_hash and early_stop
+    (a torn last line, say) raises ParseError naming path:line.
+    """
 
     def __init__(self, path: str | Path) -> None:
         self.path = Path(path)
         self.records: dict[tuple[str, int | None], dict] = {}
         if self.path.exists():
             with self.path.open() as fh:
-                for line in fh:
+                for lineno, line in enumerate(fh, 1):
                     line = line.strip()
                     if not line:
                         continue
-                    rec = json.loads(line)
-                    self.records[(rec["graph_hash"], rec["early_stop"])] = rec
+                    try:
+                        rec = json.loads(line)
+                        key = (rec["graph_hash"], rec["early_stop"])
+                    except (ValueError, KeyError, TypeError) as exc:
+                        raise ParseError(
+                            f"{self.path}:{lineno}: bad cache record ({type(exc).__name__}: {exc})"
+                        ) from exc
+                    self.records[key] = rec
 
     def get(self, graph_hash: str, early_stop: int | None) -> dict | None:
         return self.records.get((graph_hash, early_stop))
@@ -182,6 +184,11 @@ def _coprime_tuples(max_a: int, rays: int) -> list[tuple[int, ...]]:
     return out
 
 
+def sigma_star(params: tuple[int, ...]) -> PlumbingGraph:
+    """The unreduced star of the Brieskorn sphere Sigma(params)."""
+    return star_graph(brieskorn(params), name="sigma" + str(params))
+
+
 def brieskorn_row(
     multiplicities: Sequence[int],
     early_stop: int | None = 2,
@@ -190,9 +197,8 @@ def brieskorn_row(
     """Analyze one Brieskorn sphere and classify it."""
     params = tuple(multiplicities)
     try:
-        inv = brieskorn(params)
-        graph = star_graph(inv, name="sigma" + str(params))
-        graph_hash = register_graph(graph)
+        graph = sigma_star(params)
+        graph_hash = canonical_graph_hash(graph)
         cached = cache.get(graph_hash, early_stop) if cache is not None else None
         if cached is not None:
             count, partial = cached["good_initial_count"], cached["partial"]
@@ -258,42 +264,34 @@ def survey_all_minus_two(max_p: int = 12, rays: int = 3) -> list[SurveyRow]:
 
 def reverify_cache(
     cache: ResultCache,
-    used_hashes: Iterable[str],
+    rows: Sequence[SurveyRow],
     sample: int,
     seed: int = 0,
 ) -> list[str]:
     """Recompute a random sample of cached rows; return mismatch messages.
 
-    Only rows whose graph can be rebuilt from this run (hashes in
-    ``used_hashes``) are eligible; timing fields are not compared.
+    Only records of the Brieskorn ``rows`` of this run are eligible, since
+    each graph is rebuilt from its row's params; every early_stop setting
+    stored for such a graph is.  Timing fields are not compared.
     """
-    used = set(used_hashes)
-    eligible = [rec for (h, _), rec in sorted(cache.records.items()) if h in used]
-    if not eligible or sample <= 0:
+    params_by_hash = {r.graph_hash: r.params for r in rows if r.graph_hash}
+    keys = sorted(
+        (k for k in cache.records if k[0] in params_by_hash),
+        key=lambda k: (k[0], k[1] is None, k[1] or 0),  # None sorts after every K
+    )
+    if not keys or sample <= 0:
         return []
     rng = random.Random(seed)
-    picked = rng.sample(eligible, min(sample, len(eligible)))
+    picked = rng.sample([cache.records[k] for k in keys], min(sample, len(keys)))
     problems = []
     for rec in picked:
-        graph = _GRAPHS_BY_HASH.get(rec["graph_hash"])
-        if graph is None:
-            continue
+        graph = sigma_star(params_by_hash[rec["graph_hash"]])
         fresh = _cache_record(analyze(graph, early_stop=rec["early_stop"]))
         if fresh != rec:
             problems.append(
                 f"cache mismatch for {rec['graph_hash'][:12]}: {rec} != {fresh}"
             )
     return problems
-
-
-# reverify needs the graphs back from their hashes; survey runs register them
-_GRAPHS_BY_HASH: dict[str, PlumbingGraph] = {}
-
-
-def register_graph(graph: PlumbingGraph) -> str:
-    h = canonical_graph_hash(graph)
-    _GRAPHS_BY_HASH[h] = graph
-    return h
 
 
 @dataclass(frozen=True)
@@ -319,16 +317,7 @@ class S3Row:
         )
 
     def to_obj(self) -> dict:
-        return {
-            "quadruple": list(self.quadruple),
-            "unique_good_initial": self.unique_good_initial,
-            "bumped_sums_hold": self.bumped_sums_hold,
-            "central_count_matches": self.central_count_matches,
-            "pairing_jumps_match": self.pairing_jumps_match,
-            "reversal_is_good": self.reversal_is_good,
-            "count": self.count,
-            "central_moves": self.central_moves,
-        }
+        return _fields_obj(self)
 
 
 def s3_row(q: SphereQuadruple) -> S3Row:
@@ -389,26 +378,26 @@ def _csv_cell(value) -> str:
     return str(value)
 
 
-def rows_to_csv(rows: Sequence) -> str:
-    """CSV with one row per survey/s3 row, tuple columns joined by ';'."""
-    if not rows:
+def _objs_to_csv(objs: Sequence[dict]) -> str:
+    """Header from the first object's keys, then one line per object."""
+    if not objs:
         return ""
-    objs = [r.to_obj() for r in rows]
     buf = io.StringIO()
     writer = csv.writer(buf)
-    header = list(objs[0].keys())
+    header = list(objs[0])
     writer.writerow(header)
     for obj in objs:
         writer.writerow([_csv_cell(obj[k]) for k in header])
     return buf.getvalue()
 
 
+def rows_to_csv(rows: Sequence) -> str:
+    """CSV with one row per survey/s3 row, tuple columns joined by ';'."""
+    return _objs_to_csv([r.to_obj() for r in rows])
+
+
 def report_to_csv(report: AnalysisReport) -> str:
     obj = report.to_obj()
     obj.pop("sequences", None)
     obj["good_initials"] = [" ".join(str(x) for x in v) for v in obj["good_initials"]]
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(list(obj.keys()))
-    writer.writerow([_csv_cell(v) for v in obj.values()])
-    return buf.getvalue()
+    return _objs_to_csv([obj])

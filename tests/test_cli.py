@@ -126,6 +126,17 @@ def test_survey_brieskorn_with_cache(tmp_path, capsys):
     assert cache.read_text() == first
 
 
+def test_survey_torn_cache_exits_1(tmp_path, capsys):
+    cache = tmp_path / "cache.jsonl"
+    run(capsys, "survey", "--max-a", "6", "--cache", str(cache))
+    lines = cache.read_text().splitlines()
+    cache.write_text("\n".join(lines[:-1] + [lines[-1][:40]]) + "\n")
+    code, out, err = run(capsys, "survey", "--max-a", "6", "--cache", str(cache))
+    assert code == 1
+    assert out == ""
+    assert f"ParseError: {cache}:{len(lines)}:" in err
+
+
 def test_survey_cache_env_var(tmp_path, capsys, monkeypatch):
     env_cache = tmp_path / "env.jsonl"
     monkeypatch.setenv("PLUMB_HF_CACHE", str(env_cache))
@@ -173,16 +184,19 @@ def test_s3_harness(capsys):
         assert row["reversal_is_good"]
 
 
-def test_usage_errors_exit_1(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["analyze"])  # missing file argument
-    assert exc.value.code == 1
-    with pytest.raises(SystemExit) as exc:
-        main(["survey", "--format", "xml"])
-    assert exc.value.code == 1
-    with pytest.raises(SystemExit) as exc:
-        main([])
-    assert exc.value.code == 1
+def test_usage_errors_exit_1(capsys, monkeypatch):
+    monkeypatch.delenv("PLUMB_HF_CACHE", raising=False)
+    for argv in (
+        ["analyze"],  # missing file argument
+        ["survey", "--format", "xml"],
+        [],
+        ["survey", "--max-a", "6", "--reverify-sample", "3"],  # no cache to reverify
+        ["survey", "--early-stop", "0"],
+        ["brieskorn", "2", "3", "5", "--early-stop", "-1"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 1, argv
 
 
 def test_missing_file_exits_1(capsys):

@@ -2,7 +2,9 @@ import csv
 import io
 import json
 
-from plumbhf import analyze, survey_all_minus_two, survey_brieskorn
+import pytest
+
+from plumbhf import ParseError, analyze, survey_all_minus_two, survey_brieskorn
 from plumbhf.report import (
     ResultCache,
     brieskorn_row,
@@ -36,6 +38,7 @@ def test_analyze_report_fields():
 def test_analyze_emits_sequences_on_request():
     r = analyze(e8(), emit_sequences=True)
     assert r.sequences is not None
+    assert list(r.to_obj())[-3:] == ["early_stop", "assumes_independent_generators", "sequences"]
     seq = r.sequences[0]
     assert seq["states"][0] == [0] * 8
     assert seq["moved"] == []
@@ -102,17 +105,45 @@ def test_cache_reverify_flags_tampering(tmp_path):
     path = tmp_path / "cache.jsonl"
     cache = ResultCache(path)
     rows = survey_brieskorn(max_a=7, rays=3, cache=cache)
-    used = [r.graph_hash for r in rows if r.graph_hash]
-    assert reverify_cache(cache, used, sample=len(used)) == []
+    assert reverify_cache(cache, rows, sample=len(rows)) == []
 
     # corrupt one stored count and reload
     records = [json.loads(line) for line in path.read_text().splitlines()]
     records[0]["good_initial_count"] += 5
     path.write_text("\n".join(json.dumps(r) for r in records) + "\n")
     tampered = ResultCache(path)
-    problems = reverify_cache(tampered, used, sample=len(used))
+    problems = reverify_cache(tampered, rows, sample=len(rows))
     assert len(problems) == 1
     assert "mismatch" in problems[0]
+
+
+def test_cache_reverify_covers_every_early_stop_of_a_graph(tmp_path):
+    cache = ResultCache(tmp_path / "cache.jsonl")
+    survey_brieskorn(max_a=7, rays=3, early_stop=None, cache=cache)
+    rows = survey_brieskorn(max_a=7, rays=3, cache=cache)
+    assert len(cache.records) == 2 * len(rows)
+    assert reverify_cache(cache, rows, sample=len(cache.records)) == []
+    # rows of another run cannot be rebuilt, so their records are not eligible
+    assert reverify_cache(cache, survey_brieskorn(max_a=5, rays=2), sample=5) == []
+
+
+@pytest.mark.parametrize(
+    "last_line, message",
+    [
+        ('{"det":1,"early_stop":2,"good_initial_count', "JSONDecodeError"),
+        ('{"det":1,"good_initial_count":1,"graph_hash":"ab","partial":false}', "KeyError: 'early_stop'"),
+        ("[1, 2]", "TypeError"),
+    ],
+)
+def test_cache_malformed_record_names_path_and_line(tmp_path, last_line, message):
+    path = tmp_path / "cache.jsonl"
+    survey_brieskorn(max_a=6, rays=3, cache=ResultCache(path))
+    good = path.read_text().splitlines()
+    path.write_text("\n".join(good + ["", last_line]) + "\n")
+    with pytest.raises(ParseError) as exc:
+        ResultCache(path)
+    assert f"{path}:{len(good) + 2}:" in str(exc.value)
+    assert message in str(exc.value)
 
 
 def test_csv_and_json_rows_carry_identical_data():
@@ -120,6 +151,7 @@ def test_csv_and_json_rows_carry_identical_data():
     objs = [r.to_obj() for r in rows]
     parsed = list(csv.DictReader(io.StringIO(rows_to_csv(rows))))
     assert len(parsed) == len(objs)
+    assert list(parsed[0]) == ["params", "verdict", "count", "partial", "graph_hash", "reason"]
     for obj, line in zip(objs, parsed):
         assert line["params"] == ";".join(str(x) for x in obj["params"])
         assert line["verdict"] == obj["verdict"]
@@ -134,11 +166,45 @@ def test_report_csv_matches_json_fields():
     parsed = list(csv.DictReader(io.StringIO(report_to_csv(r))))
     assert len(parsed) == 1
     line = parsed[0]
+    assert list(line) == [
+        "name",
+        "graph_hash",
+        "vertex_count",
+        "det",
+        "negative_definite",
+        "bad_vertices",
+        "is_homology_sphere",
+        "initial_count",
+        "good_initial_count",
+        "partial",
+        "good_initials",
+        "elapsed_ms",
+        "early_stop",
+        "assumes_independent_generators",
+    ]
     assert line["det"] == str(obj["det"])
     assert line["graph_hash"] == obj["graph_hash"]
     assert line["good_initial_count"] == str(obj["good_initial_count"])
     assert line["bad_vertices"] == ";".join(str(v) for v in obj["bad_vertices"])
     assert line["negative_definite"] == "true"
+
+
+def test_s3_csv_columns_and_values():
+    rows = s3_rows(8)
+    parsed = list(csv.DictReader(io.StringIO(rows_to_csv(rows))))
+    assert list(parsed[0]) == [
+        "quadruple",
+        "unique_good_initial",
+        "bumped_sums_hold",
+        "central_count_matches",
+        "pairing_jumps_match",
+        "reversal_is_good",
+        "count",
+        "central_moves",
+    ]
+    for row, line in zip(rows, parsed):
+        assert line["quadruple"] == ";".join(str(x) for x in row.quadruple)
+        assert line["count"] == str(row.count)
 
 
 def test_brieskorn_row_skips_invalid_tuples():

@@ -102,8 +102,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--reverify-sample",
-        type=int,
-        default=0,
+        type=_positive_int,
         metavar="N",
         help="recompute N cached rows of this run and fail on any mismatch (needs a cache)",
     )
@@ -174,11 +173,12 @@ def _cache_path(args) -> str | None:
 
 
 def _cmd_survey(args) -> int:
-    cache_path = _cache_path(args)
-    cache = ResultCache(cache_path) if cache_path else None
+    cache = None
     if args.mode == "all-minus-two":
         rows = survey_all_minus_two(max_p=args.max_p, rays=args.rays)
     else:
+        cache_path = _cache_path(args)
+        cache = ResultCache(cache_path) if cache_path else None
         rows = survey_brieskorn(
             max_a=args.max_a,
             rays=args.rays,
@@ -186,7 +186,7 @@ def _cmd_survey(args) -> int:
             cache=cache,
         )
     _emit_rows(rows, args)
-    if cache is not None and args.reverify_sample > 0:
+    if args.reverify_sample:
         problems = reverify_cache(cache, rows, args.reverify_sample)
         if problems:
             for line in problems:
@@ -204,7 +204,10 @@ def _cmd_s3(args) -> int:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "survey" and args.reverify_sample > 0 and _cache_path(args) is None:
+    if args.command == "survey" and args.mode == "all-minus-two":
+        if args.cache is not None or args.reverify_sample is not None:
+            parser.error("--cache and --reverify-sample apply only to --mode brieskorn")
+    elif args.command == "survey" and args.reverify_sample and _cache_path(args) is None:
         parser.error(f"--reverify-sample needs --cache or ${CACHE_ENV}")
     handler = {
         "analyze": _cmd_analyze,

@@ -21,12 +21,13 @@ The game is confluent: two vertices movable at the same state are never
 adjacent (an adjacent pair at the top of their ranges blocks both), so
 their moves commute, and when one move caps a shared neighbor the other
 order caps it too, leaving an adjacent capped pair that no later move
-can lower.  Every maximal play from a state therefore has the same
-outcome, and one deterministic play decides a start.  That play cannot
-revisit a state while the intersection form is nonsingular (a repeat
-would need a nonzero move multiset in the form's kernel), so the fast
-engine follows single plays and a breadth-first engine with a visited
-set covers the singular case.
+can lower.  This diamond means that if any play from s reaches a final
+state in n moves, every play from s does, so one deterministic play
+decides a start.  The state space is finite, so a play that revisits a
+state never ends and its start is not good.  A play cannot revisit a
+state while the intersection form is nonsingular (a repeat would need a
+nonzero move multiset in the form's kernel), so only plays on singular
+forms keep a visited set.
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ from __future__ import annotations
 import itertools
 import logging
 import warnings
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence
@@ -215,10 +215,6 @@ class AssociationGame:
             mut[u] += 1
         return self._freeze(mut)
 
-    def _triggered(self, state) -> frozenset:
-        kmax = self._kmax
-        return frozenset(v for v, k in enumerate(state) if k == kmax[v])
-
     # -- search ---------------------------------------------------------
 
     def _warn_if_outside_domain(self) -> None:
@@ -229,22 +225,18 @@ class AssociationGame:
                 stacklevel=3,
             )
 
-    def _search(self, s0) -> list[int] | None:
-        """Moves from s0 to some final state, or None if unreachable."""
-        if self._singular:
-            return self._search_bfs(s0)
-        return self._play(s0)
-
     def _play(self, s0) -> list[int] | None:
         """Decide s0 by one deterministic maximal play (see module doc).
 
-        Sound only on nonsingular forms, where a play cannot revisit a
-        state and confluence makes its outcome the outcome of every
-        play.  Visited states are memoized with the move taken, so later
-        starts splice into stored plays instead of replaying them.
+        Confluence makes the play's outcome the outcome of every play.
+        On a singular form the play keeps a visited set, and a repeated
+        state decides s0 as not good.  Visited states are memoized with
+        the move taken, so later starts splice into stored plays instead
+        of replaying them.
         """
         reach, step = self._reach, self._step
         kmax, nbrs = self._kmax, self._nbrs
+        visited = set() if self._singular else None
         path_states: list = []
         path_moves: list[int] = []
         s = s0
@@ -253,6 +245,12 @@ class AssociationGame:
             if known is not None:
                 good = known
                 break
+            if visited is not None:
+                if s in visited:
+                    logger.debug("move cycle through %r on %s", s, self.graph.name)
+                    good = False
+                    break
+                visited.add(s)
             triggered = [v for v, k in enumerate(s) if k == kmax[v]]
             if not triggered:
                 good = True
@@ -286,67 +284,6 @@ class AssociationGame:
             s = self._bump(s, v)
         return path_moves
 
-    def _search_bfs(self, s0) -> list[int] | None:
-        """Breadth-first fallback for singular intersection forms."""
-        reach, step = self._reach, self._step
-        kmax, nbrs = self._kmax, self._nbrs
-        if reach.get(s0) is False:
-            return None
-        parent: dict = {s0: None}
-        queue: deque = deque()
-        queue.append((s0, self._triggered(s0)))
-        goal = None
-        while queue:
-            s, triggered = queue.popleft()
-            if not triggered or reach.get(s):
-                goal = s  # final, or already known to reach a final
-                break
-            stuck = True
-            for v in sorted(triggered):
-                if any(s[u] >= kmax[u] for u in nbrs[v]):
-                    continue  # a neighbor sits at its bound: illegal
-                stuck = False
-                child = self._bump(s, v)
-                if child in parent or reach.get(child) is False:
-                    continue
-                parent[child] = (s, v)
-                child_triggered = triggered.difference((v,)).union(
-                    u for u in nbrs[v] if s[u] + 1 == kmax[u]
-                )
-                queue.append((child, child_triggered))
-            if stuck:
-                # a maximal move order that is not final; empirical data
-                logger.debug("dead-end state %r on %s", s, self.graph.name)
-        if goal is None:
-            # nothing reachable from any visited state reaches a final
-            for s in parent:
-                reach[s] = False
-            return None
-        moves: list[int] = []
-        cur = goal
-        while parent[cur] is not None:
-            prev, v = parent[cur]
-            moves.append(v)
-            cur = prev
-        moves.reverse()
-        # splice in the memoized continuation if the goal was a memo hit
-        s = goal
-        while True:
-            v = step.get(s)
-            if v is None:
-                break
-            moves.append(v)
-            s = self._bump(s, v)
-        # memoize the witness path; never overwrite, so step chains stay acyclic
-        s = s0
-        for v in moves:
-            if reach.get(s) is not True:
-                reach[s] = True
-                step[s] = v
-            s = self._bump(s, v)
-        reach[s] = True
-        return moves
-
     def _witness(self, s0, moves: Sequence[int]) -> GoodSequence:
         states = [self._to_assoc(s0)]
         s = s0
@@ -369,15 +306,10 @@ class AssociationGame:
         if not is_initial(n0):
             raise ValueError("completes_to_good needs an initial association")
         self._warn_if_outside_domain()
-        moves = self._search(self._to_state(n0))
+        moves = self._play(self._to_state(n0))
         if moves is None:
             return None
         return self._witness(self._to_state(n0), moves)
-
-    def initial_associations(self) -> Iterator[Association]:
-        """All initial associations, lexicographic by vertex id."""
-        for state in self._initial_states():
-            yield self._to_assoc(state)
 
     def _initial_states(self) -> Iterator:
         ranges = [range(1, k + 1) for k in self._kmax]
@@ -412,7 +344,7 @@ class AssociationGame:
         scanned = 0
         for s0 in self._initial_states():
             scanned += 1
-            moves = self._search(s0)
+            moves = self._play(s0)
             if moves is None:
                 continue
             goods.append(self._to_assoc(s0))

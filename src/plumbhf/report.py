@@ -21,7 +21,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Sequence
 
-from .contfrac import expand_cf
+from .contfrac import bumped_sum_check, expand_cf
 from .errors import ParseError, PlumbingError
 from .files import canonical_graph_hash
 from .game import (
@@ -322,8 +322,6 @@ class S3Row:
 
 def s3_row(q: SphereQuadruple) -> S3Row:
     """Check the five structural properties on one quadruple's star."""
-    from .contfrac import bumped_sum_check
-
     c = q.canonical()
     graph = quadruple_star(c, name="s3" + str(c.as_tuple()))
     result = AssociationGame(graph).good_initial_count()

@@ -94,8 +94,9 @@ def brieskorn(multiplicities: Sequence[int]) -> SeifertInvariants:
     Needs every a_i >= 2 and the a_i pairwise coprime (NotCoprimeError
     otherwise).  Each b_i is the mod-a_i inverse of prod(a)/a_i shifted
     into (-a_i, 0); the center weight then comes out of the defining
-    equation as an exact integer and is checked negative.  The resulting
-    star is verified negative definite (NonNegDefiniteError otherwise).
+    equation, which SeifertInvariants checks exactly along with m < 0
+    (ValueError otherwise).  The resulting star is verified negative
+    definite (NonNegDefiniteError otherwise).
     """
     a = tuple(int(x) for x in multiplicities)
     if not a:
@@ -114,9 +115,7 @@ def brieskorn(multiplicities: Sequence[int]) -> SeifertInvariants:
         bi = pow(cofactor, -1, ai) - ai  # -a_i < b_i < 0
         rays.append((ai, bi))
     total = sum(bi * (product // ai) for ai, bi in rays)
-    assert (total - 1) % product == 0
     m = (total - 1) // product
-    assert m < 0
     inv = SeifertInvariants(m, tuple(rays))
     if not is_negative_definite(star_graph(inv)):
         raise NonNegDefiniteError(f"star of {a} is not negative definite")

@@ -153,6 +153,16 @@ def test_survey_cache_env_var(tmp_path, capsys, monkeypatch):
     assert env_cache.read_text() == before
 
 
+def test_survey_all_minus_two_ignores_env_cache(tmp_path, capsys, monkeypatch):
+    torn = tmp_path / "torn.jsonl"
+    torn.write_text('{"graph_hash": "ab')
+    monkeypatch.setenv("PLUMB_HF_CACHE", str(torn))
+    code, out, _ = run(capsys, "survey", "--mode", "all-minus-two", "--max-p", "6")
+    assert code == 0
+    assert json.loads(out)
+    assert torn.read_text() == '{"graph_hash": "ab'
+
+
 def test_survey_no_cache_by_default(tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
     monkeypatch.delenv("PLUMB_HF_CACHE", raising=False)
@@ -184,8 +194,9 @@ def test_s3_harness(capsys):
         assert row["reversal_is_good"]
 
 
-def test_usage_errors_exit_1(capsys, monkeypatch):
+def test_usage_errors_exit_1(tmp_path, capsys, monkeypatch):
     monkeypatch.delenv("PLUMB_HF_CACHE", raising=False)
+    cache = str(tmp_path / "cache.jsonl")
     for argv in (
         ["analyze"],  # missing file argument
         ["survey", "--format", "xml"],
@@ -193,10 +204,16 @@ def test_usage_errors_exit_1(capsys, monkeypatch):
         ["survey", "--max-a", "6", "--reverify-sample", "3"],  # no cache to reverify
         ["survey", "--early-stop", "0"],
         ["brieskorn", "2", "3", "5", "--early-stop", "-1"],
+        # all-minus-two never reads or writes a cache
+        ["survey", "--mode", "all-minus-two", "--cache", cache],
+        ["survey", "--mode", "all-minus-two", "--reverify-sample", "3"],
+        ["survey", "--mode", "all-minus-two", "--cache", cache, "--reverify-sample", "3"],
+        ["survey", "--max-a", "6", "--cache", cache, "--reverify-sample", "-3"],
     ):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 1, argv
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_missing_file_exits_1(capsys):

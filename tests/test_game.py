@@ -1,4 +1,5 @@
 import itertools
+import logging
 import random
 import warnings
 
@@ -101,8 +102,8 @@ def test_good_sequence_replay():
 
 
 def test_engine_matches_bfs_oracle_on_random_graphs():
-    """The production engine (single plays plus memoization, breadth
-    first on singular forms) agrees with an uncached oracle."""
+    """The production engine (single plays plus memoization, with a
+    visited set on singular forms) agrees with an uncached oracle."""
     rng = random.Random(101)
     singular = 0
     with warnings.catch_warnings():
@@ -119,7 +120,7 @@ def test_engine_matches_bfs_oracle_on_random_graphs():
                 assert (got is not None) == oracle_completes(g, values)
                 if got is not None:
                     assert is_good_sequence(got)
-    assert singular >= 1  # the corpus must exercise the fallback engine
+    assert singular >= 1  # the corpus must exercise the cycle-checked plays
 
 
 def test_counts_frozen_small_cases():
@@ -201,7 +202,7 @@ def test_non_definite_graph_warns():
         good_initial_count(affine)
 
 
-def test_singular_form_uses_breadth_first_engine():
+def test_singular_chain_has_no_good_initials():
     g = chain(-2, -1, -2)
     assert graph_determinant(g) == 0
     game = AssociationGame(g)
@@ -209,6 +210,34 @@ def test_singular_form_uses_breadth_first_engine():
         r = game.good_initial_count()
     assert r.count == 0
     assert r.initial_total == 4
+
+
+def test_play_decides_every_state_of_singular_forms(caplog):
+    """A play that revisits a state is not good; on every state, not only
+    the initial ones, the cycle-checked play agrees with the oracle."""
+    caplog.set_level(logging.DEBUG, logger="plumbhf.game")
+    rng = random.Random(7)
+    forests = [chain(-1, -1)]
+    while len(forests) < 201:
+        g = random_forest(rng, max_vertices=6)
+        if graph_determinant(g) == 0:
+            forests.append(g)
+    for g in forests:
+        game = AssociationGame(g)
+        for k in itertools.product(*[range(-w + 1) for w in g.weights]):
+            moves = game._play(game._freeze(k))
+            values = tuple(w + 2 * x for w, x in zip(g.weights, k))
+            assert (moves is not None) == oracle_completes(g, values), (g, k)
+            if moves is not None:
+                a = Association(g, values)
+                for v in moves:
+                    a = apply_move(a, v)
+                assert is_final(a)
+    cycles = [r for r in caplog.records if r.getMessage().startswith("move cycle")]
+    assert len(cycles) >= 100  # the corpus must exercise the cycle rule
+    # chain(-1, -1) from k = (1, 0) moves back and forth forever
+    game = AssociationGame(chain(-1, -1))
+    assert game._play(game._freeze((1, 0))) is None
 
 
 def test_completes_to_good_validations():

@@ -57,14 +57,13 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _add_scan_flags(p: argparse.ArgumentParser, default_early_stop: int | None) -> None:
+def _add_scan_flags(p: argparse.ArgumentParser, early_stop_help: str = "") -> None:
     g = p.add_mutually_exclusive_group()
     g.add_argument(
         "--early-stop",
         type=_positive_int,
         metavar="K",
-        default=default_early_stop,
-        help="stop scanning once K good initials are found",
+        help="stop scanning once K good initials are found" + early_stop_help,
     )
     g.add_argument(
         "--full",
@@ -79,22 +78,28 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze", help="analyze one plumbing graph file")
     p.add_argument("graph_file", metavar="FILE")
-    _add_scan_flags(p, default_early_stop=None)
+    _add_scan_flags(p)
     p.add_argument("--emit-sequences", action="store_true")
     _add_output_flags(p)
 
     p = sub.add_parser("brieskorn", help="build and analyze one Brieskorn sphere")
     p.add_argument("multiplicities", metavar="A", type=int, nargs="+")
-    _add_scan_flags(p, default_early_stop=None)
+    _add_scan_flags(p)
     p.add_argument("--emit-sequences", action="store_true")
     _add_output_flags(p)
 
+    # Flags that only one mode reads default to None, so that giving one
+    # to the other mode is caught; the per-mode defaults apply in _cmd_survey.
     p = sub.add_parser("survey", help="sweep a family and emit one row per member")
     p.add_argument("--mode", choices=("brieskorn", "all-minus-two"), default="brieskorn")
-    p.add_argument("--max-a", type=int, default=30, metavar="N")
+    p.add_argument(
+        "--max-a", type=int, metavar="N", help="largest multiplicity (brieskorn; default 30)"
+    )
     p.add_argument("--rays", type=int, default=3, metavar="N")
-    p.add_argument("--max-p", type=int, default=12, metavar="N")
-    _add_scan_flags(p, default_early_stop=2)
+    p.add_argument(
+        "--max-p", type=int, metavar="N", help="longest ray (all-minus-two; default 12)"
+    )
+    _add_scan_flags(p, early_stop_help=" (brieskorn; default 2)")
     p.add_argument(
         "--cache",
         metavar="PATH",
@@ -172,17 +177,34 @@ def _cache_path(args) -> str | None:
     return (args.cache if args.cache is not None else os.environ.get(CACHE_ENV)) or None
 
 
+def _survey_flags_ignored(args) -> list[str]:
+    """Flags given on the command line that args.mode does not read."""
+    if args.mode == "brieskorn":
+        given = {"--max-p": args.max_p is not None}
+    else:
+        given = {
+            "--max-a": args.max_a is not None,
+            "--early-stop": args.early_stop is not None,
+            "--full": args.full,
+            "--cache": args.cache is not None,
+            "--reverify-sample": args.reverify_sample is not None,
+        }
+    return [flag for flag, on in given.items() if on]
+
+
 def _cmd_survey(args) -> int:
     cache = None
     if args.mode == "all-minus-two":
-        rows = survey_all_minus_two(max_p=args.max_p, rays=args.rays)
+        max_p = 12 if args.max_p is None else args.max_p
+        rows = survey_all_minus_two(max_p=max_p, rays=args.rays)
     else:
         cache_path = _cache_path(args)
         cache = ResultCache(cache_path) if cache_path else None
+        early_stop = 2 if args.early_stop is None else args.early_stop
         rows = survey_brieskorn(
-            max_a=args.max_a,
+            max_a=30 if args.max_a is None else args.max_a,
             rays=args.rays,
-            early_stop=_early_stop(args),
+            early_stop=None if args.full else early_stop,
             cache=cache,
         )
     _emit_rows(rows, args)
@@ -204,11 +226,12 @@ def _cmd_s3(args) -> int:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "survey" and args.mode == "all-minus-two":
-        if args.cache is not None or args.reverify_sample is not None:
-            parser.error("--cache and --reverify-sample apply only to --mode brieskorn")
-    elif args.command == "survey" and args.reverify_sample and _cache_path(args) is None:
-        parser.error(f"--reverify-sample needs --cache or ${CACHE_ENV}")
+    if args.command == "survey":
+        ignored = _survey_flags_ignored(args)
+        if ignored:
+            parser.error(f"--mode {args.mode} does not use {', '.join(ignored)}")
+        if args.reverify_sample and _cache_path(args) is None:
+            parser.error(f"--reverify-sample needs --cache or ${CACHE_ENV}")
     handler = {
         "analyze": _cmd_analyze,
         "brieskorn": _cmd_brieskorn,

@@ -6,12 +6,12 @@ A coefficient list [t1, ..., tp] stands for the nested expression
 
 Every rational x < -1 has a unique expansion with all coefficients
 <= -2; these lists are exactly the weight chains of the rays of a
-star-shaped plumbing.  Values are :class:`fractions.Fraction` throughout.
+star-shaped plumbing.  Values are :class:`fractions.Fraction` throughout;
+:func:`expand_cf` works on the numerator and denominator as integers.
 """
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from typing import Sequence
 
@@ -58,20 +58,22 @@ def expand_cf(x: Fraction | int) -> list[int]:
     """The unique all-(<= -2) expansion of a rational x < -1.
 
     Take t1 = floor(x) (t1 = x when x is an integer) and recurse on
-    -1/(x - t1); the numerator strictly drops, so this terminates.
-    Raises OutOfRangeError for x >= -1.
+    -1/(x - t1).  On x = p/q in lowest terms (q > 0) that is one Euclid
+    step, p/q -> -q/(p - t1*q), which stays in lowest terms; the
+    denominator strictly drops, so this terminates.  Raises
+    OutOfRangeError for x >= -1.
     """
     x = Fraction(x)
     if x >= -1:
         raise OutOfRangeError(f"expansion needs x < -1, got {x}")
+    p, q = x.numerator, x.denominator
     out: list[int] = []
-    while True:
-        if x.denominator == 1:
-            out.append(int(x))
-            return out
-        t = math.floor(x)
+    while q != 1:
+        t = p // q
         out.append(t)
-        x = Fraction(-1) / (x - t)
+        p, q = -q, p - t * q
+    out.append(p)
+    return out
 
 
 def convergents(coeffs: Sequence[int]) -> list[tuple[int, int]]:

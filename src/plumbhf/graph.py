@@ -8,7 +8,11 @@ counting algorithm in :mod:`plumbhf.game` applies when the form is
 negative definite with at most one bad vertex (a vertex with
 m(v) > -degree(v)).
 
-All arithmetic here is exact over the integers.
+A graph's determinant and definiteness come from one leaf-to-root sweep
+over the tree, computed once per graph object and kept on it
+(:attr:`PlumbingGraph.forms`).  Fraction-free Bareiss elimination serves
+only :func:`determinant` of an arbitrary matrix.  All arithmetic here is
+exact over the integers.
 """
 
 from __future__ import annotations
@@ -70,6 +74,57 @@ class PlumbingGraph:
                     seen.add(u)
                     stack.append(u)
         return len(seen) == n
+
+    @cached_property
+    def forms(self) -> tuple[int, bool]:
+        """(det, negative_definite) of the intersection form.
+
+        One leaf-to-root integer sweep per component.  A vertex v with
+        children c has E_v = prod D_c and
+        D_v = m(v)*E_v - sum_c E_c * prod_{c' != c} D_c', which is the
+        determinant of v's subtree (expand along v's row).  det is the
+        product of D_root over the roots.  Each subtree is a principal
+        submatrix and D_v/E_v is its Schur pivot, so the form is
+        negative definite iff every such pivot is negative, i.e. every
+        D_v is nonzero with sign (-1)^|subtree(v)|.  The empty graph has
+        det 1 and is vacuously negative definite.  Raises
+        CycleDetectedError if the edges do not form a forest, which only
+        a directly built graph can do.
+        """
+        n = self.vertex_count
+        nbrs = self.neighbors
+        parent: list[int | None] = [None] * n  # -1 for a root
+        order: list[int] = []  # breadth-first, so parents precede children
+        roots: list[int] = []
+        i = 0
+        for r in range(n):
+            if parent[r] is not None:
+                continue
+            parent[r] = -1
+            roots.append(r)
+            order.append(r)
+            while i < len(order):
+                v = order[i]
+                i += 1
+                for u in nbrs[v]:
+                    if parent[u] is None:
+                        parent[u] = v
+                        order.append(u)
+        if len(self.edges) != n - len(roots):
+            raise CycleDetectedError(f"{len(self.edges)} edges on {n} vertices close a cycle")
+        d = list(self.weights)
+        e = [1] * n
+        negative_definite = True
+        for v in reversed(order):  # children before parents
+            if d[v] * e[v] >= 0:
+                negative_definite = False
+            p = parent[v]
+            if p >= 0:
+                d[p], e[p] = d[p] * d[v] - e[p] * e[v], e[p] * d[v]
+        det = 1
+        for r in roots:
+            det *= d[r]
+        return det, negative_definite
 
 
 def build_graph(
@@ -137,33 +192,27 @@ def intersection_matrix(g: PlumbingGraph) -> IntersectionMatrix:
     return IntersectionMatrix(tuple(tuple(r) for r in rows))
 
 
-def _bareiss(entries: Sequence[Sequence[int]]) -> tuple[int, bool]:
-    """Exact (det, negative_definite) by one fraction-free sweep.
+def determinant(m: IntersectionMatrix) -> int:
+    """Exact determinant of any square integer matrix.
 
-    Every intermediate quantity is an integer; each division is by the
-    previous pivot and is exact.  Row pivoting handles zero pivots, so
-    singular matrices get det 0.  Until a row swap happens the k-th pivot
-    is the k-th leading principal minor, and the form is negative
-    definite iff that minor has sign (-1)^k for k = 1..n; a zero minor
-    (the only reason to swap) already refutes definiteness.  The empty
-    matrix has det 1 and is vacuously negative definite.
+    One fraction-free Bareiss sweep: every intermediate quantity is an
+    integer, and each division is by the previous pivot and is exact.
+    Row pivoting handles zero pivots, so singular matrices get det 0.
+    The empty matrix has det 1.  Plumbing graphs use the linear-time
+    :attr:`PlumbingGraph.forms` instead.
     """
-    a = [list(row) for row in entries]
+    a = [list(row) for row in m.entries]
     n = len(a)
     sign = 1
     prev = 1
-    negative_definite = True
     for k in range(n):
         if a[k][k] == 0:
-            negative_definite = False
             swap = next((r for r in range(k + 1, n) if a[r][k] != 0), None)
             if swap is None:
-                return 0, False
+                return 0
             a[k], a[swap] = a[swap], a[k]
             sign = -sign
         pk = a[k][k]
-        if (pk < 0) != (k % 2 == 0):
-            negative_definite = False
         row_k = a[k]
         for i in range(k + 1, n):
             row_i = a[i]
@@ -173,16 +222,12 @@ def _bareiss(entries: Sequence[Sequence[int]]) -> tuple[int, bool]:
                 row_i[j] = (row_i[j] * pk - aik * row_k[j]) // prev
             row_i[k] = 0
         prev = pk
-    return sign * prev, negative_definite
-
-
-def determinant(m: IntersectionMatrix) -> int:
-    """Exact determinant; see _bareiss."""
-    return _bareiss(m.entries)[0]
+    return sign * prev
 
 
 def graph_determinant(g: PlumbingGraph) -> int:
-    return determinant(intersection_matrix(g))
+    """Determinant of the intersection form; see PlumbingGraph.forms."""
+    return g.forms[0]
 
 
 def is_homology_sphere(g: PlumbingGraph) -> bool:
@@ -197,8 +242,8 @@ def is_homology_sphere(g: PlumbingGraph) -> bool:
 
 
 def is_negative_definite(g: PlumbingGraph) -> bool:
-    """Leading-principal-minor test in exact integer arithmetic; see _bareiss."""
-    return _bareiss(intersection_matrix(g).entries)[1]
+    """Negative definiteness of the intersection form; see PlumbingGraph.forms."""
+    return g.forms[1]
 
 
 def bad_vertices(g: PlumbingGraph) -> list[int]:

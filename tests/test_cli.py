@@ -108,6 +108,18 @@ def test_survey_all_minus_two(capsys):
     assert hits == [[1, 2, 4]]
 
 
+def test_survey_mode_defaults_match_explicit_flags(capsys, monkeypatch):
+    monkeypatch.delenv("PLUMB_HF_CACHE", raising=False)
+
+    def rows(*argv):
+        code, out, _ = run(capsys, "survey", *argv)
+        assert code == 0
+        return [{k: v for k, v in r.items() if k != "elapsed_ms"} for r in json.loads(out)]
+
+    assert rows("--mode", "all-minus-two") == rows("--mode", "all-minus-two", "--max-p", "12")
+    assert rows() == rows("--max-a", "30", "--early-stop", "2")
+
+
 def test_survey_brieskorn_with_cache(tmp_path, capsys):
     cache = tmp_path / "cache.jsonl"
     code, out, _ = run(capsys, "survey", "--max-a", "7", "--cache", str(cache))
@@ -209,6 +221,12 @@ def test_usage_errors_exit_1(tmp_path, capsys, monkeypatch):
         ["survey", "--mode", "all-minus-two", "--reverify-sample", "3"],
         ["survey", "--mode", "all-minus-two", "--cache", cache, "--reverify-sample", "3"],
         ["survey", "--max-a", "6", "--cache", cache, "--reverify-sample", "-3"],
+        # each mode rejects the flags only the other mode reads
+        ["survey", "--mode", "all-minus-two", "--max-a", "3"],
+        ["survey", "--mode", "all-minus-two", "--early-stop", "5"],
+        ["survey", "--mode", "all-minus-two", "--full"],
+        ["survey", "--max-p", "6"],
+        ["survey", "--mode", "brieskorn", "--max-a", "6", "--max-p", "6"],
     ):
         with pytest.raises(SystemExit) as exc:
             main(argv)

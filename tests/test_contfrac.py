@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -24,6 +25,26 @@ def test_expand_known_values():
 
 def test_expand_rejects_x_at_least_minus_one():
     for x in (-1, Fraction(-1, 2), 0, 3, Fraction(99, -100)):
+        with pytest.raises(OutOfRangeError):
+            expand_cf(x)
+
+
+def _expand_by_fractions(x):
+    """The recursion in expand_cf's docstring, step by step in Fraction."""
+    out = []
+    while x.denominator != 1:
+        t = math.floor(x)
+        out.append(t)
+        x = Fraction(-1) / (x - t)
+    return out + [int(x)]
+
+
+def test_expand_matches_fraction_reference():
+    for x in reduced_fractions(200):
+        assert expand_cf(x) == _expand_by_fractions(x), x
+    assert expand_cf(-7) == expand_cf(Fraction(-7)) == [-7]
+    assert expand_cf(Fraction(-14, 6)) == expand_cf(Fraction(-7, 3))
+    for x in (-1, 0, Fraction(1, 2)):
         with pytest.raises(OutOfRangeError):
             expand_cf(x)
 

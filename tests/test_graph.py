@@ -78,6 +78,67 @@ def test_determinant_matches_cofactor_oracle():
         assert graph_determinant(g) == cofactor_det(rows)
 
 
+def _sylvester_negative_definite(g):
+    """Leading principal minors in vertex order alternate in sign, -1 first."""
+    rows = [list(r) for r in intersection_matrix(g).entries]
+    return all(
+        (-1) ** k * cofactor_det([r[:k] for r in rows[:k]]) > 0 for k in range(1, len(rows) + 1)
+    )
+
+
+def test_forms_match_cofactor_and_sylvester_on_random_forests():
+    # weights up to +1 reach zero and positive pivots, and edge_chance < 1
+    # leaves some forests disconnected
+    rng = random.Random(17)
+    seen = {"disconnected": 0, "definite": 0, "singular": 0, "indefinite": 0}
+    for _ in range(400):
+        g = random_forest(rng, max_vertices=9, weight_range=(-5, 1))
+        det = cofactor_det([list(r) for r in intersection_matrix(g).entries])
+        definite = _sylvester_negative_definite(g)
+        assert graph_determinant(g) == det
+        assert is_negative_definite(g) == definite
+        assert determinant(intersection_matrix(g)) == det
+        seen["disconnected"] += not g.is_connected
+        seen["definite"] += definite
+        seen["singular"] += det == 0
+        seen["indefinite"] += det != 0 and not definite
+    assert min(seen.values()) >= 20, seen
+
+
+def test_forms_of_singular_and_degenerate_graphs():
+    empty = build_graph([], [])
+    assert (graph_determinant(empty), is_negative_definite(empty)) == (1, True)
+    singular = {
+        "E6~": star(-2, [-2, -2], [-2, -2], [-2, -2]),
+        "E7~": star(-2, [-2] * 3, [-2] * 3, [-2]),
+        "E8~": star(-2, [-2] * 5, [-2] * 2, [-2]),
+        "D4~": star(-2, [-2], [-2], [-2], [-2]),
+        "chain(-1, -1)": chain(-1, -1),
+    }
+    for name, g in singular.items():
+        assert graph_determinant(g) == 0, name
+        assert not is_negative_definite(g), name
+        assert determinant(intersection_matrix(g)) == 0, name
+
+
+def test_forms_refuse_a_directly_built_cycle():
+    for edges in (((0, 1), (0, 2), (1, 2)), ((0, 1), (0, 1)), ((0, 0),)):
+        g = PlumbingGraph((-2, -2, -2), edges)
+        with pytest.raises(CycleDetectedError):
+            graph_determinant(g)
+        with pytest.raises(CycleDetectedError):
+            is_negative_definite(g)
+
+
+def test_forms_are_computed_once_per_graph():
+    g = e8()
+    assert "forms" not in vars(g)
+    assert graph_determinant(g) == 1
+    cached = vars(g)["forms"]
+    assert is_negative_definite(g) is True
+    assert g.forms is cached
+
+
 def test_determinant_known_values():
     assert graph_determinant(e8()) == 1
     # a chain of p vertices of weight -2 has determinant (-1)^p (p+1)

@@ -93,11 +93,17 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("survey", help="sweep a family and emit one row per member")
     p.add_argument("--mode", choices=("brieskorn", "all-minus-two"), default="brieskorn")
     p.add_argument(
-        "--max-a", type=int, metavar="N", help="largest multiplicity (brieskorn; default 30)"
+        "--max-a",
+        type=_positive_int,
+        metavar="N",
+        help="largest multiplicity (brieskorn; default 30)",
     )
-    p.add_argument("--rays", type=int, default=3, metavar="N")
+    p.add_argument("--rays", type=_positive_int, default=3, metavar="N")
     p.add_argument(
-        "--max-p", type=int, metavar="N", help="longest ray (all-minus-two; default 12)"
+        "--max-p",
+        type=_positive_int,
+        metavar="N",
+        help="longest ray (all-minus-two; default 12)",
     )
     _add_scan_flags(p, early_stop_help=" (brieskorn; default 2)")
     p.add_argument(

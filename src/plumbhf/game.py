@@ -14,25 +14,34 @@ summed over spin-c structures), by the Ozsvath-Szabo plumbing
 algorithm.
 
 Internally states live in offset coordinates k(v) = (n(v) - m(v)) / 2,
-which range over 0..-m(v); a vertex is movable exactly at the top of its
-range and a state is final exactly when no vertex sits at the top.
+which range over 0..-m(v).  A vertex is *capped* at the top of its
+range; it is movable when it is capped and no neighbor is, and a state
+is final exactly when no vertex is capped.
+
+A state with two adjacent capped vertices is never good.  Neither of
+them can move, a value only drops through its own vertex's move, and no
+move may push a neighbor past its cap, so the pair stays capped and no
+later state is final.  The scan over initial states therefore skips
+every initial with such a pair, and a play stops as soon as it reaches
+one.  Without one, every capped vertex is movable.  Skipped initials are
+not scanned, so an early-stopped count is partial exactly when it stops
+at an initial other than the lexicographically last one, the all-capped
+state.
 
 The game is confluent: two vertices movable at the same state are never
-adjacent (an adjacent pair at the top of their ranges blocks both), so
-their moves commute, and when one move caps a shared neighbor the other
-order caps it too, leaving an adjacent capped pair that no later move
-can lower.  This diamond means that if any play from s reaches a final
-state in n moves, every play from s does, so one deterministic play
-decides a start.  The state space is finite, so a play that revisits a
-state never ends and its start is not good.  A play cannot revisit a
-state while the intersection form is nonsingular (a repeat would need a
-nonzero move multiset in the form's kernel), so only plays on singular
-forms keep a visited set.
+adjacent, so their moves commute, and when one move caps a shared
+neighbor the other order caps it too, leaving an adjacent capped pair.
+This diamond means that if any play from s reaches a final state in n
+moves, every play from s does, so one deterministic play decides a
+start.  The state space is finite, so a play that revisits a state never
+ends and its start is not good.  A play cannot revisit a state while the
+intersection form is nonsingular (a repeat would need a nonzero move
+multiset in the form's kernel), so only plays on singular forms keep a
+visited set.
 """
 
 from __future__ import annotations
 
-import itertools
 import logging
 import warnings
 from dataclasses import dataclass
@@ -229,6 +238,7 @@ class AssociationGame:
         """Decide s0 by one deterministic maximal play (see module doc).
 
         Confluence makes the play's outcome the outcome of every play.
+        A state with an adjacent capped pair decides s0 as not good.
         On a singular form the play keeps a visited set, and a repeated
         state decides s0 as not good.  Visited states are memoized with
         the move taken, so later starts splice into stored plays instead
@@ -255,15 +265,11 @@ class AssociationGame:
             if not triggered:
                 good = True
                 break
-            move = None
-            for v in triggered:
-                if all(s[u] < kmax[u] for u in nbrs[v]):
-                    move = v
-                    break
-            if move is None:
-                logger.debug("dead-end state %r on %s", s, self.graph.name)
+            if any(s[u] == kmax[u] for v in triggered for u in nbrs[v]):
+                logger.debug("capped pair in %r on %s", s, self.graph.name)
                 good = False
                 break
+            move = triggered[0]  # no capped pair, so every capped vertex is movable
             path_states.append(s)
             path_moves.append(move)
             s = self._bump(s, move)
@@ -312,21 +318,51 @@ class AssociationGame:
         return self._witness(self._to_state(n0), moves)
 
     def _initial_states(self) -> Iterator:
-        ranges = [range(1, k + 1) for k in self._kmax]
-        if any(len(r) == 0 for r in ranges):
+        """Initial states without an adjacent capped pair, lexicographically.
+
+        Backtracks over the vertices in index order; vertex v may sit at
+        its cap only if no earlier neighbor does.
+        """
+        kmax = self._kmax
+        if any(k < 1 for k in kmax):
             return
-        for kt in itertools.product(*ranges):
-            yield self._freeze(kt)
+        n = len(kmax)
+        if n == 0:
+            yield self._freeze(())
+            return
+        earlier: list[list[int]] = [[] for _ in range(n)]
+        for u, w in self.graph.edges:
+            earlier[max(u, w)].append(min(u, w))
+        state = [0] * n
+        values = [iter(range(1, kmax[0] + 1))] + [None] * (n - 1)
+        v = 0
+        while v >= 0:
+            k = next(values[v], None)
+            if k is None:
+                v -= 1
+                continue
+            state[v] = k
+            if v == n - 1:
+                yield self._freeze(state)
+                continue
+            v += 1
+            top = kmax[v]
+            for u in earlier[v]:
+                if state[u] == kmax[u]:
+                    top -= 1
+                    break
+            values[v] = iter(range(1, top + 1))
 
     def good_initial_count(self, early_stop: int | None = None) -> GoodInitialResult:
         """Count (and list) the initial associations that complete.
 
-        Scans initial associations in lexicographic order.  With
+        Scans initial associations in lexicographic order, skipping those
+        with an adjacent capped pair (see module doc).  With
         ``early_stop=K`` the scan may stop as soon as K good ones are
-        found; the result is flagged partial iff candidates were left
-        unscanned, so a count below K is always exact.  Raises
-        TooManyBadVerticesError beyond one bad vertex and warns when the
-        form is not negative definite.
+        found; the result is flagged partial iff it stops before the last
+        initial, the all-capped state, so a count below K is always
+        exact.  Raises TooManyBadVerticesError beyond one bad vertex and
+        warns when the form is not negative definite.
         """
         if len(self._bad) > 1:
             raise TooManyBadVerticesError(
@@ -341,21 +377,21 @@ class AssociationGame:
             total *= max(k, 0)
         goods: list[Association] = []
         witnesses: list[GoodSequence] = []
-        scanned = 0
+        partial = False
         for s0 in self._initial_states():
-            scanned += 1
             moves = self._play(s0)
             if moves is None:
                 continue
             goods.append(self._to_assoc(s0))
             witnesses.append(self._witness(s0, moves))
             if early_stop is not None and len(goods) >= early_stop:
+                partial = tuple(s0) != self._kmax
                 break
         return GoodInitialResult(
             count=len(goods),
             initials=tuple(goods),
             witnesses=tuple(witnesses),
-            partial=scanned < total,
+            partial=partial,
             initial_total=total,
         )
 

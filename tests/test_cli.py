@@ -227,6 +227,11 @@ def test_usage_errors_exit_1(tmp_path, capsys, monkeypatch):
         ["survey", "--mode", "all-minus-two", "--full"],
         ["survey", "--max-p", "6"],
         ["survey", "--mode", "brieskorn", "--max-a", "6", "--max-p", "6"],
+        # integer flags below 1 would sweep nothing or fail late
+        ["survey", "--max-a", "0"],
+        ["survey", "--mode", "all-minus-two", "--max-p", "-3"],
+        ["survey", "--mode", "all-minus-two", "--rays", "0"],
+        ["survey", "--rays", "-1"],
     ):
         with pytest.raises(SystemExit) as exc:
             main(argv)

@@ -15,6 +15,7 @@ from plumbhf import (
     TooManyBadVerticesError,
     WeightTooLargeError,
     apply_move,
+    blow_down,
     brieskorn,
     build_graph,
     central_count,
@@ -33,6 +34,7 @@ from plumbhf import (
     reverse_negate,
     star_graph,
 )
+from plumbhf.report import sigma_star
 from support import (
     chain,
     e8,
@@ -180,6 +182,77 @@ def test_early_stop_semantics():
         good_initial_count(g, early_stop=0)
 
 
+def test_early_stop_partial_edge_cases():
+    """Partial iff the stop leaves a later initial unscanned, counting the
+    skipped initials with an adjacent capped pair as unscanned."""
+    r = good_initial_count(chain(-2, -2), early_stop=3)
+    assert r.count == 3 and r.partial  # (2, 2) has a capped pair, never scanned
+    assert not good_initial_count(build_graph([-5], []), early_stop=5).partial
+    isolated = build_graph([-2, -2], [])
+    assert good_initial_count(isolated).count == 4
+    assert not good_initial_count(isolated, early_stop=4).partial
+    assert good_initial_count(isolated, early_stop=3).partial
+
+
+def test_play_moves_the_lowest_capped_vertex():
+    """Witnesses are pinned: each step moves the lowest capped vertex."""
+    r = good_initial_count(build_graph([-2, -2, -2], [(0, 2)]))
+    assert r.initials[-1].values == (2, 2, 0)
+    assert r.witnesses[-1].moved == (0, 1, 2)
+
+
+def _has_capped_pair(g, k):
+    return any(k[u] == -g.weights[u] and k[v] == -g.weights[v] for u, v in g.edges)
+
+
+def test_initial_states_skip_adjacent_capped_pairs():
+    """The scan yields exactly the initials without an adjacent capped
+    pair, in the lexicographic order of the unpruned product."""
+    rng = random.Random(11)
+    graphs = [e8(), blow_down(sigma_star((3, 5, 7)))]
+    graphs += [random_forest(rng, max_vertices=7) for _ in range(200)]
+    pruned = 0
+    for g in graphs:
+        ranges = [range(1, -w + 1) for w in g.weights]
+        expected = [k for k in itertools.product(*ranges) if not _has_capped_pair(g, k)]
+        got = [tuple(s) for s in AssociationGame(g)._initial_states()]
+        assert got == expected, g
+        pruned += len(expected) < len(list(itertools.product(*ranges)))
+    assert pruned >= 100  # the corpus must exercise the pruning
+
+
+def _assert_play_decides_every_state(forests):
+    """_play agrees with the oracle on every state, and good plays replay
+    through apply_move to a final association."""
+    for g in forests:
+        game = AssociationGame(g)
+        for k in itertools.product(*[range(-w + 1) for w in g.weights]):
+            moves = game._play(game._freeze(k))
+            values = tuple(w + 2 * x for w, x in zip(g.weights, k))
+            assert (moves is not None) == oracle_completes(g, values), (g, k)
+            if moves is not None:
+                a = Association(g, values)
+                for v in moves:
+                    a = apply_move(a, v)
+                assert is_final(a)
+
+
+def test_play_decides_every_state_of_nonsingular_forms(caplog):
+    """On every state, not only the initial ones, the play that stops at
+    the first adjacent capped pair agrees with the oracle."""
+    caplog.set_level(logging.DEBUG, logger="plumbhf.game")
+    rng = random.Random(13)
+    forests = []
+    while len(forests) < 200:
+        g = random_forest(rng, max_vertices=6)
+        if graph_determinant(g) != 0:
+            forests.append(g)
+    _assert_play_decides_every_state(forests)
+    messages = [r.getMessage() for r in caplog.records]
+    assert sum(m.startswith("capped pair") for m in messages) >= 100
+    assert not any(m.startswith("move cycle") for m in messages)
+
+
 def test_memoization_reuses_across_calls():
     g = star_graph(brieskorn((2, 3, 7)))
     game = AssociationGame(g)
@@ -222,17 +295,7 @@ def test_play_decides_every_state_of_singular_forms(caplog):
         g = random_forest(rng, max_vertices=6)
         if graph_determinant(g) == 0:
             forests.append(g)
-    for g in forests:
-        game = AssociationGame(g)
-        for k in itertools.product(*[range(-w + 1) for w in g.weights]):
-            moves = game._play(game._freeze(k))
-            values = tuple(w + 2 * x for w, x in zip(g.weights, k))
-            assert (moves is not None) == oracle_completes(g, values), (g, k)
-            if moves is not None:
-                a = Association(g, values)
-                for v in moves:
-                    a = apply_move(a, v)
-                assert is_final(a)
+    _assert_play_decides_every_state(forests)
     cycles = [r for r in caplog.records if r.getMessage().startswith("move cycle")]
     assert len(cycles) >= 100  # the corpus must exercise the cycle rule
     # chain(-1, -1) from k = (1, 0) moves back and forth forever

@@ -7,7 +7,8 @@ A coefficient list [t1, ..., tp] stands for the nested expression
 Every rational x < -1 has a unique expansion with all coefficients
 <= -2; these lists are exactly the weight chains of the rays of a
 star-shaped plumbing.  Values are :class:`fractions.Fraction` throughout;
-:func:`expand_cf` works on the numerator and denominator as integers.
+:func:`expand_ratio` works on the numerator and denominator as integers,
+and :func:`expand_cf` hands a Fraction's terms to it.
 """
 
 from __future__ import annotations
@@ -57,16 +58,23 @@ def eval_cf_literal(coeffs: Sequence[int]) -> Fraction:
 def expand_cf(x: Fraction | int) -> list[int]:
     """The unique all-(<= -2) expansion of a rational x < -1.
 
-    Take t1 = floor(x) (t1 = x when x is an integer) and recurse on
-    -1/(x - t1).  On x = p/q in lowest terms (q > 0) that is one Euclid
-    step, p/q -> -q/(p - t1*q), which stays in lowest terms; the
-    denominator strictly drops, so this terminates.  Raises
-    OutOfRangeError for x >= -1.
+    Raises OutOfRangeError for x >= -1; see :func:`expand_ratio`.
     """
     x = Fraction(x)
     if x >= -1:
         raise OutOfRangeError(f"expansion needs x < -1, got {x}")
-    p, q = x.numerator, x.denominator
+    return expand_ratio(x.numerator, x.denominator)
+
+
+def expand_ratio(p: int, q: int) -> list[int]:
+    """The expansion of p/q, given in lowest terms with q > 0 and p/q < -1.
+
+    Take t1 = floor(x) (t1 = x when x is an integer) and recurse on
+    -1/(x - t1).  On x = p/q that is one Euclid step,
+    p/q -> -q/(p - t1*q), which stays in lowest terms; the denominator
+    strictly drops, so this terminates.  The caller guarantees the
+    preconditions, so no Fraction is built.
+    """
     out: list[int] = []
     while q != 1:
         t = p // q

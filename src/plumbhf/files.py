@@ -13,7 +13,6 @@ identity and parse-then-write canonicalizes.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from pathlib import Path
 
@@ -97,10 +96,8 @@ def write_graph_file(g: PlumbingGraph, path: str | Path) -> None:
 
 
 def canonical_graph_hash(g: PlumbingGraph) -> str:
-    """sha256 of the sorted vertex/edge serialization (name excluded)."""
-    payload = {
-        "vertices": [[v, w] for v, w in enumerate(g.weights)],
-        "edges": [list(e) for e in g.edges],
-    }
-    blob = json.dumps(payload, separators=(",", ":"), sort_keys=True)
-    return hashlib.sha256(blob.encode()).hexdigest()
+    """sha256 of the sorted vertex/edge serialization (name excluded).
+
+    Computed once per graph object; see PlumbingGraph.canonical_hash.
+    """
+    return g.canonical_hash

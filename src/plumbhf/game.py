@@ -38,6 +38,10 @@ ends and its start is not good.  A play cannot revisit a state while the
 intersection form is nonsingular (a repeat would need a nonzero move
 multiset in the form's kernel), so only plays on singular forms keep a
 visited set.
+
+A count keeps only each good initial's moves; the validated witness
+sequences are built the first time :attr:`GoodInitialResult.witnesses`
+is read, and a result holds no reference to the game's memo.
 """
 
 from __future__ import annotations
@@ -46,6 +50,7 @@ import logging
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterator, Sequence
 
 from .contfrac import convergents, expand_cf
@@ -177,15 +182,31 @@ def reverse_negate(seq: GoodSequence) -> GoodSequence:
     return GoodSequence(states, tuple(reversed(seq.moved)))
 
 
+def _witness(n0: Association, moves: Sequence[int]) -> GoodSequence:
+    """The sequence that plays ``moves`` from n0, every state validated."""
+    states = [n0]
+    for v in moves:
+        states.append(apply_move(states[-1], v))
+    return GoodSequence(tuple(states), tuple(moves))
+
+
 @dataclass(frozen=True)
 class GoodInitialResult:
-    """Outcome of a (possibly truncated) scan over initial associations."""
+    """Outcome of a (possibly truncated) scan over initial associations.
+
+    ``moves[i]`` is the play that takes ``initials[i]`` to a final
+    state.  The witness sequences are built from them when first read.
+    """
 
     count: int
     initials: tuple[Association, ...]
-    witnesses: tuple[GoodSequence, ...]
+    moves: tuple[tuple[int, ...], ...]
     partial: bool
     initial_total: int
+
+    @cached_property
+    def witnesses(self) -> tuple[GoodSequence, ...]:
+        return tuple(_witness(n0, ms) for n0, ms in zip(self.initials, self.moves))
 
 
 class AssociationGame:
@@ -290,14 +311,6 @@ class AssociationGame:
             s = self._bump(s, v)
         return path_moves
 
-    def _witness(self, s0, moves: Sequence[int]) -> GoodSequence:
-        states = [self._to_assoc(s0)]
-        s = s0
-        for v in moves:
-            s = self._bump(s, v)
-            states.append(self._to_assoc(s))
-        return GoodSequence(tuple(states), tuple(moves))
-
     # -- public operations ----------------------------------------------
 
     def completes_to_good(self, n0: Association) -> GoodSequence | None:
@@ -315,7 +328,7 @@ class AssociationGame:
         moves = self._play(self._to_state(n0))
         if moves is None:
             return None
-        return self._witness(self._to_state(n0), moves)
+        return _witness(n0, moves)
 
     def _initial_states(self) -> Iterator:
         """Initial states without an adjacent capped pair, lexicographically.
@@ -376,21 +389,21 @@ class AssociationGame:
         for k in self._kmax:
             total *= max(k, 0)
         goods: list[Association] = []
-        witnesses: list[GoodSequence] = []
+        plays: list[tuple[int, ...]] = []
         partial = False
         for s0 in self._initial_states():
             moves = self._play(s0)
             if moves is None:
                 continue
             goods.append(self._to_assoc(s0))
-            witnesses.append(self._witness(s0, moves))
+            plays.append(tuple(moves))
             if early_stop is not None and len(goods) >= early_stop:
                 partial = tuple(s0) != self._kmax
                 break
         return GoodInitialResult(
             count=len(goods),
             initials=tuple(goods),
-            witnesses=tuple(witnesses),
+            moves=tuple(plays),
             partial=partial,
             initial_total=total,
         )

@@ -10,13 +10,17 @@ m(v) > -degree(v)).
 
 A graph's determinant and definiteness come from one leaf-to-root sweep
 over the tree, computed once per graph object and kept on it
-(:attr:`PlumbingGraph.forms`).  Fraction-free Bareiss elimination serves
-only :func:`determinant` of an arbitrary matrix.  All arithmetic here is
-exact over the integers.
+(:attr:`PlumbingGraph.forms`); its canonical hash, which keys the result
+cache, is likewise computed once and kept
+(:attr:`PlumbingGraph.canonical_hash`).  Fraction-free Bareiss
+elimination serves only :func:`determinant` of an arbitrary matrix.  All
+arithmetic here is exact over the integers.
 """
 
 from __future__ import annotations
 
+import hashlib
+import json
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
@@ -125,6 +129,16 @@ class PlumbingGraph:
         for r in roots:
             det *= d[r]
         return det, negative_definite
+
+    @cached_property
+    def canonical_hash(self) -> str:
+        """sha256 of the sorted vertex/edge serialization (name excluded)."""
+        payload = {
+            "vertices": [[v, w] for v, w in enumerate(self.weights)],
+            "edges": [list(e) for e in self.edges],
+        }
+        blob = json.dumps(payload, separators=(",", ":"), sort_keys=True)
+        return hashlib.sha256(blob.encode()).hexdigest()
 
 
 def build_graph(

@@ -40,10 +40,9 @@ from .graph import (
 )
 from .seifert import (
     SphereQuadruple,
-    brieskorn,
     enumerate_quadruples,
     quadruple_star,
-    star_graph,
+    sigma_star,
 )
 
 ASSUMPTION_NOTE = "good initial associations are assumed linearly independent in Ker(U)"
@@ -182,11 +181,6 @@ def _coprime_tuples(max_a: int, rays: int) -> list[tuple[int, ...]]:
         if all(math.gcd(x, y) == 1 for x, y in itertools.combinations(t, 2)):
             out.append(t)
     return out
-
-
-def sigma_star(params: tuple[int, ...]) -> PlumbingGraph:
-    """The unreduced star of the Brieskorn sphere Sigma(params)."""
-    return star_graph(brieskorn(params), name="sigma" + str(params))
 
 
 def brieskorn_row(

@@ -8,7 +8,9 @@ and rays (a_i, b_i) with 0 < -b_i < a_i, gcd(a_i, b_i) = 1, subject to
 which forces pairwise coprime a_i and |det| = 1 for the associated star.
 Each ray plumbs as the weight chain of the expansion of a_i/b_i.  For
 pairwise coprime multiplicities the data is recovered by solving
-b_i * (prod a / a_i) = 1 (mod a_i) with -a_i < b_i < 0.
+b_i * (prod a / a_i) = 1 (mod a_i) with -a_i < b_i < 0.  Construction
+is integer-only, and a Brieskorn row builds one star: :func:`sigma_star`
+returns the very graph whose definiteness :func:`brieskorn` checks.
 
 Two-ray data with m = -1 describe S^3; those quadruples (a1, b1, a2, b2)
 satisfy a1*a2 + a2*b1 + a1*b2 = 1, carry exactly one ray ratio >= -2, and
@@ -21,9 +23,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cmp_to_key
 from typing import Sequence
 
-from .contfrac import expand_cf
+from .contfrac import expand_ratio
 from .errors import BaseCaseError, NonNegDefiniteError, NotCoprimeError
 from .graph import PlumbingGraph, build_graph, is_negative_definite
 
@@ -49,19 +52,18 @@ class SeifertInvariants:
                 raise ValueError(f"ray ({a}, {b}) needs a >= 2 and -a < b < 0")
             if math.gcd(a, b) != 1:
                 raise ValueError(f"ray ({a}, {b}) is not reduced")
+        # sorted by a/b descending: a/b > c/d iff a*d > c*b, as b, d < 0
         object.__setattr__(
             self,
             "rays",
-            tuple(sorted(self.rays, key=lambda ray: Fraction(ray[0], ray[1]), reverse=True)),
+            tuple(sorted(self.rays, key=cmp_to_key(lambda r, s: s[0] * r[1] - r[0] * s[1]))),
         )
-        total = Fraction(-self.center_weight)
-        for a, b in self.rays:
-            total += Fraction(b, a)
         product = math.prod(a for a, _ in self.rays)
-        if product * total != 1:
+        value = -self.center_weight * product + sum(b * (product // a) for a, b in self.rays)
+        if value != 1:
             raise ValueError(
                 f"data does not satisfy the homology-sphere equation: "
-                f"prod(a) * (-m + sum b/a) = {product * total}, expected 1"
+                f"prod(a) * (-m + sum b/a) = {value}, expected 1"
             )
 
     @property
@@ -74,13 +76,14 @@ def star_graph(inv: SeifertInvariants, name: str | None = None) -> PlumbingGraph
 
     Ray weights are the expansions of a_i/b_i, hence all <= -2; vertex
     ids follow the canonical order used everywhere else (center 0, then
-    the rays in the sorted order of the invariants).
+    the rays in the sorted order of the invariants).  A ray is reduced
+    with -a < b < 0, so -a/-b is a/b in lowest terms and below -1.
     """
     weights: list[int] = [inv.center_weight]
     edges: list[tuple[int, int]] = []
     for a, b in inv.rays:
         prev = 0
-        for t in expand_cf(Fraction(a, b)):
+        for t in expand_ratio(-a, -b):
             idx = len(weights)
             weights.append(t)
             edges.append((prev, idx))
@@ -98,6 +101,21 @@ def brieskorn(multiplicities: Sequence[int]) -> SeifertInvariants:
     (ValueError otherwise).  The resulting star is verified negative
     definite (NonNegDefiniteError otherwise).
     """
+    return _brieskorn_star(multiplicities)[0]
+
+
+def sigma_star(params: tuple[int, ...]) -> PlumbingGraph:
+    """The unreduced star of the Brieskorn sphere Sigma(params).
+
+    It is the very graph :func:`brieskorn` checks for definiteness, so
+    its forms, and later its hash, are computed once.
+    """
+    return _brieskorn_star(params, name="sigma" + str(params))[1]
+
+
+def _brieskorn_star(
+    multiplicities: Sequence[int], name: str | None = None
+) -> tuple[SeifertInvariants, PlumbingGraph]:
     a = tuple(int(x) for x in multiplicities)
     if not a:
         raise ValueError("at least one multiplicity is required")
@@ -117,9 +135,10 @@ def brieskorn(multiplicities: Sequence[int]) -> SeifertInvariants:
     total = sum(bi * (product // ai) for ai, bi in rays)
     m = (total - 1) // product
     inv = SeifertInvariants(m, tuple(rays))
-    if not is_negative_definite(star_graph(inv)):
+    star = star_graph(inv, name)
+    if not is_negative_definite(star):
         raise NonNegDefiniteError(f"star of {a} is not negative definite")
-    return inv
+    return inv, star
 
 
 @dataclass(frozen=True)
@@ -204,7 +223,11 @@ def enumerate_quadruples(bound: int) -> list[SphereQuadruple]:
         rays = ((q.a1, q.b1, q.a2, q.b2), (q.a2, q.b2, q.a1, q.b1))
         for x1, y1, x2, y2 in rays:
             parent = SphereQuadruple(y1 + 2 * x1, -x1, x2 - y2, y2)
-            assert is_sphere_quadruple(parent)
+            if not is_sphere_quadruple(parent):
+                raise ValueError(
+                    f"inverse move from {q.as_tuple()} gave {parent.as_tuple()}, "
+                    f"which does not satisfy the sphere equation"
+                )
             if parent.a1 + parent.a2 > bound:
                 continue
             key = parent.canonical().as_tuple()

@@ -1,7 +1,9 @@
+import gc
 import itertools
 import logging
 import random
 import warnings
+import weakref
 
 import pytest
 
@@ -15,6 +17,7 @@ from plumbhf import (
     TooManyBadVerticesError,
     WeightTooLargeError,
     apply_move,
+    bad_vertices,
     blow_down,
     brieskorn,
     build_graph,
@@ -27,6 +30,7 @@ from plumbhf import (
     is_final,
     is_good_sequence,
     is_initial,
+    is_negative_definite,
     legal_moves,
     pairing,
     pairing_vector,
@@ -373,3 +377,55 @@ def test_reverse_negate_replays():
     assert is_good_sequence(rev)
     assert rev.states[0].values == tuple(-x for x in seq.states[-1].values)
     assert rev.moved == tuple(reversed(seq.moved))
+
+
+def _eager_witness(n0):
+    """The witness as the count used to build it with every good initial:
+    move the lowest capped vertex until none is capped, validating each
+    state as an Association."""
+    g = n0.graph
+    k = [(x - m) // 2 for m, x in zip(g.weights, n0.values)]
+    states, moved = [n0], []
+    while True:
+        capped = [v for v, m in enumerate(g.weights) if k[v] == -m]
+        if not capped:
+            return GoodSequence(tuple(states), tuple(moved))
+        v = capped[0]
+        moved.append(v)
+        k[v] = 0
+        for u in g.neighbors[v]:
+            k[u] += 1
+        states.append(Association(g, tuple(m + 2 * x for m, x in zip(g.weights, k))))
+
+
+def test_lazy_witnesses_equal_the_eager_construction():
+    rng = random.Random(17)
+    graphs = [sigma_star((3, 5, 7)), sigma_star((2, 3, 7)), e8()]
+    while len(graphs) < 103:
+        g = random_forest(rng, max_vertices=6)
+        if is_negative_definite(g) and len(bad_vertices(g)) <= 1:
+            graphs.append(g)
+    witnessed = 0
+    for g in graphs:
+        for early_stop in (None, 2):
+            r = good_initial_count(g, early_stop)
+            first = r.witnesses
+            assert r.witnesses is first  # built once, on the first read
+            assert len(first) == r.count == len(r.moves)
+            for n0, moves, w in zip(r.initials, r.moves, first):
+                eager = _eager_witness(n0)
+                assert w.states == eager.states
+                assert w.moved == eager.moved == moves
+                assert is_good_sequence(w)
+                witnessed += len(w.moved) > 0
+    assert witnessed >= 50  # the corpus must exercise nonempty plays
+
+
+def test_result_does_not_keep_the_game_alive():
+    game = AssociationGame(sigma_star((3, 5, 7)))
+    result = game.good_initial_count()
+    ref = weakref.ref(game)
+    del game
+    gc.collect()
+    assert ref() is None
+    assert all(is_good_sequence(w) for w in result.witnesses)

@@ -1,10 +1,19 @@
 import csv
 import io
 import json
+from functools import cached_property
 
 import pytest
 
-from plumbhf import ParseError, analyze, survey_all_minus_two, survey_brieskorn
+import plumbhf.report
+import plumbhf.seifert
+from plumbhf import (
+    ParseError,
+    PlumbingGraph,
+    analyze,
+    survey_all_minus_two,
+    survey_brieskorn,
+)
 from plumbhf.report import (
     ResultCache,
     brieskorn_row,
@@ -211,3 +220,39 @@ def test_brieskorn_row_skips_invalid_tuples():
     row = brieskorn_row((2, 4, 5))
     assert row.verdict == "skipped"
     assert "NotCoprime" in row.reason
+
+
+def _count_calls(monkeypatch, owner, name):
+    """Wrap owner.name (a function or a cached_property) to record its calls."""
+    calls = []
+    orig = vars(owner)[name]
+    func = orig.func if isinstance(orig, cached_property) else orig
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return func(*args, **kwargs)
+
+    if isinstance(orig, cached_property):
+        counted = cached_property(counted)
+        counted.__set_name__(owner, name)
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+def test_each_survey_row_builds_sweeps_and_hashes_once(tmp_path, monkeypatch):
+    stars = _count_calls(monkeypatch, plumbhf.seifert, "star_graph")
+    sweeps = _count_calls(monkeypatch, PlumbingGraph, "forms")
+    hashes = _count_calls(monkeypatch, PlumbingGraph, "canonical_hash")
+    cache = ResultCache(tmp_path / "cache.jsonl")
+    cold = survey_brieskorn(max_a=12, cache=cache)
+    assert len(cold) == 45 and all(r.verdict != "skipped" for r in cold)
+    assert len(stars) == len(sweeps) == len(hashes) == len(cold)
+
+    def no_game(graph):
+        raise AssertionError("a warm row ran the game")
+
+    monkeypatch.setattr(plumbhf.report, "AssociationGame", no_game)
+    del stars[:], sweeps[:], hashes[:]
+    warm = survey_brieskorn(max_a=12, cache=cache)
+    assert [r.to_obj() for r in warm] == [r.to_obj() for r in cold]
+    assert len(stars) == len(sweeps) == len(hashes) == len(warm)

@@ -1,7 +1,10 @@
+import math
+import random
 from fractions import Fraction
 
 import pytest
 
+import plumbhf.seifert
 from plumbhf import (
     BaseCaseError,
     NotCoprimeError,
@@ -10,6 +13,7 @@ from plumbhf import (
     bad_vertices,
     brieskorn,
     enumerate_quadruples,
+    expand_cf,
     graph_determinant,
     is_homology_sphere,
     is_negative_definite,
@@ -18,6 +22,7 @@ from plumbhf import (
     reduce_quadruple,
     star_graph,
 )
+from plumbhf.report import _coprime_tuples
 from support import brute_quadruples, e8
 
 
@@ -172,3 +177,84 @@ def test_quadruple_star_properties():
         assert abs(graph_determinant(g)) == 1
     with pytest.raises(ValueError):
         quadruple_star(SphereQuadruple(2, -1, 3, -2))
+
+
+def _fraction_invariants(m, rays):
+    """Sorted rays, or the equation's error text, computed with Fractions."""
+    ordered = tuple(sorted(rays, key=lambda ray: Fraction(ray[0], ray[1]), reverse=True))
+    total = Fraction(-m) + sum(Fraction(b, a) for a, b in ordered)
+    value = math.prod(a for a, _ in ordered) * total
+    if value != 1:
+        return (
+            "data does not satisfy the homology-sphere equation: "
+            f"prod(a) * (-m + sum b/a) = {value}, expected 1"
+        )
+    return ordered
+
+
+def _integer_invariants(m, rays):
+    try:
+        return SeifertInvariants(m, rays).rays
+    except ValueError as exc:
+        return str(exc)
+
+
+def _brieskorn_data(mults):
+    """(m, rays) as brieskorn solves them, without its definiteness check."""
+    product = math.prod(mults)
+    rays = [(a, pow(product // a, -1, a) - a) for a in mults]
+    return (sum(b * (product // a) for a, b in rays) - 1) // product, rays
+
+
+def test_integer_invariants_match_the_fraction_reference():
+    """Same ray order, same accept/reject and same error text as Fractions."""
+    rng = random.Random(6)
+    tuples = _coprime_tuples(30, 3)
+    assert len(tuples) == 1037
+    cases = []
+    for t in tuples:
+        m, rays = _brieskorn_data(t)
+        rng.shuffle(rays)
+        cases.append((m, tuple(rays)))
+    for _ in range(600):
+        k = rng.randint(1, 5)
+        if rng.random() < 0.5:
+            mults = rng.sample([2, 3, 5, 7, 11, 13, 17, 19, 23, 29], k)
+            m, rays = _brieskorn_data(mults)
+            if rng.random() < 0.5:  # break the equation
+                m -= rng.randint(1, 3)
+        else:
+            m, rays = -rng.randint(1, 6), []
+            while len(rays) < k:
+                a = rng.randint(2, 40)
+                b = -rng.randint(1, a - 1)
+                if math.gcd(a, b) == 1:
+                    rays.append((a, b))
+        rng.shuffle(rays)
+        cases.append((m, tuple(rays)))
+    accepted = 0
+    for m, rays in cases:
+        expected = _fraction_invariants(m, rays)
+        assert _integer_invariants(m, rays) == expected, (m, rays)
+        accepted += isinstance(expected, tuple)
+    assert 1037 < accepted < len(cases) - 200  # both outcomes well covered
+
+
+def test_star_chains_are_the_fraction_expansions():
+    for t in _coprime_tuples(30, 3):
+        m, rays = _brieskorn_data(t)
+        inv = SeifertInvariants(m, tuple(rays))
+        weights = [m]
+        for a, b in inv.rays:
+            weights += expand_cf(Fraction(a, b))
+        assert star_graph(inv).weights == tuple(weights)
+
+
+def test_enumerate_quadruples_raises_on_a_failed_inverse_move(monkeypatch):
+    monkeypatch.setattr(plumbhf.seifert, "is_sphere_quadruple", lambda q: False)
+    with pytest.raises(ValueError) as exc:
+        enumerate_quadruples(5)
+    assert str(exc.value) == (
+        "inverse move from (2, -1, 3, -1) gave (3, -2, 4, -1), "
+        "which does not satisfy the sphere equation"
+    )

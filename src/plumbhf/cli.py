@@ -137,12 +137,9 @@ def _emit(text: str, output: str | None) -> None:
 
 def _emit_report(report: AnalysisReport, args, extra: dict | None = None) -> None:
     if args.format == "csv":
-        _emit(report_to_csv(report), args.output)
-        return
-    obj = report.to_obj()
-    if extra:
-        obj.update(extra)
-    _emit(json.dumps(obj, indent=2), args.output)
+        _emit(report_to_csv(report, extra), args.output)
+    else:
+        _emit(json.dumps({**report.to_obj(), **(extra or {})}, indent=2), args.output)
 
 
 def _emit_rows(rows, args) -> None:
@@ -232,6 +229,8 @@ def _cmd_s3(args) -> int:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.command in ("analyze", "brieskorn") and args.emit_sequences and args.format == "csv":
+        parser.error("--emit-sequences needs --format json (CSV carries no sequences)")
     if args.command == "survey":
         ignored = _survey_flags_ignored(args)
         if ignored:

@@ -1,4 +1,4 @@
-"""Negative continued fractions with exact rational arithmetic.
+"""Negative continued fractions with exact integer arithmetic.
 
 A coefficient list [t1, ..., tp] stands for the nested expression
 
@@ -6,9 +6,11 @@ A coefficient list [t1, ..., tp] stands for the nested expression
 
 Every rational x < -1 has a unique expansion with all coefficients
 <= -2; these lists are exactly the weight chains of the rays of a
-star-shaped plumbing.  Values are :class:`fractions.Fraction` throughout;
-:func:`expand_ratio` works on the numerator and denominator as integers,
-and :func:`expand_cf` hands a Fraction's terms to it.
+star-shaped plumbing.  The work is done on integer numerators and
+denominators: :func:`expand_ratio` is a Euclid loop and
+:func:`convergents` a backward recurrence.  :class:`fractions.Fraction`
+appears only at the API boundary, as the input of :func:`expand_cf` and
+the output of :func:`eval_cf`.
 """
 
 from __future__ import annotations
@@ -16,43 +18,28 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import DegenerateFractionError, OutOfRangeError
+from .errors import OutOfRangeError
 
 
-def _fold(coeffs: Sequence[int]) -> Fraction:
-    value = Fraction(coeffs[-1])
-    for t in reversed(coeffs[:-1]):
-        if value == 0:
-            raise DegenerateFractionError(
-                f"zero denominator while evaluating {list(coeffs)}"
-            )
-        value = t - Fraction(1) / value
-    return value
+def _require_canonical(coeffs: Sequence[int]) -> None:
+    if not coeffs:
+        raise ValueError("empty coefficient list")
+    if any(t > -2 for t in coeffs):
+        raise ValueError(f"coefficients must all be <= -2, got {list(coeffs)}")
 
 
 def eval_cf(coeffs: Sequence[int]) -> Fraction:
     """Value of a canonical coefficient list (nonempty, all <= -2).
 
-    Canonical lists never hit a zero denominator: every tail evaluates
-    below -1.  The result is always < -1.
+    Folded from the last coefficient in Fraction arithmetic, independently
+    of :func:`convergents`.  Canonical lists never hit a zero
+    denominator: every tail evaluates below -1, and so does the result.
     """
-    if not coeffs:
-        raise ValueError("empty coefficient list")
-    if any(t > -2 for t in coeffs):
-        raise ValueError(f"coefficients must all be <= -2, got {list(coeffs)}")
-    return _fold(coeffs)
-
-
-def eval_cf_literal(coeffs: Sequence[int]) -> Fraction:
-    """Value of an arbitrary integer coefficient list.
-
-    Used for lists obtained by bumping a last coefficient, which may
-    legitimately end in -1.  Raises DegenerateFractionError if any tail
-    evaluates to zero.
-    """
-    if not coeffs:
-        raise ValueError("empty coefficient list")
-    return _fold(coeffs)
+    _require_canonical(coeffs)
+    value = Fraction(coeffs[-1])
+    for t in reversed(coeffs[:-1]):
+        value = t - 1 / value
+    return value
 
 
 def expand_cf(x: Fraction | int) -> list[int]:
@@ -93,10 +80,7 @@ def convergents(coeffs: Sequence[int]) -> list[tuple[int, int]]:
     A_l = -t_l*A_{l+1} + B_{l+1}, B_l = -A_{l+1}, which also forces
     B_p = -1 for the last genuine tail.
     """
-    if not coeffs:
-        raise ValueError("empty coefficient list")
-    if any(t > -2 for t in coeffs):
-        raise ValueError(f"coefficients must all be <= -2, got {list(coeffs)}")
+    _require_canonical(coeffs)
     pairs = [(1, 0)]
     a, b = 1, 0
     for t in reversed(coeffs):
@@ -106,25 +90,27 @@ def convergents(coeffs: Sequence[int]) -> list[tuple[int, int]]:
     return pairs
 
 
-def _reciprocal(x: Fraction) -> Fraction:
-    if x == 0:
-        raise DegenerateFractionError("reciprocal of zero")
-    return Fraction(1) / x
+def _head(coeffs: Sequence[int]) -> tuple[int, int]:
+    """(A, B) with A/B the value of coeffs, by the convergents recurrence."""
+    a, b = 1, 0
+    for t in reversed(coeffs):
+        a, b = -t * a + b, -a
+    return a, b
 
 
 def bumped_sum_check(t: Sequence[int], s: Sequence[int]) -> tuple[bool, bool]:
     """Both reciprocal-sum inequalities for a pair of rays.
 
     Given canonical coefficient lists t, s, bump the last coefficient of
-    one ray by +1 (evaluated literally, even if it becomes -1) and ask
-    whether 1/value(bumped) + 1/value(other) <= -1.  Returns the pair
+    one ray by +1 (even if it becomes -1) and ask whether
+    1/value(bumped) + 1/value(other) <= -1.  Returns the pair
     (bump t, bump s).  These hold for every two-ray sphere quadruple and
     bound which extended weight chains can stay in the sphere family.
+
+    Every tail of a bumped canonical list is still <= -1, so each value
+    is A/B with A > 0 > B, and B/A + D/C <= -1 is B*C + D*A <= -A*C.
     """
-    vt, vs = eval_cf(t), eval_cf(s)
-    bt = eval_cf_literal(list(t[:-1]) + [t[-1] + 1])
-    bs = eval_cf_literal(list(s[:-1]) + [s[-1] + 1])
-    return (
-        _reciprocal(bt) + _reciprocal(vs) <= -1,
-        _reciprocal(vt) + _reciprocal(bs) <= -1,
-    )
+    (a, b), (c, d) = convergents(t)[0], convergents(s)[0]
+    ab, bb = _head([*t[:-1], t[-1] + 1])
+    cb, db = _head([*s[:-1], s[-1] + 1])
+    return (bb * c + d * ab <= -ab * c, b * cb + db * a <= -a * cb)

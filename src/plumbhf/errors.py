@@ -29,10 +29,6 @@ class OutOfRangeError(PlumbingError):
     """Continued-fraction expansion requested for a value >= -1."""
 
 
-class DegenerateFractionError(PlumbingError):
-    """A zero denominator appeared while evaluating a coefficient list."""
-
-
 class NotCoprimeError(PlumbingError):
     """Multiplicities are not pairwise coprime."""
 

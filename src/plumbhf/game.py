@@ -42,6 +42,10 @@ visited set.
 A count keeps only each good initial's moves; the validated witness
 sequences are built the first time :attr:`GoodInitialResult.witnesses`
 is read, and a result holds no reference to the game's memo.
+
+Everything here is integer vectors on one graph: :func:`pairing` takes
+plain integer sequences, and the S^3 pairing vector it is used with is
+built in :mod:`plumbhf.seifert`.
 """
 
 from __future__ import annotations
@@ -49,11 +53,9 @@ from __future__ import annotations
 import logging
 import warnings
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from typing import Iterator, Sequence
 
-from .contfrac import convergents, expand_cf
 from .errors import (
     DimensionMismatchError,
     IllegalMoveError,
@@ -66,7 +68,6 @@ from .graph import (
     graph_determinant,
     is_negative_definite,
 )
-from .seifert import SphereQuadruple
 
 logger = logging.getLogger(__name__)
 
@@ -434,44 +435,11 @@ def interior_association_count(graph: PlumbingGraph) -> int:
     return out
 
 
-def _vector(x) -> tuple[int, ...]:
-    return tuple(getattr(x, "values", x))
-
-
-def pairing(x, y) -> int:
-    """Coordinatewise dot product sum n(w) n'(w)."""
-    xs, ys = _vector(x), _vector(y)
-    if len(xs) != len(ys):
-        raise DimensionMismatchError(f"lengths {len(xs)} and {len(ys)} differ")
-    return sum(a * b for a, b in zip(xs, ys))
-
-
-@dataclass(frozen=True)
-class PairingVector:
-    """Distinguished integer vector on a two-ray star.
-
-    Entries (in canonical vertex order: center, first ray, second ray)
-    are -A1*C1 at the center, C1*B_i along the first ray and A1*D_j
-    along the second, where (A_i, B_i) and (C_j, D_j) are the convergent
-    pairs of the two ray ratios.  Along any good sequence its pairing
-    with the states jumps by exactly 2 at center moves and 0 otherwise.
-    """
-
-    values: tuple[int, ...]
-
-
-def pairing_vector(q: SphereQuadruple) -> PairingVector:
-    c = q.canonical()
-    first = convergents(expand_cf(Fraction(c.a1, c.b1)))
-    second = convergents(expand_cf(Fraction(c.a2, c.b2)))
-    a1 = first[0][0]
-    c1 = second[0][0]
-    values = (
-        (-a1 * c1,)
-        + tuple(c1 * b for _, b in first[:-1])
-        + tuple(a1 * d for _, d in second[:-1])
-    )
-    return PairingVector(values)
+def pairing(x: Sequence[int], y: Sequence[int]) -> int:
+    """Coordinatewise dot product sum n(w) n'(w) of two integer vectors."""
+    if len(x) != len(y):
+        raise DimensionMismatchError(f"lengths {len(x)} and {len(y)} differ")
+    return sum(a * b for a, b in zip(x, y))
 
 
 def central_count(seq: GoodSequence, center: int) -> int:

@@ -12,9 +12,10 @@ A graph's determinant and definiteness come from one leaf-to-root sweep
 over the tree, computed once per graph object and kept on it
 (:attr:`PlumbingGraph.forms`); its canonical hash, which keys the result
 cache, is likewise computed once and kept
-(:attr:`PlumbingGraph.canonical_hash`).  Fraction-free Bareiss
-elimination serves only :func:`determinant` of an arbitrary matrix.  All
-arithmetic here is exact over the integers.
+(:attr:`PlumbingGraph.canonical_hash`).  :func:`intersection_matrix`
+spells the form out as rows for display and for tests; nothing here
+computes a determinant from it.  All arithmetic is exact over the
+integers.
 """
 
 from __future__ import annotations
@@ -183,19 +184,8 @@ def build_graph(
     return PlumbingGraph(ws, tuple(sorted(canon)), name)
 
 
-@dataclass(frozen=True)
-class IntersectionMatrix:
-    """Symmetric integer matrix of a plumbing graph."""
-
-    entries: tuple[tuple[int, ...], ...]
-
-    @property
-    def dimension(self) -> int:
-        return len(self.entries)
-
-
-def intersection_matrix(g: PlumbingGraph) -> IntersectionMatrix:
-    """Weights on the diagonal, 1 for every edge, 0 elsewhere."""
+def intersection_matrix(g: PlumbingGraph) -> tuple[tuple[int, ...], ...]:
+    """Rows of the form: weights on the diagonal, 1 for every edge, 0 elsewhere."""
     n = g.vertex_count
     rows = [[0] * n for _ in range(n)]
     for v, w in enumerate(g.weights):
@@ -203,40 +193,7 @@ def intersection_matrix(g: PlumbingGraph) -> IntersectionMatrix:
     for u, v in g.edges:
         rows[u][v] = 1
         rows[v][u] = 1
-    return IntersectionMatrix(tuple(tuple(r) for r in rows))
-
-
-def determinant(m: IntersectionMatrix) -> int:
-    """Exact determinant of any square integer matrix.
-
-    One fraction-free Bareiss sweep: every intermediate quantity is an
-    integer, and each division is by the previous pivot and is exact.
-    Row pivoting handles zero pivots, so singular matrices get det 0.
-    The empty matrix has det 1.  Plumbing graphs use the linear-time
-    :attr:`PlumbingGraph.forms` instead.
-    """
-    a = [list(row) for row in m.entries]
-    n = len(a)
-    sign = 1
-    prev = 1
-    for k in range(n):
-        if a[k][k] == 0:
-            swap = next((r for r in range(k + 1, n) if a[r][k] != 0), None)
-            if swap is None:
-                return 0
-            a[k], a[swap] = a[swap], a[k]
-            sign = -sign
-        pk = a[k][k]
-        row_k = a[k]
-        for i in range(k + 1, n):
-            row_i = a[i]
-            aik = row_i[k]
-            for j in range(k + 1, n):
-                # exact by construction: prev divides the bracket
-                row_i[j] = (row_i[j] * pk - aik * row_k[j]) // prev
-            row_i[k] = 0
-        prev = pk
-    return sign * prev
+    return tuple(tuple(r) for r in rows)
 
 
 def graph_determinant(g: PlumbingGraph) -> int:

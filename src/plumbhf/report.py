@@ -17,11 +17,10 @@ import math
 import random
 import time
 from dataclasses import dataclass, field, fields
-from fractions import Fraction
 from pathlib import Path
 from typing import Sequence
 
-from .contfrac import bumped_sum_check, expand_cf
+from .contfrac import bumped_sum_check, expand_ratio
 from .errors import ParseError, PlumbingError
 from .files import canonical_graph_hash
 from .game import (
@@ -29,7 +28,6 @@ from .game import (
     central_count,
     is_good_sequence,
     pairing,
-    pairing_vector,
     reverse_negate,
 )
 from .graph import (
@@ -41,6 +39,7 @@ from .graph import (
 from .seifert import (
     SphereQuadruple,
     enumerate_quadruples,
+    pairing_vector,
     quadruple_star,
     sigma_star,
 )
@@ -140,8 +139,10 @@ class SurveyRow:
 class ResultCache:
     """Append-only JSONL cache of analyze results keyed by graph hash.
 
-    A record that is not a JSON object with graph_hash and early_stop
-    (a torn last line, say) raises ParseError naming path:line.
+    A record that is not a JSON object with a str graph_hash, an
+    early_stop that is null or an int >= 1, an int good_initial_count and
+    a bool partial (a torn last line, say) raises ParseError naming
+    path:line.
     """
 
     def __init__(self, path: str | Path) -> None:
@@ -155,6 +156,7 @@ class ResultCache:
                         continue
                     try:
                         rec = json.loads(line)
+                        _check_record(rec)
                         key = (rec["graph_hash"], rec["early_stop"])
                     except (ValueError, KeyError, TypeError) as exc:
                         raise ParseError(
@@ -173,6 +175,21 @@ class ResultCache:
         self.path.parent.mkdir(parents=True, exist_ok=True)
         with self.path.open("a") as fh:
             fh.write(json.dumps(record, separators=(",", ":"), sort_keys=True) + "\n")
+
+
+_RECORD_FIELDS = {
+    "graph_hash": lambda x: isinstance(x, str),
+    "early_stop": lambda x: x is None or (type(x) is int and x >= 1),
+    "good_initial_count": lambda x: type(x) is int,
+    "partial": lambda x: type(x) is bool,
+}
+
+
+def _check_record(rec: dict) -> None:
+    """KeyError or TypeError at the first missing or mistyped field a hit reads."""
+    for name, valid in _RECORD_FIELDS.items():
+        if not valid(rec[name]):
+            raise TypeError(f"{name} has the wrong type or value: {rec[name]!r}")
 
 
 def _coprime_tuples(max_a: int, rays: int) -> list[tuple[int, ...]]:
@@ -246,13 +263,14 @@ def survey_all_minus_two(max_p: int = 12, rays: int = 3) -> list[SurveyRow]:
 
     A solution tuple is exactly one whose all-(-2) star (ray lengths p_i,
     center -2) bounds a homology sphere; these are the candidates with
-    interior-association count 1.
+    interior-association count 1.  The equation is tested times
+    P = prod(p+1), as 2P - sum p*P/(p+1) == 1, in integers.
     """
     rows = []
     for p in itertools.combinations_with_replacement(range(1, max_p + 1), rays):
-        lhs = 2 - sum(Fraction(pi, pi + 1) for pi in p)
-        rhs = Fraction(1, math.prod(pi + 1 for pi in p))
-        rows.append(SurveyRow(params=p, verdict="solution" if lhs == rhs else "non-solution"))
+        big_p = math.prod(pi + 1 for pi in p)
+        solves = 2 * big_p - sum(pi * (big_p // (pi + 1)) for pi in p) == 1
+        rows.append(SurveyRow(params=p, verdict="solution" if solves else "non-solution"))
     return rows
 
 
@@ -323,8 +341,8 @@ def s3_row(q: SphereQuadruple) -> S3Row:
     unique = result.count == 1 and result.initials[0].values == expected_minimum
     witness = result.witnesses[0] if result.witnesses else None
 
-    t = expand_cf(Fraction(c.a1, c.b1))
-    s = expand_cf(Fraction(c.a2, c.b2))
+    t = expand_ratio(-c.a1, -c.b1)
+    s = expand_ratio(-c.a2, -c.b2)
     bumped = bumped_sum_check(t, s) == (True, True)
 
     central = central_count(witness, 0) if witness else -1
@@ -334,7 +352,7 @@ def s3_row(q: SphereQuadruple) -> S3Row:
     reversal_ok = False
     if witness is not None:
         pv = pairing_vector(c)
-        values = [pairing(pv, state) for state in witness.states]
+        values = [pairing(pv, state.values) for state in witness.states]
         jumps_ok = all(
             after - before == (2 if moved == 0 else 0)
             for before, after, moved in zip(values, values[1:], witness.moved)
@@ -388,8 +406,10 @@ def rows_to_csv(rows: Sequence) -> str:
     return _objs_to_csv([r.to_obj() for r in rows])
 
 
-def report_to_csv(report: AnalysisReport) -> str:
+def report_to_csv(report: AnalysisReport, extra: dict | None = None) -> str:
+    """One CSV row of the report's fields, then any ``extra`` columns."""
     obj = report.to_obj()
     obj.pop("sequences", None)
     obj["good_initials"] = [" ".join(str(x) for x in v) for v in obj["good_initials"]]
+    obj.update(extra or {})
     return _objs_to_csv([obj])

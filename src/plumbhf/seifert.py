@@ -22,11 +22,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cmp_to_key
 from typing import Sequence
 
-from .contfrac import expand_ratio
+from .contfrac import convergents, expand_ratio
 from .errors import BaseCaseError, NonNegDefiniteError, NotCoprimeError
 from .graph import PlumbingGraph, build_graph, is_negative_definite
 
@@ -165,14 +164,13 @@ class SphereQuadruple:
     def as_tuple(self) -> tuple[int, int, int, int]:
         return (self.a1, self.b1, self.a2, self.b2)
 
-    def ratios(self) -> tuple[Fraction, Fraction]:
-        return (Fraction(self.a1, self.b1), Fraction(self.a2, self.b2))
-
     def canonical(self) -> "SphereQuadruple":
-        """Rays ordered so the unique ratio >= -2 comes first."""
-        r1, r2 = self.ratios()
-        first = r1 >= -2
-        if first == (r2 >= -2):
+        """Rays ordered so the unique ratio >= -2 comes first.
+
+        With b < 0, a/b >= -2 is a <= -2b.
+        """
+        first = self.a1 <= -2 * self.b1
+        if first == (self.a2 <= -2 * self.b2):
             raise ValueError(f"{self.as_tuple()} does not have exactly one ratio >= -2")
         if first:
             return self
@@ -195,7 +193,7 @@ def reduce_quadruple(q: SphereQuadruple) -> SphereQuadruple:
     if not is_sphere_quadruple(q):
         raise ValueError(f"{q.as_tuple()} does not satisfy the sphere equation")
     c = q.canonical()
-    if Fraction(c.a1, c.b1) == -2:
+    if c.a1 == -2 * c.b1:
         raise BaseCaseError(f"{c.as_tuple()} has ray ratio exactly -2")
     return SphereQuadruple(-c.b1, 2 * c.b1 + c.a1, c.a2 + c.b2, c.b2)
 
@@ -244,3 +242,27 @@ def quadruple_star(q: SphereQuadruple, name: str | None = None) -> PlumbingGraph
         raise ValueError(f"{q.as_tuple()} does not satisfy the sphere equation")
     inv = SeifertInvariants(-1, ((q.a1, q.b1), (q.a2, q.b2)))
     return star_graph(inv, name)
+
+
+def pairing_vector(q: SphereQuadruple) -> tuple[int, ...]:
+    """Distinguished integer vector on the star of a sphere quadruple.
+
+    Entries (in canonical vertex order: center, first ray, second ray)
+    are -A1*C1 at the center, C1*B_i along the first ray and A1*D_j
+    along the second, where (A_i, B_i) and (C_j, D_j) are the convergent
+    pairs of the two ray ratios.  Along any good sequence its pairing
+    with the states jumps by exactly 2 at center moves and 0 otherwise.
+    Raises ValueError if q is not a sphere quadruple.
+    """
+    if not is_sphere_quadruple(q):
+        raise ValueError(f"{q.as_tuple()} does not satisfy the sphere equation")
+    c = q.canonical()
+    first = convergents(expand_ratio(-c.a1, -c.b1))
+    second = convergents(expand_ratio(-c.a2, -c.b2))
+    a1 = first[0][0]
+    c1 = second[0][0]
+    return (
+        (-a1 * c1,)
+        + tuple(c1 * b for _, b in first[:-1])
+        + tuple(a1 * d for _, d in second[:-1])
+    )

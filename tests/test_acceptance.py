@@ -146,7 +146,7 @@ def test_criterion_5_oracle_equivalences(capfd):
         corpus += [random_forest(rng, max_vertices=9) for _ in range(30)]
         for graph in corpus:
             assert graph.vertex_count <= 9
-            matrix = [list(row) for row in intersection_matrix(graph).entries]
+            matrix = [list(row) for row in intersection_matrix(graph)]
             assert graph_determinant(graph) == cofactor_det(matrix)
 
         ours = {q.as_tuple() for q in enumerate_quadruples(20)}

@@ -94,6 +94,18 @@ def test_brieskorn_nontrivial(capsys):
     assert obj["good_initial_count"] == 2
 
 
+def test_brieskorn_csv_carries_the_json_verdict(capsys):
+    for argv in (["2", "3", "5"], ["2", "3", "7", "--early-stop", "2"]):
+        code, out, _ = run(capsys, "brieskorn", *argv)
+        obj = json.loads(out)
+        code, out, _ = run(capsys, "brieskorn", *argv, "--format", "csv")
+        assert code == 0
+        header, line = list(csv.reader(io.StringIO(out)))
+        assert header[-1] == "verdict"
+        assert line[-1] == obj["verdict"]
+        assert header[:-1] == [k for k in obj if k not in ("sequences", "verdict")]
+
+
 def test_brieskorn_not_coprime_exits_1(capsys):
     code, out, err = run(capsys, "brieskorn", "2", "4", "5")
     assert code == 1
@@ -232,6 +244,9 @@ def test_usage_errors_exit_1(tmp_path, capsys, monkeypatch):
         ["survey", "--mode", "all-minus-two", "--max-p", "-3"],
         ["survey", "--mode", "all-minus-two", "--rays", "0"],
         ["survey", "--rays", "-1"],
+        # CSV has no column for witness sequences
+        ["analyze", "graph.json", "--emit-sequences", "--format", "csv"],
+        ["brieskorn", "2", "3", "7", "--format", "csv", "--emit-sequences"],
     ):
         with pytest.raises(SystemExit) as exc:
             main(argv)

@@ -1,15 +1,14 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
 
 from plumbhf import (
-    DegenerateFractionError,
     OutOfRangeError,
     bumped_sum_check,
     convergents,
     eval_cf,
-    eval_cf_literal,
     expand_cf,
 )
 from support import reduced_fractions
@@ -62,18 +61,6 @@ def test_eval_validates_coefficients():
         eval_cf([-2, -1])
     with pytest.raises(ValueError):
         eval_cf([0])
-
-
-def test_eval_literal_allows_any_integers():
-    assert eval_cf_literal([-1]) == -1
-    assert eval_cf_literal([-2, -1]) == -1
-    assert eval_cf_literal([3, 2]) == Fraction(5, 2)
-
-
-def test_eval_literal_zero_denominator():
-    # the tail [1, 1] evaluates to 0, so the next layer divides by zero
-    with pytest.raises(DegenerateFractionError):
-        eval_cf_literal([2, 1, 1])
 
 
 def test_round_trip_all_small_rationals():
@@ -130,6 +117,21 @@ def test_convergents_validates_input():
         convergents([-1])
 
 
+def _fold_by_fractions(coeffs):
+    """Literal value of any coefficient list whose tails never vanish."""
+    value = Fraction(coeffs[-1])
+    for t in reversed(coeffs[:-1]):
+        value = t - 1 / value
+    return value
+
+
+def _bumped_by_fractions(t, s):
+    bt = _fold_by_fractions(t[:-1] + [t[-1] + 1])
+    bs = _fold_by_fractions(s[:-1] + [s[-1] + 1])
+    vt, vs = _fold_by_fractions(t), _fold_by_fractions(s)
+    return (1 / bt + 1 / vs <= -1, 1 / vt + 1 / bs <= -1)
+
+
 def test_bumped_sum_check_examples():
     # rays of the smallest sphere quadruple (2,-1,3,-1)
     assert bumped_sum_check([-2], [-3]) == (True, True)
@@ -137,3 +139,20 @@ def test_bumped_sum_check_examples():
     assert bumped_sum_check([-3], [-3]) == (False, False)
     # all-(-2) rays bump to exactly -1, which always passes
     assert bumped_sum_check([-2, -2], [-2, -2, -2]) == (True, True)
+    for bad in ([], [-1], [-2, 0]):
+        with pytest.raises(ValueError):
+            bumped_sum_check(bad, [-2])
+        with pytest.raises(ValueError):
+            bumped_sum_check([-2], bad)
+    # seeded random canonical pairs against the Fraction reference
+    rng = random.Random(7)
+    outcomes = set()
+    for _ in range(2000):
+        t, s = (
+            [rng.choice((-2, -2, -2, -3, -4, -7)) for _ in range(rng.randint(1, 5))]
+            for _ in range(2)
+        )
+        got = bumped_sum_check(t, s)
+        assert got == _bumped_by_fractions(t, s), (t, s)
+        outcomes.add(got)
+    assert outcomes == {(True, True), (True, False), (False, True), (False, False)}

@@ -336,16 +336,20 @@ def test_interior_bound_holds_on_small_stars():
 def test_pairing_and_dimension_guard():
     g = chain(-2, -3)
     a = assoc(g, 0, -1)
-    assert pairing(a, a) == 1
+    assert pairing(a.values, a.values) == 1
     assert pairing((1, 2), (3, 4)) == 11
     with pytest.raises(DimensionMismatchError):
         pairing((1, 2), (1, 2, 3))
 
 
 def test_pairing_vector_frozen_examples():
-    assert pairing_vector(SphereQuadruple(2, -1, 3, -1)).values == (-6, -3, -2)
-    assert pairing_vector(SphereQuadruple(2, -1, 5, -2)).values == (-10, -5, -4, -2)
-    assert pairing_vector(SphereQuadruple(3, -2, 4, -1)).values == (-12, -8, -4, -3)
+    assert pairing_vector(SphereQuadruple(2, -1, 3, -1)) == (-6, -3, -2)
+    assert pairing_vector(SphereQuadruple(2, -1, 5, -2)) == (-10, -5, -4, -2)
+    assert pairing_vector(SphereQuadruple(3, -2, 4, -1)) == (-12, -8, -4, -3)
+    # canonical order does not depend on the order the rays are given in
+    assert pairing_vector(SphereQuadruple(3, -1, 2, -1)) == (-6, -3, -2)
+    with pytest.raises(ValueError):
+        pairing_vector(SphereQuadruple(4, -2, 3, -1))  # not a sphere quadruple
 
 
 def test_pairing_jumps_two_at_center_moves():
@@ -353,7 +357,7 @@ def test_pairing_jumps_two_at_center_moves():
         g = quadruple_star(q)
         seq = good_initial_count(g).witnesses[0]
         pv = pairing_vector(q)
-        values = [pairing(pv, s) for s in seq.states]
+        values = [pairing(pv, s.values) for s in seq.states]
         for before, after, moved in zip(values, values[1:], seq.moved):
             assert after - before == (2 if moved == 0 else 0)
 

@@ -12,7 +12,6 @@ from plumbhf import (
     bad_vertices,
     blow_down,
     build_graph,
-    determinant,
     graph_determinant,
     intersection_matrix,
     is_homology_sphere,
@@ -67,20 +66,20 @@ def test_build_graph_rejects_duplicate_edge():
 def test_intersection_matrix_entries():
     g = chain(-2, -3, -5)
     m = intersection_matrix(g)
-    assert m.entries == ((-2, 1, 0), (1, -3, 1), (0, 1, -5))
+    assert m == ((-2, 1, 0), (1, -3, 1), (0, 1, -5))
 
 
 def test_determinant_matches_cofactor_oracle():
     rng = random.Random(5)
     for _ in range(200):
         g = random_forest(rng, max_vertices=6)
-        rows = [list(r) for r in intersection_matrix(g).entries]
+        rows = [list(r) for r in intersection_matrix(g)]
         assert graph_determinant(g) == cofactor_det(rows)
 
 
 def _sylvester_negative_definite(g):
     """Leading principal minors in vertex order alternate in sign, -1 first."""
-    rows = [list(r) for r in intersection_matrix(g).entries]
+    rows = [list(r) for r in intersection_matrix(g)]
     return all(
         (-1) ** k * cofactor_det([r[:k] for r in rows[:k]]) > 0 for k in range(1, len(rows) + 1)
     )
@@ -93,11 +92,10 @@ def test_forms_match_cofactor_and_sylvester_on_random_forests():
     seen = {"disconnected": 0, "definite": 0, "singular": 0, "indefinite": 0}
     for _ in range(400):
         g = random_forest(rng, max_vertices=9, weight_range=(-5, 1))
-        det = cofactor_det([list(r) for r in intersection_matrix(g).entries])
+        det = cofactor_det([list(r) for r in intersection_matrix(g)])
         definite = _sylvester_negative_definite(g)
         assert graph_determinant(g) == det
         assert is_negative_definite(g) == definite
-        assert determinant(intersection_matrix(g)) == det
         seen["disconnected"] += not g.is_connected
         seen["definite"] += definite
         seen["singular"] += det == 0
@@ -118,7 +116,6 @@ def test_forms_of_singular_and_degenerate_graphs():
     for name, g in singular.items():
         assert graph_determinant(g) == 0, name
         assert not is_negative_definite(g), name
-        assert determinant(intersection_matrix(g)) == 0, name
 
 
 def test_forms_refuse_a_directly_built_cycle():
@@ -145,11 +142,6 @@ def test_determinant_known_values():
     for p in range(1, 7):
         g = chain(*([-2] * p))
         assert graph_determinant(g) == (-1) ** p * (p + 1)
-
-
-def test_determinant_needs_square_input():
-    m = intersection_matrix(chain(-2, -2))
-    assert determinant(m) == 3
 
 
 def test_is_homology_sphere():

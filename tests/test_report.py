@@ -142,6 +142,25 @@ def test_cache_reverify_covers_every_early_stop_of_a_graph(tmp_path):
         ('{"det":1,"early_stop":2,"good_initial_count', "JSONDecodeError"),
         ('{"det":1,"good_initial_count":1,"graph_hash":"ab","partial":false}', "KeyError: 'early_stop'"),
         ("[1, 2]", "TypeError"),
+        ('{"early_stop":2,"graph_hash":[1]}', "graph_hash has the wrong type"),
+        ('{"early_stop":2,"graph_hash":"ab"}', "KeyError: 'good_initial_count'"),
+        ('{"early_stop":2,"good_initial_count":1,"graph_hash":"ab"}', "KeyError: 'partial'"),
+        (
+            '{"early_stop":2,"good_initial_count":"7","graph_hash":"ab","partial":false}',
+            "good_initial_count has the wrong type",
+        ),
+        (
+            '{"early_stop":2,"good_initial_count":1,"graph_hash":"ab","partial":0}',
+            "partial has the wrong type",
+        ),
+        (
+            '{"early_stop":0,"good_initial_count":1,"graph_hash":"ab","partial":false}',
+            "early_stop has the wrong type or value: 0",
+        ),
+        (
+            '{"early_stop":true,"good_initial_count":1,"graph_hash":"ab","partial":false}',
+            "early_stop has the wrong type",
+        ),
     ],
 )
 def test_cache_malformed_record_names_path_and_line(tmp_path, last_line, message):

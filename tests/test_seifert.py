@@ -106,7 +106,6 @@ def test_seifert_invariants_sorted_and_validated():
 def test_sphere_quadruple_validation():
     q = SphereQuadruple(2, -1, 3, -1)
     assert q.as_tuple() == (2, -1, 3, -1)
-    assert q.ratios() == (Fraction(-2), Fraction(-3))
     assert is_sphere_quadruple(q)
     assert not is_sphere_quadruple(SphereQuadruple(2, -1, 3, -2))
     with pytest.raises(ValueError):
@@ -119,6 +118,18 @@ def test_canonical_puts_large_ratio_first():
     q = SphereQuadruple(3, -1, 2, -1)
     assert q.canonical().as_tuple() == (2, -1, 3, -1)
     assert SphereQuadruple(2, -1, 3, -1).canonical().as_tuple() == (2, -1, 3, -1)
+    # the integer comparison a <= -2b is the ratio test a/b >= -2
+    rays = [(a, b) for a in range(2, 10) for b in range(-a + 1, 0)]
+    for a1, b1 in rays:
+        for a2, b2 in rays:
+            q = SphereQuadruple(a1, b1, a2, b2)
+            big = [Fraction(a, b) >= -2 for a, b in ((a1, b1), (a2, b2))]
+            if big[0] == big[1]:
+                with pytest.raises(ValueError):
+                    q.canonical()
+            else:
+                c = q.canonical()
+                assert Fraction(c.a1, c.b1) >= -2 > Fraction(c.a2, c.b2)
 
 
 def test_reduce_step_and_base_case():

@@ -2,8 +2,8 @@
 
 Subcommands: analyze (one graph file), brieskorn (one multiplicity
 tuple), survey (family sweeps), s3 (two-ray property harness).  Exit
-codes: 0 all rows computed, 2 some rows skipped, 1 invocation error or
-failed computation.
+codes: 0 all rows computed, 2 some rows skipped, 1 invocation error,
+failed computation or an s3 row that fails one of its properties.
 """
 
 from __future__ import annotations
@@ -123,6 +123,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bound", type=int, default=20, metavar="N")
     _add_output_flags(p)
 
+    for p in sub.choices.values():  # main reports flag conflicts through these
+        p.set_defaults(subparser=p)
     return parser
 
 
@@ -223,12 +225,15 @@ def _cmd_survey(args) -> int:
 def _cmd_s3(args) -> int:
     rows = s3_rows(args.bound)
     _emit_rows(rows, args)
-    return 0
+    failed = [r for r in rows if not r.all_pass()]
+    for r in failed:
+        print(f"plumbhf: s3 {r.quadruple} fails {', '.join(r.failures())}", file=sys.stderr)
+    return 1 if failed else 0
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    parser = args.subparser
     if args.command in ("analyze", "brieskorn") and args.emit_sequences and args.format == "csv":
         parser.error("--emit-sequences needs --format json (CSV carries no sequences)")
     if args.command == "survey":

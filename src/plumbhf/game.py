@@ -39,9 +39,13 @@ intersection form is nonsingular (a repeat would need a nonzero move
 multiset in the form's kernel), so only plays on singular forms keep a
 visited set.
 
-A count keeps only each good initial's moves; the validated witness
-sequences are built the first time :attr:`GoodInitialResult.witnesses`
-is read, and a result holds no reference to the game's memo.
+There is no memo across starts: on the a <= 30 survey, the benchmark's
+full counts and ``s3 --bound 20`` no play ever reached a state an
+earlier play had visited.  A play moves one list in place and keeps its
+capped vertices as it goes; a move caps only neighbors of the moved
+vertex, so the capped-pair test looks only at those.  A count keeps only
+each good initial's moves; the validated witness sequences are built
+the first time :attr:`GoodInitialResult.witnesses` is read.
 
 Everything here is integer vectors on one graph: :func:`pairing` takes
 plain integer sequences, and the S^3 pairing vector it is used with is
@@ -54,6 +58,7 @@ import logging
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
+from heapq import heappop, heappush
 from typing import Iterator, Sequence
 
 from .errors import (
@@ -211,7 +216,7 @@ class GoodInitialResult:
 
 
 class AssociationGame:
-    """Search context for one graph, with cross-start memoization."""
+    """Search context for one graph.  Plays keep no memo across starts."""
 
     def __init__(self, graph: PlumbingGraph) -> None:
         self.graph = graph
@@ -220,31 +225,12 @@ class AssociationGame:
         self._bad = bad_vertices(graph)
         self._negative_definite = is_negative_definite(graph)
         self._singular = graph_determinant(graph) == 0
-        small = all(0 <= k <= 255 for k in self._kmax)
-        self._freeze = bytes if small else tuple
-        self._thaw = bytearray if small else list
-        # reach[s] is True when a final state is reachable from s, False
-        # when provably not; step[s] is a move known to lead toward one.
-        self._reach: dict = {}
-        self._step: dict = {}
 
-    # -- conversions ----------------------------------------------------
-
-    def _to_state(self, n: Association):
-        return self._freeze((x - m) // 2 for m, x in zip(self.graph.weights, n.values))
-
-    def _to_assoc(self, state) -> Association:
+    def _to_assoc(self, state: Sequence[int]) -> Association:
         return Association(
             self.graph,
             tuple(m + 2 * k for m, k in zip(self.graph.weights, state)),
         )
-
-    def _bump(self, state, v: int):
-        mut = self._thaw(state)
-        mut[v] = 0
-        for u in self._nbrs[v]:
-            mut[u] += 1
-        return self._freeze(mut)
 
     # -- search ---------------------------------------------------------
 
@@ -256,61 +242,47 @@ class AssociationGame:
                 stacklevel=3,
             )
 
-    def _play(self, s0) -> list[int] | None:
-        """Decide s0 by one deterministic maximal play (see module doc).
+    def _play(self, state: Sequence[int]) -> list[int] | None:
+        """Decide a start by one deterministic maximal play (see module doc).
 
-        Confluence makes the play's outcome the outcome of every play.
-        A state with an adjacent capped pair decides s0 as not good.
-        On a singular form the play keeps a visited set, and a repeated
-        state decides s0 as not good.  Visited states are memoized with
-        the move taken, so later starts splice into stored plays instead
-        of replaying them.
+        The play moves a copy of ``state`` in place.  It keeps the capped
+        vertices in a heap and moves the lowest one each step.  A move
+        caps only neighbors of the moved vertex, so only those are tested
+        for a capped neighbor, and an adjacent capped pair decides the
+        start as not good.  On a singular form the play keeps a visited
+        set, and a repeated state decides the start as not good.
         """
-        reach, step = self._reach, self._step
         kmax, nbrs = self._kmax, self._nbrs
+        k = list(state)
+        capped = [v for v, x in enumerate(k) if x == kmax[v]]  # ascending: a heap
+        for v in capped:
+            for u in nbrs[v]:
+                if k[u] == kmax[u]:
+                    logger.debug("capped pair %d-%d in %r on %s", v, u, k, self.graph.name)
+                    return None
         visited = set() if self._singular else None
-        path_states: list = []
-        path_moves: list[int] = []
-        s = s0
-        while True:
-            known = reach.get(s)
-            if known is not None:
-                good = known
-                break
+        moves: list[int] = []
+        while capped:
             if visited is not None:
-                if s in visited:
-                    logger.debug("move cycle through %r on %s", s, self.graph.name)
-                    good = False
-                    break
-                visited.add(s)
-            triggered = [v for v, k in enumerate(s) if k == kmax[v]]
-            if not triggered:
-                good = True
-                break
-            if any(s[u] == kmax[u] for v in triggered for u in nbrs[v]):
-                logger.debug("capped pair in %r on %s", s, self.graph.name)
-                good = False
-                break
-            move = triggered[0]  # no capped pair, so every capped vertex is movable
-            path_states.append(s)
-            path_moves.append(move)
-            s = self._bump(s, move)
-        reach[s] = good
-        if not good:
-            for t in path_states:
-                reach[t] = False
-            return None
-        # every path state was a memo miss, so these never overwrite
-        for t, v in zip(path_states, path_moves):
-            reach[t] = True
-            step[t] = v
-        while True:  # append the memoized continuation, if any
-            v = step.get(s)
-            if v is None:
-                break
-            path_moves.append(v)
-            s = self._bump(s, v)
-        return path_moves
+                t = tuple(k)
+                if t in visited:
+                    logger.debug("move cycle through %r on %s", t, self.graph.name)
+                    return None
+                visited.add(t)
+            v = heappop(capped)  # no capped pair, so every capped vertex is movable
+            moves.append(v)
+            k[v] = 0
+            for u in nbrs[v]:
+                k[u] += 1
+                if k[u] == kmax[u]:
+                    for w in nbrs[u]:
+                        if k[w] == kmax[w]:  # k is mid-move here, so name the pair
+                            logger.debug(
+                                "capped pair %d-%d after moving %d on %s", u, w, v, self.graph.name
+                            )
+                            return None
+                    heappush(capped, u)
+        return moves
 
     # -- public operations ----------------------------------------------
 
@@ -326,7 +298,7 @@ class AssociationGame:
         if not is_initial(n0):
             raise ValueError("completes_to_good needs an initial association")
         self._warn_if_outside_domain()
-        moves = self._play(self._to_state(n0))
+        moves = self._play([(x - m) // 2 for m, x in zip(self.graph.weights, n0.values)])
         if moves is None:
             return None
         return _witness(n0, moves)
@@ -335,14 +307,15 @@ class AssociationGame:
         """Initial states without an adjacent capped pair, lexicographically.
 
         Backtracks over the vertices in index order; vertex v may sit at
-        its cap only if no earlier neighbor does.
+        its cap only if no earlier neighbor does.  Every state is the same
+        list, changed in place between yields.
         """
         kmax = self._kmax
         if any(k < 1 for k in kmax):
             return
         n = len(kmax)
         if n == 0:
-            yield self._freeze(())
+            yield []
             return
         earlier: list[list[int]] = [[] for _ in range(n)]
         for u, w in self.graph.edges:
@@ -357,7 +330,7 @@ class AssociationGame:
                 continue
             state[v] = k
             if v == n - 1:
-                yield self._freeze(state)
+                yield state
                 continue
             v += 1
             top = kmax[v]

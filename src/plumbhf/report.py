@@ -20,7 +20,7 @@ from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Sequence
 
-from .contfrac import bumped_sum_check, expand_ratio
+from .contfrac import bumped_sum_check
 from .errors import ParseError, PlumbingError
 from .files import canonical_graph_hash
 from .game import (
@@ -39,7 +39,7 @@ from .graph import (
 from .seifert import (
     SphereQuadruple,
     enumerate_quadruples,
-    pairing_vector,
+    pairing_vector_from_rays,
     quadruple_star,
     sigma_star,
 )
@@ -319,14 +319,20 @@ class S3Row:
     count: int
     central_moves: int
 
+    PROPERTIES = (
+        "unique_good_initial",
+        "bumped_sums_hold",
+        "central_count_matches",
+        "pairing_jumps_match",
+        "reversal_is_good",
+    )
+
+    def failures(self) -> list[str]:
+        """The names of the five properties that do not hold."""
+        return [name for name in self.PROPERTIES if not getattr(self, name)]
+
     def all_pass(self) -> bool:
-        return (
-            self.unique_good_initial
-            and self.bumped_sums_hold
-            and self.central_count_matches
-            and self.pairing_jumps_match
-            and self.reversal_is_good
-        )
+        return not self.failures()
 
     def to_obj(self) -> dict:
         return _fields_obj(self)
@@ -341,8 +347,9 @@ def s3_row(q: SphereQuadruple) -> S3Row:
     unique = result.count == 1 and result.initials[0].values == expected_minimum
     witness = result.witnesses[0] if result.witnesses else None
 
-    t = expand_ratio(-c.a1, -c.b1)
-    s = expand_ratio(-c.a2, -c.b2)
+    # the star lists the center, then the first ray, then the second
+    split = graph.neighbors[0][1]
+    t, s = graph.weights[1:split], graph.weights[split:]
     bumped = bumped_sum_check(t, s) == (True, True)
 
     central = central_count(witness, 0) if witness else -1
@@ -351,7 +358,7 @@ def s3_row(q: SphereQuadruple) -> S3Row:
     jumps_ok = False
     reversal_ok = False
     if witness is not None:
-        pv = pairing_vector(c)
+        pv = pairing_vector_from_rays(t, s)
         values = [pairing(pv, state.values) for state in witness.states]
         jumps_ok = all(
             after - before == (2 if moved == 0 else 0)

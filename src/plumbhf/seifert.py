@@ -247,22 +247,32 @@ def quadruple_star(q: SphereQuadruple, name: str | None = None) -> PlumbingGraph
 def pairing_vector(q: SphereQuadruple) -> tuple[int, ...]:
     """Distinguished integer vector on the star of a sphere quadruple.
 
-    Entries (in canonical vertex order: center, first ray, second ray)
-    are -A1*C1 at the center, C1*B_i along the first ray and A1*D_j
-    along the second, where (A_i, B_i) and (C_j, D_j) are the convergent
-    pairs of the two ray ratios.  Along any good sequence its pairing
-    with the states jumps by exactly 2 at center moves and 0 otherwise.
-    Raises ValueError if q is not a sphere quadruple.
+    See :func:`pairing_vector_from_rays`; this expands the two rays of
+    the canonical quadruple.  Raises ValueError if q is not a sphere
+    quadruple.
     """
     if not is_sphere_quadruple(q):
         raise ValueError(f"{q.as_tuple()} does not satisfy the sphere equation")
     c = q.canonical()
-    first = convergents(expand_ratio(-c.a1, -c.b1))
-    second = convergents(expand_ratio(-c.a2, -c.b2))
-    a1 = first[0][0]
-    c1 = second[0][0]
+    return pairing_vector_from_rays(expand_ratio(-c.a1, -c.b1), expand_ratio(-c.a2, -c.b2))
+
+
+def pairing_vector_from_rays(first: Sequence[int], second: Sequence[int]) -> tuple[int, ...]:
+    """The pairing vector from the weight chains of the two rays.
+
+    ``first`` is the ray whose ratio is >= -2.  Entries (in canonical
+    vertex order: center, first ray, second ray) are -A1*C1 at the
+    center, C1*B_i along the first ray and A1*D_j along the second,
+    where (A_i, B_i) and (C_j, D_j) are the convergent pairs of the two
+    chains.  Along any good sequence its pairing with the states jumps
+    by exactly 2 at center moves and 0 otherwise.
+    """
+    first_cv = convergents(first)
+    second_cv = convergents(second)
+    a1 = first_cv[0][0]
+    c1 = second_cv[0][0]
     return (
         (-a1 * c1,)
-        + tuple(c1 * b for _, b in first[:-1])
-        + tuple(a1 * d for _, d in second[:-1])
+        + tuple(c1 * b for _, b in first_cv[:-1])
+        + tuple(a1 * d for _, d in second_cv[:-1])
     )

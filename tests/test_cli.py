@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import io
 import json
 
@@ -218,6 +219,18 @@ def test_s3_harness(capsys):
         assert row["reversal_is_good"]
 
 
+def test_s3_exits_1_and_names_a_failing_quadruple(capsys, monkeypatch):
+    import plumbhf.cli
+
+    rows = plumbhf.cli.s3_rows(8)
+    rows[1] = dataclasses.replace(rows[1], bumped_sums_hold=False, reversal_is_good=False)
+    monkeypatch.setattr(plumbhf.cli, "s3_rows", lambda bound: rows)
+    code, out, err = run(capsys, "s3", "--bound", "8")
+    assert code == 1
+    assert len(json.loads(out)) == 4  # the rows are still emitted
+    assert err == f"plumbhf: s3 {rows[1].quadruple} fails bumped_sums_hold, reversal_is_good\n"
+
+
 def test_usage_errors_exit_1(tmp_path, capsys, monkeypatch):
     monkeypatch.delenv("PLUMB_HF_CACHE", raising=False)
     cache = str(tmp_path / "cache.jsonl")
@@ -251,6 +264,9 @@ def test_usage_errors_exit_1(tmp_path, capsys, monkeypatch):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 1, argv
+        # the usage line is the subcommand's, flag conflicts included
+        usage = f"usage: plumbhf {argv[0]} " if argv else "usage: plumbhf [-h]"
+        assert capsys.readouterr().err.startswith(usage), argv
     assert list(tmp_path.iterdir()) == []
 
 

@@ -108,7 +108,7 @@ def test_good_sequence_replay():
 
 
 def test_engine_matches_bfs_oracle_on_random_graphs():
-    """The production engine (single plays plus memoization, with a
+    """The production engine (one in-place play per start, with a
     visited set on singular forms) agrees with an uncached oracle."""
     rng = random.Random(101)
     singular = 0
@@ -231,7 +231,7 @@ def _assert_play_decides_every_state(forests):
     for g in forests:
         game = AssociationGame(g)
         for k in itertools.product(*[range(-w + 1) for w in g.weights]):
-            moves = game._play(game._freeze(k))
+            moves = game._play(k)
             values = tuple(w + 2 * x for w, x in zip(g.weights, k))
             assert (moves is not None) == oracle_completes(g, values), (g, k)
             if moves is not None:
@@ -257,14 +257,25 @@ def test_play_decides_every_state_of_nonsingular_forms(caplog):
     assert not any(m.startswith("move cycle") for m in messages)
 
 
-def test_memoization_reuses_across_calls():
-    g = star_graph(brieskorn((2, 3, 7)))
+def test_repeated_calls_on_one_game_agree():
+    """A game carries nothing from one call to the next: repeated counts
+    and completions on one game give identical results."""
+    g = blow_down(sigma_star((3, 5, 7)))
     game = AssociationGame(g)
     first = game.good_initial_count()
-    states_after = len(game._reach)
-    second = game.good_initial_count()
-    assert second.count == first.count
-    assert len(game._reach) == states_after
+    first_partial = game.good_initial_count(early_stop=2)
+    first_witnesses = first.witnesses
+    for _ in range(2):
+        again = game.good_initial_count()
+        assert again == first
+        assert again.witnesses == first_witnesses
+        assert game.good_initial_count(early_stop=2) == first_partial
+    ranges = [range(w + 2, -w + 1, 2) for w in g.weights]
+    every_seventh = itertools.islice(itertools.product(*ranges), 0, None, 7)
+    starts = [Association(g, values) for values in every_seventh]
+    once = [game.completes_to_good(a) for a in starts]
+    assert [game.completes_to_good(a) for a in starts] == once
+    assert sum(seq is not None for seq in once) >= 1
 
 
 def test_two_bad_vertices_refused():
@@ -304,7 +315,7 @@ def test_play_decides_every_state_of_singular_forms(caplog):
     assert len(cycles) >= 100  # the corpus must exercise the cycle rule
     # chain(-1, -1) from k = (1, 0) moves back and forth forever
     game = AssociationGame(chain(-1, -1))
-    assert game._play(game._freeze((1, 0))) is None
+    assert game._play((1, 0)) is None
 
 
 def test_completes_to_good_validations():

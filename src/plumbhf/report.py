@@ -200,6 +200,11 @@ def _coprime_tuples(max_a: int, rays: int) -> list[tuple[int, ...]]:
     return out
 
 
+def brieskorn_verdict(count: int) -> str:
+    """The survey verdict: two good initials make the kernel rank at least 2."""
+    return "nontrivial" if count >= 2 else "trivial-rank"
+
+
 def brieskorn_row(
     multiplicities: Sequence[int],
     early_stop: int | None = 2,
@@ -218,10 +223,9 @@ def brieskorn_row(
             count, partial = report.good_initial_count, report.partial
             if cache is not None:
                 cache.put(_cache_record(report))
-        verdict = "nontrivial" if count >= 2 else "trivial-rank"
         return SurveyRow(
             params=params,
-            verdict=verdict,
+            verdict=brieskorn_verdict(count),
             count=count,
             partial=partial,
             graph_hash=graph_hash,
@@ -278,7 +282,6 @@ def reverify_cache(
     cache: ResultCache,
     rows: Sequence[SurveyRow],
     sample: int,
-    seed: int = 0,
 ) -> list[str]:
     """Recompute a random sample of cached rows; return mismatch messages.
 
@@ -291,9 +294,7 @@ def reverify_cache(
         (k for k in cache.records if k[0] in params_by_hash),
         key=lambda k: (k[0], k[1] is None, k[1] or 0),  # None sorts after every K
     )
-    if not keys or sample <= 0:
-        return []
-    rng = random.Random(seed)
+    rng = random.Random(0)  # a fixed seed, so a rerun checks the same records
     picked = rng.sample([cache.records[k] for k in keys], min(sample, len(keys)))
     problems = []
     for rec in picked:
@@ -395,22 +396,19 @@ def _csv_cell(value) -> str:
     return str(value)
 
 
-def _objs_to_csv(objs: Sequence[dict]) -> str:
-    """Header from the first object's keys, then one line per object."""
-    if not objs:
-        return ""
+def _objs_to_csv(header: list[str], objs: Sequence[dict]) -> str:
+    """The header line, then one line per object; no rows give the header alone."""
     buf = io.StringIO()
     writer = csv.writer(buf)
-    header = list(objs[0])
     writer.writerow(header)
     for obj in objs:
         writer.writerow([_csv_cell(obj[k]) for k in header])
     return buf.getvalue()
 
 
-def rows_to_csv(rows: Sequence) -> str:
-    """CSV with one row per survey/s3 row, tuple columns joined by ';'."""
-    return _objs_to_csv([r.to_obj() for r in rows])
+def rows_to_csv(rows: Sequence, row_type: type) -> str:
+    """CSV with one row per survey/s3 row, one column per ``row_type`` field."""
+    return _objs_to_csv([f.name for f in fields(row_type)], [r.to_obj() for r in rows])
 
 
 def report_to_csv(report: AnalysisReport, extra: dict | None = None) -> str:
@@ -419,4 +417,4 @@ def report_to_csv(report: AnalysisReport, extra: dict | None = None) -> str:
     obj.pop("sequences", None)
     obj["good_initials"] = [" ".join(str(x) for x in v) for v in obj["good_initials"]]
     obj.update(extra or {})
-    return _objs_to_csv([obj])
+    return _objs_to_csv(list(obj), [obj])

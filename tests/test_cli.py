@@ -2,11 +2,14 @@ import csv
 import dataclasses
 import io
 import json
+import re
+import shlex
+from pathlib import Path
 
 import pytest
 
-from plumbhf import build_graph, write_graph_file
-from plumbhf.cli import main
+from plumbhf import SurveyRow, build_graph, write_graph_file
+from plumbhf.cli import build_parser, main
 from support import chain, e8
 
 
@@ -114,23 +117,23 @@ def test_brieskorn_not_coprime_exits_1(capsys):
 
 
 def test_survey_all_minus_two(capsys):
-    code, out, _ = run(capsys, "survey", "--mode", "all-minus-two", "--max-p", "12")
+    code, out, _ = run(capsys, "all-minus-two", "--max-p", "12")
     assert code == 0
     rows = json.loads(out)
     hits = [r["params"] for r in rows if r["verdict"] == "solution"]
     assert hits == [[1, 2, 4]]
 
 
-def test_survey_mode_defaults_match_explicit_flags(capsys, monkeypatch):
+def test_survey_defaults_match_explicit_flags(capsys, monkeypatch):
     monkeypatch.delenv("PLUMB_HF_CACHE", raising=False)
 
     def rows(*argv):
-        code, out, _ = run(capsys, "survey", *argv)
+        code, out, _ = run(capsys, *argv)
         assert code == 0
         return [{k: v for k, v in r.items() if k != "elapsed_ms"} for r in json.loads(out)]
 
-    assert rows("--mode", "all-minus-two") == rows("--mode", "all-minus-two", "--max-p", "12")
-    assert rows() == rows("--max-a", "30", "--early-stop", "2")
+    assert rows("all-minus-two") == rows("all-minus-two", "--max-p", "12")
+    assert rows("survey") == rows("survey", "--max-a", "30", "--early-stop", "2")
 
 
 def test_survey_brieskorn_with_cache(tmp_path, capsys):
@@ -182,7 +185,7 @@ def test_survey_all_minus_two_ignores_env_cache(tmp_path, capsys, monkeypatch):
     torn = tmp_path / "torn.jsonl"
     torn.write_text('{"graph_hash": "ab')
     monkeypatch.setenv("PLUMB_HF_CACHE", str(torn))
-    code, out, _ = run(capsys, "survey", "--mode", "all-minus-two", "--max-p", "6")
+    code, out, _ = run(capsys, "all-minus-two", "--max-p", "6")
     assert code == 0
     assert json.loads(out)
     assert torn.read_text() == '{"graph_hash": "ab'
@@ -197,16 +200,25 @@ def test_survey_no_cache_by_default(tmp_path, capsys, monkeypatch):
 
 
 def test_survey_csv_matches_json(capsys):
-    code, json_out, _ = run(capsys, "survey", "--mode", "all-minus-two", "--max-p", "5")
-    code, csv_out, _ = run(
-        capsys, "survey", "--mode", "all-minus-two", "--max-p", "5", "--format", "csv"
-    )
+    code, json_out, _ = run(capsys, "all-minus-two", "--max-p", "5")
+    code, csv_out, _ = run(capsys, "all-minus-two", "--max-p", "5", "--format", "csv")
     rows = json.loads(json_out)
     lines = list(csv.DictReader(io.StringIO(csv_out)))
     assert len(rows) == len(lines)
     for obj, line in zip(rows, lines):
         assert line["params"] == ";".join(str(x) for x in obj["params"])
         assert line["verdict"] == obj["verdict"]
+
+
+def test_empty_survey_csv_is_the_header_alone(capsys):
+    # the one tuple, (2, 3, 4), is not pairwise coprime
+    code, out, _ = run(capsys, "survey", "--max-a", "4", "--format", "csv")
+    assert code == 0
+    lines = out.splitlines()
+    assert len(lines) == 1
+    assert next(csv.reader(lines)) == list(SurveyRow(params=(2, 3, 5), verdict="x").to_obj())
+    code, out, _ = run(capsys, "survey", "--max-a", "4")
+    assert json.loads(out) == []
 
 
 def test_s3_harness(capsys):
@@ -242,21 +254,28 @@ def test_usage_errors_exit_1(tmp_path, capsys, monkeypatch):
         ["survey", "--early-stop", "0"],
         ["brieskorn", "2", "3", "5", "--early-stop", "-1"],
         # all-minus-two never reads or writes a cache
-        ["survey", "--mode", "all-minus-two", "--cache", cache],
-        ["survey", "--mode", "all-minus-two", "--reverify-sample", "3"],
-        ["survey", "--mode", "all-minus-two", "--cache", cache, "--reverify-sample", "3"],
+        ["all-minus-two", "--cache", cache],
+        ["all-minus-two", "--reverify-sample", "3"],
+        ["all-minus-two", "--cache", cache, "--reverify-sample", "3"],
         ["survey", "--max-a", "6", "--cache", cache, "--reverify-sample", "-3"],
-        # each mode rejects the flags only the other mode reads
-        ["survey", "--mode", "all-minus-two", "--max-a", "3"],
-        ["survey", "--mode", "all-minus-two", "--early-stop", "5"],
-        ["survey", "--mode", "all-minus-two", "--full"],
+        # each subcommand rejects the flags it does not read
+        ["all-minus-two", "--max-a", "3"],
+        ["all-minus-two", "--early-stop", "5"],
+        ["all-minus-two", "--full"],
         ["survey", "--max-p", "6"],
-        ["survey", "--mode", "brieskorn", "--max-a", "6", "--max-p", "6"],
+        ["survey", "--max-a", "6", "--max-p", "6"],
+        ["survey", "--mode", "brieskorn"],
+        ["analyze", "graph.json", "--full"],  # a full scan is the default
+        ["brieskorn", "2", "3", "5", "--full"],
+        # an early stop equal to the default still conflicts with --full
+        ["survey", "--early-stop", "2", "--full"],
+        ["survey", "--full", "--early-stop", "2"],
         # integer flags below 1 would sweep nothing or fail late
         ["survey", "--max-a", "0"],
-        ["survey", "--mode", "all-minus-two", "--max-p", "-3"],
-        ["survey", "--mode", "all-minus-two", "--rays", "0"],
+        ["all-minus-two", "--max-p", "-3"],
+        ["all-minus-two", "--rays", "0"],
         ["survey", "--rays", "-1"],
+        ["s3", "--bound", "4"],  # the smallest sphere quadruple has a1 + a2 = 5
         # CSV has no column for witness sequences
         ["analyze", "graph.json", "--emit-sequences", "--format", "csv"],
         ["brieskorn", "2", "3", "7", "--format", "csv", "--emit-sequences"],
@@ -268,6 +287,29 @@ def test_usage_errors_exit_1(tmp_path, capsys, monkeypatch):
         usage = f"usage: plumbhf {argv[0]} " if argv else "usage: plumbhf [-h]"
         assert capsys.readouterr().err.startswith(usage), argv
     assert list(tmp_path.iterdir()) == []
+
+
+SUBCOMMANDS = ("analyze", "brieskorn", "survey", "all-minus-two", "s3")
+
+
+def test_help_exits_0(capsys):
+    for argv in ([], *([name] for name in SUBCOMMANDS)):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--help"])
+        assert exc.value.code == 0, argv
+        out = capsys.readouterr().out
+        assert out.startswith(f"usage: plumbhf {' '.join(argv)}".rstrip() + " "), argv
+    # the top-level usage names exactly these subcommands
+    assert "{" + ",".join(SUBCOMMANDS) + "}" in build_parser().format_usage()
+
+
+def test_readme_commands_parse():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"```sh\n(.*?)```", readme, re.S)
+    lines = [line for b in blocks for line in b.splitlines() if line.startswith("plumbhf ")]
+    assert {shlex.split(line)[1] for line in lines} == set(SUBCOMMANDS)
+    for line in lines:
+        build_parser().parse_args(shlex.split(line)[1:])
 
 
 def test_missing_file_exits_1(capsys):

@@ -10,6 +10,8 @@ import plumbhf.seifert
 from plumbhf import (
     ParseError,
     PlumbingGraph,
+    S3Row,
+    SurveyRow,
     analyze,
     survey_all_minus_two,
     survey_brieskorn,
@@ -177,7 +179,7 @@ def test_cache_malformed_record_names_path_and_line(tmp_path, last_line, message
 def test_csv_and_json_rows_carry_identical_data():
     rows = survey_brieskorn(max_a=7, rays=3)
     objs = [r.to_obj() for r in rows]
-    parsed = list(csv.DictReader(io.StringIO(rows_to_csv(rows))))
+    parsed = list(csv.DictReader(io.StringIO(rows_to_csv(rows, SurveyRow))))
     assert len(parsed) == len(objs)
     assert list(parsed[0]) == ["params", "verdict", "count", "partial", "graph_hash", "reason"]
     for obj, line in zip(objs, parsed):
@@ -219,7 +221,7 @@ def test_report_csv_matches_json_fields():
 
 def test_s3_csv_columns_and_values():
     rows = s3_rows(8)
-    parsed = list(csv.DictReader(io.StringIO(rows_to_csv(rows))))
+    parsed = list(csv.DictReader(io.StringIO(rows_to_csv(rows, S3Row))))
     assert list(parsed[0]) == [
         "quadruple",
         "unique_good_initial",

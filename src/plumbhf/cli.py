@@ -71,7 +71,9 @@ def build_parser() -> argparse.ArgumentParser:
     analyze_p.add_argument("graph_file", metavar="FILE")
     analyze_p.set_defaults(handler=_cmd_analyze)
     brieskorn_p = sub.add_parser("brieskorn", help="build and analyze one Brieskorn sphere")
-    brieskorn_p.add_argument("multiplicities", metavar="A", type=int, nargs="+")
+    brieskorn_p.add_argument(
+        "multiplicities", metavar="A", type=partial(_int_at_least, low=2), nargs="+"
+    )
     brieskorn_p.set_defaults(handler=_cmd_brieskorn)
     for p in (analyze_p, brieskorn_p):
         p.add_argument(
@@ -92,7 +94,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="N",
         help="largest multiplicity (default 30)",
     )
-    p.add_argument("--rays", type=_int_at_least, default=3, metavar="N")
+    p.add_argument("--rays", type=partial(_int_at_least, low=3), default=3, metavar="N")
     g = p.add_mutually_exclusive_group()
     # a str default is parsed like a given value, so a given 2 is not the
     # default object and argparse still rejects --early-stop 2 --full

@@ -10,15 +10,17 @@ star-shaped plumbing.  The work is done on integer numerators and
 denominators: :func:`expand_ratio` is a Euclid loop and
 :func:`convergents` a backward recurrence.  :class:`fractions.Fraction`
 appears only at the API boundary, as the input of :func:`expand_cf` and
-the output of :func:`eval_cf`.
+the output of :func:`eval_cf`, and is imported only when they run.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from .errors import OutOfRangeError
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
 def _require_canonical(coeffs: Sequence[int]) -> None:
@@ -35,6 +37,7 @@ def eval_cf(coeffs: Sequence[int]) -> Fraction:
     of :func:`convergents`.  Canonical lists never hit a zero
     denominator: every tail evaluates below -1, and so does the result.
     """
+    from fractions import Fraction
     _require_canonical(coeffs)
     value = Fraction(coeffs[-1])
     for t in reversed(coeffs[:-1]):
@@ -47,6 +50,7 @@ def expand_cf(x: Fraction | int) -> list[int]:
 
     Raises OutOfRangeError for x >= -1; see :func:`expand_ratio`.
     """
+    from fractions import Fraction
     x = Fraction(x)
     if x >= -1:
         raise OutOfRangeError(f"expansion needs x < -1, got {x}")

@@ -43,9 +43,11 @@ There is no memo across starts: on the a <= 30 survey, the benchmark's
 full counts and ``s3 --bound 20`` no play ever reached a state an
 earlier play had visited.  A play moves one list in place and keeps its
 capped vertices as it goes; a move caps only neighbors of the moved
-vertex, so the capped-pair test looks only at those.  A count keeps only
-each good initial's moves; the validated witness sequences are built
-the first time :attr:`GoodInitialResult.witnesses` is read.
+vertex, so the capped-pair test looks only at those.  Each game counts
+the plays that a capped pair (``capped_pairs``) or a repeated state
+(``move_cycles``) stopped; no emission carries the counts.  A count
+keeps only each good initial's moves; the validated witness sequences
+are built the first time :attr:`GoodInitialResult.witnesses` is read.
 
 Everything here is integer vectors on one graph: :func:`pairing` takes
 plain integer sequences, and the S^3 pairing vector it is used with is
@@ -54,9 +56,7 @@ built in :mod:`plumbhf.seifert`.
 
 from __future__ import annotations
 
-import logging
 import warnings
-from dataclasses import dataclass
 from functools import cached_property
 from heapq import heappop, heappush
 from typing import Iterator, Sequence
@@ -68,17 +68,15 @@ from .errors import (
     WeightTooLargeError,
 )
 from .graph import (
+    Frozen,
     PlumbingGraph,
     bad_vertices,
     graph_determinant,
     is_negative_definite,
 )
 
-logger = logging.getLogger(__name__)
 
-
-@dataclass(frozen=True)
-class Association:
+class Association(Frozen):
     """An integer vector on the vertices of a fixed graph.
 
     Validates the parity and bound constraints at construction, so every
@@ -88,16 +86,15 @@ class Association:
     graph: PlumbingGraph
     values: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        if len(self.values) != self.graph.vertex_count:
-            raise ValueError(
-                f"expected {self.graph.vertex_count} values, got {len(self.values)}"
-            )
-        for v, (m, x) in enumerate(zip(self.graph.weights, self.values)):
+    def __init__(self, graph: PlumbingGraph, values: tuple[int, ...]) -> None:
+        if len(values) != graph.vertex_count:
+            raise ValueError(f"expected {graph.vertex_count} values, got {len(values)}")
+        for v, (m, x) in enumerate(zip(graph.weights, values)):
             if (x - m) % 2 != 0:
                 raise ValueError(f"value {x} at vertex {v} has wrong parity for weight {m}")
             if abs(x) > -m:
                 raise ValueError(f"value {x} at vertex {v} exceeds |{m}|")
+        vars(self).update(graph=graph, values=values)
 
 
 def is_initial(n: Association) -> bool:
@@ -136,18 +133,18 @@ def apply_move(n: Association, v: int) -> Association:
     return Association(g, tuple(vals))
 
 
-@dataclass(frozen=True)
-class GoodSequence:
+class GoodSequence(Frozen):
     """A witness: states[0] initial, states[-1] final, one move per step."""
 
     states: tuple[Association, ...]
     moved: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        if not self.states:
+    def __init__(self, states: tuple[Association, ...], moved: tuple[int, ...]) -> None:
+        if not states:
             raise ValueError("a sequence has at least one state")
-        if len(self.moved) != len(self.states) - 1:
+        if len(moved) != len(states) - 1:
             raise ValueError("need exactly one moved vertex per step")
+        vars(self).update(states=states, moved=moved)
 
     @property
     def graph(self) -> PlumbingGraph:
@@ -196,8 +193,7 @@ def _witness(n0: Association, moves: Sequence[int]) -> GoodSequence:
     return GoodSequence(tuple(states), tuple(moves))
 
 
-@dataclass(frozen=True)
-class GoodInitialResult:
+class GoodInitialResult(Frozen):
     """Outcome of a (possibly truncated) scan over initial associations.
 
     ``moves[i]`` is the play that takes ``initials[i]`` to a final
@@ -220,6 +216,8 @@ class AssociationGame:
 
     def __init__(self, graph: PlumbingGraph) -> None:
         self.graph = graph
+        self.capped_pairs = 0  # plays stopped by an adjacent capped pair
+        self.move_cycles = 0  # plays stopped by a repeated state
         self._kmax = tuple(-w for w in graph.weights)
         self._nbrs = graph.neighbors
         self._bad = bad_vertices(graph)
@@ -258,7 +256,7 @@ class AssociationGame:
         for v in capped:
             for u in nbrs[v]:
                 if k[u] == kmax[u]:
-                    logger.debug("capped pair %d-%d in %r on %s", v, u, k, self.graph.name)
+                    self.capped_pairs += 1
                     return None
         visited = set() if self._singular else None
         moves: list[int] = []
@@ -266,7 +264,7 @@ class AssociationGame:
             if visited is not None:
                 t = tuple(k)
                 if t in visited:
-                    logger.debug("move cycle through %r on %s", t, self.graph.name)
+                    self.move_cycles += 1
                     return None
                 visited.add(t)
             v = heappop(capped)  # no capped pair, so every capped vertex is movable
@@ -276,10 +274,8 @@ class AssociationGame:
                 k[u] += 1
                 if k[u] == kmax[u]:
                     for w in nbrs[u]:
-                        if k[w] == kmax[w]:  # k is mid-move here, so name the pair
-                            logger.debug(
-                                "capped pair %d-%d after moving %d on %s", u, w, v, self.graph.name
-                            )
+                        if k[w] == kmax[w]:
+                            self.capped_pairs += 1
                             return None
                     heappush(capped, u)
         return moves

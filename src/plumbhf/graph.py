@@ -22,8 +22,8 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
 from functools import cached_property
+from operator import attrgetter
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -35,8 +35,45 @@ from .errors import (
 )
 
 
-@dataclass(frozen=True)
-class PlumbingGraph:
+class Frozen:
+    """Base of the package's immutable value classes.
+
+    A subclass's fields are its annotations, in order, with defaults as
+    class attributes.  Construction, equality, hashing and a
+    dataclass-style repr follow from ``_fields``.  Setting or deleting an
+    attribute raises AttributeError; ``cached_property`` still works.
+    """
+
+    def __init_subclass__(cls) -> None:
+        cls._fields = tuple(cls.__annotations__)
+        cls._required = frozenset(f for f in cls._fields if f not in vars(cls))
+        cls._key = attrgetter(*cls._fields)  # not a method: self._key(obj) reads obj's fields
+
+    def __init__(self, *args, **kwargs) -> None:
+        given = vars(self)
+        given.update(zip(self._fields, args), **kwargs)
+        unknown = given.keys() - self._fields or len(given) < len(args) + len(kwargs)
+        if unknown or not self._required <= given.keys():
+            raise TypeError(f"{type(self).__name__} takes the fields {', '.join(self._fields)}")
+
+    def __eq__(self, other):
+        same = other.__class__ is self.__class__
+        return self._key(self) == self._key(other) if same else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key(self))
+
+    def __repr__(self) -> str:
+        body = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__qualname__}({body})"
+
+    def __setattr__(self, name: str, *value) -> None:
+        raise AttributeError(f"cannot set or delete {name!r}: {type(self).__name__} is frozen")
+
+    __delattr__ = __setattr__
+
+
+class PlumbingGraph(Frozen):
     """Immutable weighted forest on vertices 0..n-1.
 
     Edges are stored as sorted (low, high) pairs in sorted order, so two

@@ -1,22 +1,19 @@
 """Reports, surveys, and the append-only result cache.
 
-Reports are plain dataclasses whose JSON emissions are their fields in
-declaration order; the CSV emissions carry the same data column by
-column, with tuple-valued columns joined by ';'.  The survey cache is a
-JSONL file keyed by the canonical graph hash, reused only when the
-stored early_stop setting matches.
+Reports are frozen value classes (:class:`plumbhf.graph.Frozen`) whose
+JSON emissions are their fields in declaration order; the CSV emissions
+carry the same data column by column, with tuple-valued columns joined
+by ';'.  The survey cache is a JSONL file keyed by the canonical graph
+hash, reused only when the stored early_stop setting matches.
 """
 
 from __future__ import annotations
 
-import csv
 import io
 import itertools
 import json
 import math
-import random
 import time
-from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Sequence
 
@@ -31,6 +28,7 @@ from .game import (
     reverse_negate,
 )
 from .graph import (
+    Frozen,
     PlumbingGraph,
     bad_vertices,
     graph_determinant,
@@ -55,12 +53,11 @@ def _plain(value):
 
 
 def _fields_obj(row) -> dict:
-    """A dataclass as a JSON object, keys in field order."""
-    return {f.name: _plain(getattr(row, f.name)) for f in fields(row)}
+    """A value object as a JSON object, keys in field order."""
+    return {name: _plain(getattr(row, name)) for name in row._fields}
 
 
-@dataclass(frozen=True)
-class AnalysisReport:
+class AnalysisReport(Frozen):
     """Everything the analyze path computes for one graph."""
 
     name: str | None
@@ -76,7 +73,7 @@ class AnalysisReport:
     good_initials: tuple[tuple[int, ...], ...]
     elapsed_ms: int
     early_stop: int | None
-    assumes_independent_generators: str = field(default=ASSUMPTION_NOTE, init=False)
+    assumes_independent_generators: str = ASSUMPTION_NOTE
     sequences: tuple[dict, ...] | None = None
 
     def to_obj(self) -> dict:
@@ -121,8 +118,7 @@ def analyze(
     )
 
 
-@dataclass(frozen=True)
-class SurveyRow:
+class SurveyRow(Frozen):
     """One family member in a survey emission."""
 
     params: tuple[int, ...]
@@ -172,7 +168,8 @@ class ResultCache:
         if key in self.records:
             return
         self.records[key] = record
-        self.path.parent.mkdir(parents=True, exist_ok=True)
+        if len(self.records) == 1:  # the first record: a cache that loaded none may lack its dir
+            self.path.parent.mkdir(parents=True, exist_ok=True)
         with self.path.open("a") as fh:
             fh.write(json.dumps(record, separators=(",", ":"), sort_keys=True) + "\n")
 
@@ -256,6 +253,8 @@ def survey_brieskorn(
     cache: ResultCache | None = None,
 ) -> list[SurveyRow]:
     """One row per pairwise-coprime multiplicity tuple within the bound."""
+    if rays < 3:
+        raise ValueError(f"rays must be at least 3, got {rays}: fewer fibers give S^3 (count 1)")
     return [
         brieskorn_row(t, early_stop=early_stop, cache=cache)
         for t in _coprime_tuples(max_a, rays)
@@ -289,6 +288,7 @@ def reverify_cache(
     each graph is rebuilt from its row's params; every early_stop setting
     stored for such a graph is.  Timing fields are not compared.
     """
+    import random
     params_by_hash = {r.graph_hash: r.params for r in rows if r.graph_hash}
     keys = sorted(
         (k for k in cache.records if k[0] in params_by_hash),
@@ -307,8 +307,7 @@ def reverify_cache(
     return problems
 
 
-@dataclass(frozen=True)
-class S3Row:
+class S3Row(Frozen):
     """Per-quadruple verification outcomes for the two-ray S^3 family."""
 
     quadruple: tuple[int, int, int, int]
@@ -398,6 +397,7 @@ def _csv_cell(value) -> str:
 
 def _objs_to_csv(header: list[str], objs: Sequence[dict]) -> str:
     """The header line, then one line per object; no rows give the header alone."""
+    import csv
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(header)
@@ -408,7 +408,7 @@ def _objs_to_csv(header: list[str], objs: Sequence[dict]) -> str:
 
 def rows_to_csv(rows: Sequence, row_type: type) -> str:
     """CSV with one row per survey/s3 row, one column per ``row_type`` field."""
-    return _objs_to_csv([f.name for f in fields(row_type)], [r.to_obj() for r in rows])
+    return _objs_to_csv(list(row_type._fields), [r.to_obj() for r in rows])
 
 
 def report_to_csv(report: AnalysisReport, extra: dict | None = None) -> str:

@@ -21,17 +21,15 @@ exactly -2 (the base family (2, -1, 2k+1, -k)).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cmp_to_key
 from typing import Sequence
 
 from .contfrac import convergents, expand_ratio
 from .errors import BaseCaseError, NonNegDefiniteError, NotCoprimeError
-from .graph import PlumbingGraph, build_graph, is_negative_definite
+from .graph import Frozen, PlumbingGraph, build_graph, is_negative_definite
 
 
-@dataclass(frozen=True)
-class SeifertInvariants:
+class SeifertInvariants(Frozen):
     """Center weight and rays, rays kept sorted by a_i/b_i descending.
 
     The defining product equation is validated exactly at construction,
@@ -41,29 +39,26 @@ class SeifertInvariants:
     center_weight: int
     rays: tuple[tuple[int, int], ...]
 
-    def __post_init__(self) -> None:
-        if self.center_weight >= 0:
-            raise ValueError(f"center weight must be negative, got {self.center_weight}")
-        if not self.rays:
+    def __init__(self, center_weight: int, rays: tuple[tuple[int, int], ...]) -> None:
+        if center_weight >= 0:
+            raise ValueError(f"center weight must be negative, got {center_weight}")
+        if not rays:
             raise ValueError("at least one ray is required")
-        for a, b in self.rays:
+        for a, b in rays:
             if a < 2 or not (-a < b < 0):
                 raise ValueError(f"ray ({a}, {b}) needs a >= 2 and -a < b < 0")
             if math.gcd(a, b) != 1:
                 raise ValueError(f"ray ({a}, {b}) is not reduced")
         # sorted by a/b descending: a/b > c/d iff a*d > c*b, as b, d < 0
-        object.__setattr__(
-            self,
-            "rays",
-            tuple(sorted(self.rays, key=cmp_to_key(lambda r, s: s[0] * r[1] - r[0] * s[1]))),
-        )
-        product = math.prod(a for a, _ in self.rays)
-        value = -self.center_weight * product + sum(b * (product // a) for a, b in self.rays)
+        rays = tuple(sorted(rays, key=cmp_to_key(lambda r, s: s[0] * r[1] - r[0] * s[1])))
+        product = math.prod(a for a, _ in rays)
+        value = -center_weight * product + sum(b * (product // a) for a, b in rays)
         if value != 1:
             raise ValueError(
                 f"data does not satisfy the homology-sphere equation: "
                 f"prod(a) * (-m + sum b/a) = {value}, expected 1"
             )
+        vars(self).update(center_weight=center_weight, rays=rays)
 
     @property
     def multiplicities(self) -> tuple[int, ...]:
@@ -140,8 +135,7 @@ def _brieskorn_star(
     return inv, star
 
 
-@dataclass(frozen=True)
-class SphereQuadruple:
+class SphereQuadruple(Frozen):
     """Two-ray S^3 data (a1, b1, a2, b2).
 
     Construction checks only the sign/range constraints on each ray;
@@ -156,10 +150,11 @@ class SphereQuadruple:
     a2: int
     b2: int
 
-    def __post_init__(self) -> None:
-        for a, b in ((self.a1, self.b1), (self.a2, self.b2)):
+    def __init__(self, a1: int, b1: int, a2: int, b2: int) -> None:
+        for a, b in ((a1, b1), (a2, b2)):
             if a < 2 or not (-a < b < 0):
                 raise ValueError(f"ray ({a}, {b}) needs a >= 2 and -a < b < 0")
+        vars(self).update(a1=a1, b1=b1, a2=a2, b2=b2)
 
     def as_tuple(self) -> tuple[int, int, int, int]:
         return (self.a1, self.b1, self.a2, self.b2)

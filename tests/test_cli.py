@@ -1,5 +1,4 @@
 import csv
-import dataclasses
 import io
 import json
 import re
@@ -8,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from plumbhf import SurveyRow, build_graph, write_graph_file
+from plumbhf import S3Row, SurveyRow, build_graph, write_graph_file
 from plumbhf.cli import build_parser, main
 from support import chain, e8
 
@@ -235,7 +234,7 @@ def test_s3_exits_1_and_names_a_failing_quadruple(capsys, monkeypatch):
     import plumbhf.cli
 
     rows = plumbhf.cli.s3_rows(8)
-    rows[1] = dataclasses.replace(rows[1], bumped_sums_hold=False, reversal_is_good=False)
+    rows[1] = S3Row(**{**vars(rows[1]), "bumped_sums_hold": False, "reversal_is_good": False})
     monkeypatch.setattr(plumbhf.cli, "s3_rows", lambda bound: rows)
     code, out, err = run(capsys, "s3", "--bound", "8")
     assert code == 1
@@ -275,6 +274,9 @@ def test_usage_errors_exit_1(tmp_path, capsys, monkeypatch):
         ["all-minus-two", "--max-p", "-3"],
         ["all-minus-two", "--rays", "0"],
         ["survey", "--rays", "-1"],
+        # one or two fibers give S^3, whose count of 1 never meets the early stop
+        ["survey", "--rays", "2"],
+        ["brieskorn", "1", "3", "5"],  # a multiplicity below 2 is no singular fiber
         ["s3", "--bound", "4"],  # the smallest sphere quadruple has a1 + a2 = 5
         # CSV has no column for witness sequences
         ["analyze", "graph.json", "--emit-sequences", "--format", "csv"],

@@ -127,6 +127,31 @@ def test_forms_refuse_a_directly_built_cycle():
             is_negative_definite(g)
 
 
+def test_graphs_are_frozen_values():
+    g = build_graph([-2, -3, -2], [(1, 0), (1, 2)], name="g")
+    h = PlumbingGraph((-2, -3, -2), ((0, 1), (1, 2)), "g")
+    assert g == h and hash(g) == hash(h) and len({g, h}) == 1
+    assert g != PlumbingGraph(h.weights, h.edges) and g != (h.weights, h.edges, h.name)
+    assert repr(g) == "PlumbingGraph(weights=(-2, -3, -2), edges=((0, 1), (1, 2)), name='g')"
+    for name in ("weights", "edges", "name", "forms", "other"):
+        with pytest.raises(AttributeError):
+            setattr(g, name, None)
+    with pytest.raises(AttributeError):
+        del g.weights
+    assert g.forms == (-8, True) and "forms" in vars(g)  # cached_property still caches
+    assert g == h and hash(g) == hash(h)  # the cache is not a field
+    # fields bind by position or name, as a dataclass's do
+    assert PlumbingGraph(weights=(-2,), edges=()) == PlumbingGraph((-2,), (), None)
+    for bad in (
+        lambda: PlumbingGraph((-2,)),  # edges missing
+        lambda: PlumbingGraph((-2,), (), None, None),  # one value too many
+        lambda: PlumbingGraph((-2,), (), nme="x"),  # no such field
+        lambda: PlumbingGraph((-2,), (), weights=(-3,)),  # weights given twice
+    ):
+        with pytest.raises(TypeError):
+            bad()
+
+
 def test_forms_are_computed_once_per_graph():
     g = e8()
     assert "forms" not in vars(g)

@@ -44,6 +44,12 @@ def test_analyze_report_fields():
     assert obj["good_initial_count"] == 1
     assert "assumes_independent_generators" in obj
     json.dumps(obj)  # must be serializable as is
+    # a frozen value: every field, the default note and sequences included, in order
+    assert list(obj) == [name for name in r._fields if name != "sequences"]
+    assert repr(r).startswith("AnalysisReport(name='e8', graph_hash=")
+    assert all(f"{name}={getattr(r, name)!r}" in repr(r) for name in r._fields)
+    with pytest.raises(AttributeError):
+        r.good_initial_count = 2
 
 
 def test_analyze_emits_sequences_on_request():
@@ -112,6 +118,31 @@ def test_cache_reuse_and_append(tmp_path):
     assert [r.params for r in rows3] == [r.params for r in rows1]
 
 
+def test_cache_makes_its_directory_on_the_first_put_only(tmp_path, monkeypatch):
+    path = tmp_path / "new" / "dir" / "cache.jsonl"
+    rows = survey_brieskorn(max_a=7, rays=3, cache=ResultCache(path))
+    assert len(path.read_text().splitlines()) == len(rows) > 1
+    made = []
+    mkdir = plumbhf.report.Path.mkdir
+
+    def counted(directory, **kwargs):
+        made.append(directory)
+        return mkdir(directory, **kwargs)
+
+    monkeypatch.setattr(plumbhf.report.Path, "mkdir", counted)
+    other = tmp_path / "new" / "other.jsonl"
+    survey_brieskorn(max_a=7, rays=3, cache=ResultCache(other))
+    assert made == [other.parent]
+    assert len(other.read_text().splitlines()) == len(rows)
+
+
+def test_survey_needs_three_rays():
+    # one or two fibers give S^3: its count of 1 never meets the early stop
+    for rays in (1, 2):
+        with pytest.raises(ValueError, match="rays must be at least 3"):
+            survey_brieskorn(max_a=5, rays=rays)
+
+
 def test_cache_reverify_flags_tampering(tmp_path):
     path = tmp_path / "cache.jsonl"
     cache = ResultCache(path)
@@ -135,7 +166,7 @@ def test_cache_reverify_covers_every_early_stop_of_a_graph(tmp_path):
     assert len(cache.records) == 2 * len(rows)
     assert reverify_cache(cache, rows, sample=len(cache.records)) == []
     # rows of another run cannot be rebuilt, so their records are not eligible
-    assert reverify_cache(cache, survey_brieskorn(max_a=5, rays=2), sample=5) == []
+    assert reverify_cache(cache, survey_brieskorn(max_a=7, rays=4), sample=5) == []
 
 
 @pytest.mark.parametrize(

@@ -1,4 +1,6 @@
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 SOURCE = Path(__file__).resolve().parents[1] / "src" / "plumbhf"
@@ -16,3 +18,17 @@ def test_no_assert_statements_in_the_package():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def test_cli_imports_only_what_a_run_executes():
+    # every run pays the CLI's import time, so modules that only some
+    # paths use (or none) are imported where they are used
+    unwanted = ("dataclasses", "inspect", "logging", "fractions", "decimal", "csv", "random")
+    code = (
+        f"import sys; sys.path.insert(0, {str(SOURCE.parent)!r}); import plumbhf.cli; "
+        f"print(' '.join(m for m in {unwanted!r} if m in sys.modules))"
+    )
+    # -S: no site hooks, so only the package's own imports count
+    run = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.split() == []

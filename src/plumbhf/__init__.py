@@ -6,152 +6,15 @@ initial associations of the combinatorial cube-assignment game on the
 graph; each one generates a summand of the kernel of the U action, so
 the count lower-bounds that kernel's rank and equals it on the graphs
 this package targets.
+
+The names below are the short path to a Brieskorn count; everything
+else is imported from its module (``plumbhf.graph``, ``plumbhf.report``,
+``plumbhf.errors`` and so on).
 """
 
-from .errors import (
-    BadIdError,
-    BaseCaseError,
-    CycleCreatedError,
-    CycleDetectedError,
-    DimensionMismatchError,
-    DisconnectedError,
-    DuplicateEdgeError,
-    IllegalMoveError,
-    NonNegDefiniteError,
-    NotCoprimeError,
-    OutOfRangeError,
-    ParseError,
-    PlumbingError,
-    TooManyBadVerticesError,
-    WeightTooLargeError,
-)
-from .graph import (
-    PlumbingGraph,
-    bad_vertices,
-    blow_down,
-    build_graph,
-    graph_determinant,
-    intersection_matrix,
-    is_homology_sphere,
-    is_negative_definite,
-)
-from .contfrac import (
-    bumped_sum_check,
-    convergents,
-    eval_cf,
-    expand_cf,
-)
-from .seifert import (
-    SeifertInvariants,
-    SphereQuadruple,
-    brieskorn,
-    enumerate_quadruples,
-    is_sphere_quadruple,
-    pairing_vector,
-    quadruple_star,
-    reduce_quadruple,
-    star_graph,
-)
-from .game import (
-    Association,
-    AssociationGame,
-    GoodInitialResult,
-    GoodSequence,
-    apply_move,
-    central_count,
-    completes_to_good,
-    good_initial_count,
-    interior_association_count,
-    is_final,
-    is_good_sequence,
-    is_initial,
-    legal_moves,
-    pairing,
-    reverse_negate,
-)
-from .files import (
-    canonical_graph_hash,
-    graph_from_obj,
-    graph_to_obj,
-    parse_graph_file,
-    write_graph_file,
-)
-from .report import (
-    AnalysisReport,
-    ResultCache,
-    S3Row,
-    SurveyRow,
-    analyze,
-    s3_rows,
-    survey_all_minus_two,
-    survey_brieskorn,
-)
+from .contfrac import expand_cf
+from .game import Association, AssociationGame, good_initial_count
+from .graph import blow_down, graph_determinant
+from .seifert import brieskorn, star_graph
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "AnalysisReport",
-    "Association",
-    "AssociationGame",
-    "BadIdError",
-    "BaseCaseError",
-    "CycleCreatedError",
-    "CycleDetectedError",
-    "DimensionMismatchError",
-    "DisconnectedError",
-    "DuplicateEdgeError",
-    "GoodInitialResult",
-    "GoodSequence",
-    "IllegalMoveError",
-    "NonNegDefiniteError",
-    "NotCoprimeError",
-    "OutOfRangeError",
-    "ParseError",
-    "PlumbingError",
-    "PlumbingGraph",
-    "ResultCache",
-    "S3Row",
-    "SeifertInvariants",
-    "SphereQuadruple",
-    "SurveyRow",
-    "TooManyBadVerticesError",
-    "WeightTooLargeError",
-    "analyze",
-    "apply_move",
-    "bad_vertices",
-    "blow_down",
-    "brieskorn",
-    "build_graph",
-    "bumped_sum_check",
-    "canonical_graph_hash",
-    "central_count",
-    "completes_to_good",
-    "convergents",
-    "enumerate_quadruples",
-    "eval_cf",
-    "expand_cf",
-    "good_initial_count",
-    "graph_determinant",
-    "graph_from_obj",
-    "graph_to_obj",
-    "interior_association_count",
-    "intersection_matrix",
-    "is_final",
-    "is_good_sequence",
-    "is_homology_sphere",
-    "is_initial",
-    "is_negative_definite",
-    "is_sphere_quadruple",
-    "legal_moves",
-    "pairing",
-    "pairing_vector",
-    "parse_graph_file",
-    "quadruple_star",
-    "reduce_quadruple",
-    "reverse_negate",
-    "s3_rows",
-    "star_graph",
-    "survey_all_minus_two",
-    "survey_brieskorn",
-    "write_graph_file",
-]

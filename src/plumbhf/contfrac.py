@@ -9,8 +9,8 @@ Every rational x < -1 has a unique expansion with all coefficients
 star-shaped plumbing.  The work is done on integer numerators and
 denominators: :func:`expand_ratio` is a Euclid loop and
 :func:`convergents` a backward recurrence.  :class:`fractions.Fraction`
-appears only at the API boundary, as the input of :func:`expand_cf` and
-the output of :func:`eval_cf`, and is imported only when they run.
+appears only at the API boundary, as the input of :func:`expand_cf`, and
+is imported only when it runs.
 """
 
 from __future__ import annotations
@@ -21,28 +21,6 @@ from .errors import OutOfRangeError
 
 if TYPE_CHECKING:
     from fractions import Fraction
-
-
-def _require_canonical(coeffs: Sequence[int]) -> None:
-    if not coeffs:
-        raise ValueError("empty coefficient list")
-    if any(t > -2 for t in coeffs):
-        raise ValueError(f"coefficients must all be <= -2, got {list(coeffs)}")
-
-
-def eval_cf(coeffs: Sequence[int]) -> Fraction:
-    """Value of a canonical coefficient list (nonempty, all <= -2).
-
-    Folded from the last coefficient in Fraction arithmetic, independently
-    of :func:`convergents`.  Canonical lists never hit a zero
-    denominator: every tail evaluates below -1, and so does the result.
-    """
-    from fractions import Fraction
-    _require_canonical(coeffs)
-    value = Fraction(coeffs[-1])
-    for t in reversed(coeffs[:-1]):
-        value = t - 1 / value
-    return value
 
 
 def expand_cf(x: Fraction | int) -> list[int]:
@@ -84,7 +62,10 @@ def convergents(coeffs: Sequence[int]) -> list[tuple[int, int]]:
     A_l = -t_l*A_{l+1} + B_{l+1}, B_l = -A_{l+1}, which also forces
     B_p = -1 for the last genuine tail.
     """
-    _require_canonical(coeffs)
+    if not coeffs:
+        raise ValueError("empty coefficient list")
+    if any(t > -2 for t in coeffs):
+        raise ValueError(f"coefficients must all be <= -2, got {list(coeffs)}")
     pairs = [(1, 0)]
     a, b = 1, 0
     for t in reversed(coeffs):

@@ -17,10 +17,6 @@ class CycleDetectedError(PlumbingError):
     """The edge set does not form a forest (self-loop or cycle)."""
 
 
-class DisconnectedError(PlumbingError):
-    """A connected graph was required."""
-
-
 class CycleCreatedError(PlumbingError):
     """A degree-2 blow-down would create a multi-edge or loop."""
 
@@ -37,20 +33,12 @@ class NonNegDefiniteError(PlumbingError):
     """A negative-definite intersection form was required."""
 
 
-class BaseCaseError(PlumbingError):
-    """The quadruple's distinguished ray ratio is exactly -2; no reduction applies."""
-
-
 class IllegalMoveError(PlumbingError):
     """The requested change is not legal at this vertex."""
 
 
 class TooManyBadVerticesError(PlumbingError):
     """The counting algorithm needs at most one bad vertex."""
-
-
-class WeightTooLargeError(PlumbingError):
-    """Every weight must be at most -2 for this bound."""
 
 
 class DimensionMismatchError(PlumbingError):

@@ -6,9 +6,9 @@ A graph file is JSON of the form
      "edges": [[0, 1], ...]}
 
 with "name" optional.  Ids may be arbitrary distinct integers; parsing
-renumbers them densely in ascending order.  Writing always emits the
-canonical form (dense ids, sorted edges), so write-then-parse is the
-identity and parse-then-write canonicalizes.
+renumbers them densely in ascending order.  A file that is not UTF-8,
+not JSON, nested too deeply to decode, or off the schema raises
+ParseError naming the file.
 """
 
 from __future__ import annotations
@@ -71,28 +71,18 @@ def graph_from_obj(obj) -> PlumbingGraph:
 
 
 def parse_graph_file(path: str | Path) -> PlumbingGraph:
-    text = Path(path).read_text()
     try:
-        obj = json.loads(text)
+        obj = json.loads(Path(path).read_text(encoding="utf-8"))
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 ({exc})") from exc
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: not valid JSON ({exc})") from exc
+    except RecursionError as exc:
+        raise ParseError(f"{path}: JSON nested too deeply to decode") from exc
     try:
         return graph_from_obj(obj)
     except ParseError as exc:
         raise ParseError(f"{path}: {exc}") from exc
-
-
-def graph_to_obj(g: PlumbingGraph) -> dict:
-    obj: dict = {}
-    if g.name is not None:
-        obj["name"] = g.name
-    obj["vertices"] = [{"id": v, "weight": w} for v, w in enumerate(g.weights)]
-    obj["edges"] = [list(e) for e in g.edges]
-    return obj
-
-
-def write_graph_file(g: PlumbingGraph, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(graph_to_obj(g), indent=2) + "\n")
 
 
 def canonical_graph_hash(g: PlumbingGraph) -> str:

@@ -61,12 +61,7 @@ from functools import cached_property
 from heapq import heappop, heappush
 from typing import Iterator, Sequence
 
-from .errors import (
-    DimensionMismatchError,
-    IllegalMoveError,
-    TooManyBadVerticesError,
-    WeightTooLargeError,
-)
+from .errors import DimensionMismatchError, IllegalMoveError, TooManyBadVerticesError
 from .graph import (
     Frozen,
     PlumbingGraph,
@@ -103,18 +98,6 @@ def is_initial(n: Association) -> bool:
 
 def is_final(n: Association) -> bool:
     return all(m <= x < -m for m, x in zip(n.graph.weights, n.values))
-
-
-def legal_moves(n: Association) -> list[int]:
-    """Vertices where a change is legal, ascending."""
-    g = n.graph
-    out = []
-    for v, (m, x) in enumerate(zip(g.weights, n.values)):
-        if x != -m:
-            continue
-        if all(n.values[u] + 2 <= -g.weights[u] for u in g.neighbors[v]):
-            out.append(v)
-    return out
 
 
 def apply_move(n: Association, v: int) -> Association:
@@ -379,29 +362,9 @@ class AssociationGame:
         )
 
 
-def completes_to_good(n0: Association) -> GoodSequence | None:
-    """One-shot wrapper; see AssociationGame.completes_to_good."""
-    return AssociationGame(n0.graph).completes_to_good(n0)
-
-
 def good_initial_count(graph: PlumbingGraph, early_stop: int | None = None) -> GoodInitialResult:
     """One-shot wrapper; see AssociationGame.good_initial_count."""
     return AssociationGame(graph).good_initial_count(early_stop)
-
-
-def interior_association_count(graph: PlumbingGraph) -> int:
-    """prod(-1 - m(w)): the associations strictly inside their bounds.
-
-    Each such association is simultaneously initial and final, so this
-    is a lower bound for the good-initial count.  Only meaningful when
-    every weight is <= -2 (WeightTooLargeError otherwise).
-    """
-    out = 1
-    for v, m in enumerate(graph.weights):
-        if m > -2:
-            raise WeightTooLargeError(f"vertex {v} has weight {m} > -2")
-        out *= -1 - m
-    return out
 
 
 def pairing(x: Sequence[int], y: Sequence[int]) -> int:

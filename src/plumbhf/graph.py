@@ -12,10 +12,8 @@ A graph's determinant and definiteness come from one leaf-to-root sweep
 over the tree, computed once per graph object and kept on it
 (:attr:`PlumbingGraph.forms`); its canonical hash, which keys the result
 cache, is likewise computed once and kept
-(:attr:`PlumbingGraph.canonical_hash`).  :func:`intersection_matrix`
-spells the form out as rows for display and for tests; nothing here
-computes a determinant from it.  All arithmetic is exact over the
-integers.
+(:attr:`PlumbingGraph.canonical_hash`).  No matrix is ever built.  All
+arithmetic is exact over the integers.
 """
 
 from __future__ import annotations
@@ -30,7 +28,6 @@ from .errors import (
     BadIdError,
     CycleCreatedError,
     CycleDetectedError,
-    DisconnectedError,
     DuplicateEdgeError,
 )
 
@@ -88,9 +85,6 @@ class PlumbingGraph(Frozen):
     @property
     def vertex_count(self) -> int:
         return len(self.weights)
-
-    def weight(self, v: int) -> int:
-        return self.weights[v]
 
     @cached_property
     def neighbors(self) -> tuple[tuple[int, ...], ...]:
@@ -221,32 +215,9 @@ def build_graph(
     return PlumbingGraph(ws, tuple(sorted(canon)), name)
 
 
-def intersection_matrix(g: PlumbingGraph) -> tuple[tuple[int, ...], ...]:
-    """Rows of the form: weights on the diagonal, 1 for every edge, 0 elsewhere."""
-    n = g.vertex_count
-    rows = [[0] * n for _ in range(n)]
-    for v, w in enumerate(g.weights):
-        rows[v][v] = w
-    for u, v in g.edges:
-        rows[u][v] = 1
-        rows[v][u] = 1
-    return tuple(tuple(r) for r in rows)
-
-
 def graph_determinant(g: PlumbingGraph) -> int:
     """Determinant of the intersection form; see PlumbingGraph.forms."""
     return g.forms[0]
-
-
-def is_homology_sphere(g: PlumbingGraph) -> bool:
-    """True iff the boundary 3-manifold has trivial first homology.
-
-    Requires a connected graph (raises DisconnectedError otherwise); the
-    empty graph denotes S^3 and counts as a homology sphere.
-    """
-    if not g.is_connected:
-        raise DisconnectedError("homology-sphere test needs a connected graph")
-    return abs(graph_determinant(g)) == 1
 
 
 def is_negative_definite(g: PlumbingGraph) -> bool:

@@ -135,9 +135,9 @@ class SurveyRow(Frozen):
 class ResultCache:
     """Append-only JSONL cache of analyze results keyed by graph hash.
 
-    A record that is not a JSON object with a str graph_hash, an
-    early_stop that is null or an int >= 1, an int good_initial_count and
-    a bool partial (a torn last line, say) raises ParseError naming
+    A line that is not UTF-8, or not a JSON object with a str graph_hash,
+    an early_stop that is null or an int >= 1, an int good_initial_count
+    and a bool partial (a torn last line, say), raises ParseError naming
     path:line.
     """
 
@@ -145,16 +145,16 @@ class ResultCache:
         self.path = Path(path)
         self.records: dict[tuple[str, int | None], dict] = {}
         if self.path.exists():
-            with self.path.open() as fh:
-                for lineno, line in enumerate(fh, 1):
-                    line = line.strip()
-                    if not line:
-                        continue
+            with self.path.open("rb") as fh:
+                for lineno, raw in enumerate(fh, 1):
                     try:
+                        line = raw.decode("utf-8").strip()
+                        if not line:
+                            continue
                         rec = json.loads(line)
                         _check_record(rec)
                         key = (rec["graph_hash"], rec["early_stop"])
-                    except (ValueError, KeyError, TypeError) as exc:
+                    except (ValueError, KeyError, TypeError, RecursionError) as exc:
                         raise ParseError(
                             f"{self.path}:{lineno}: bad cache record ({type(exc).__name__}: {exc})"
                         ) from exc
@@ -330,9 +330,6 @@ class S3Row(Frozen):
     def failures(self) -> list[str]:
         """The names of the five properties that do not hold."""
         return [name for name in self.PROPERTIES if not getattr(self, name)]
-
-    def all_pass(self) -> bool:
-        return not self.failures()
 
     def to_obj(self) -> dict:
         return _fields_obj(self)

@@ -25,7 +25,7 @@ from functools import cmp_to_key
 from typing import Sequence
 
 from .contfrac import convergents, expand_ratio
-from .errors import BaseCaseError, NonNegDefiniteError, NotCoprimeError
+from .errors import NonNegDefiniteError, NotCoprimeError
 from .graph import Frozen, PlumbingGraph, build_graph, is_negative_definite
 
 
@@ -59,10 +59,6 @@ class SeifertInvariants(Frozen):
                 f"prod(a) * (-m + sum b/a) = {value}, expected 1"
             )
         vars(self).update(center_weight=center_weight, rays=rays)
-
-    @property
-    def multiplicities(self) -> tuple[int, ...]:
-        return tuple(a for a, _ in self.rays)
 
 
 def star_graph(inv: SeifertInvariants, name: str | None = None) -> PlumbingGraph:
@@ -140,9 +136,9 @@ class SphereQuadruple(Frozen):
 
     Construction checks only the sign/range constraints on each ray;
     whether the sphere equation holds is the separate predicate
-    :func:`is_sphere_quadruple`, and reduction outputs are returned in
-    raw move order, so canonical display order (ratio >= -2 first) is a
-    method rather than an invariant.
+    :func:`is_sphere_quadruple`, and the inverse reduction moves of
+    :func:`enumerate_quadruples` give rays in raw move order, so canonical
+    display order (ratio >= -2 first) is a method rather than an invariant.
     """
 
     a1: int
@@ -175,22 +171,6 @@ class SphereQuadruple(Frozen):
 def is_sphere_quadruple(q: SphereQuadruple) -> bool:
     """Exact integer form of 1 + b1/a1 + b2/a2 = 1/(a1*a2)."""
     return q.a1 * q.a2 + q.a2 * q.b1 + q.a1 * q.b2 == 1
-
-
-def reduce_quadruple(q: SphereQuadruple) -> SphereQuadruple:
-    """One reduction step, strictly shrinking both multiplicities.
-
-    The ray with ratio > -2 is moved into first position and replaced by
-    (-b1, 2*b1 + a1) while the other ray drops to (a2 + b2, b2).  Raises
-    BaseCaseError when the distinguished ratio is exactly -2 (the
-    irreducible family) and ValueError if q is not a sphere quadruple.
-    """
-    if not is_sphere_quadruple(q):
-        raise ValueError(f"{q.as_tuple()} does not satisfy the sphere equation")
-    c = q.canonical()
-    if c.a1 == -2 * c.b1:
-        raise BaseCaseError(f"{c.as_tuple()} has ray ratio exactly -2")
-    return SphereQuadruple(-c.b1, 2 * c.b1 + c.a1, c.a2 + c.b2, c.b2)
 
 
 def enumerate_quadruples(bound: int) -> list[SphereQuadruple]:
@@ -237,19 +217,6 @@ def quadruple_star(q: SphereQuadruple, name: str | None = None) -> PlumbingGraph
         raise ValueError(f"{q.as_tuple()} does not satisfy the sphere equation")
     inv = SeifertInvariants(-1, ((q.a1, q.b1), (q.a2, q.b2)))
     return star_graph(inv, name)
-
-
-def pairing_vector(q: SphereQuadruple) -> tuple[int, ...]:
-    """Distinguished integer vector on the star of a sphere quadruple.
-
-    See :func:`pairing_vector_from_rays`; this expands the two rays of
-    the canonical quadruple.  Raises ValueError if q is not a sphere
-    quadruple.
-    """
-    if not is_sphere_quadruple(q):
-        raise ValueError(f"{q.as_tuple()} does not satisfy the sphere equation")
-    c = q.canonical()
-    return pairing_vector_from_rays(expand_ratio(-c.a1, -c.b1), expand_ratio(-c.a2, -c.b2))
 
 
 def pairing_vector_from_rays(first: Sequence[int], second: Sequence[int]) -> tuple[int, ...]:

@@ -4,11 +4,19 @@ The oracles reimplement the library's core answers from their
 definitions (cofactor expansion, uncached breadth-first search over the
 raw move rules, a brute scan of the sphere equation) so the production
 code is checked against something it does not share internals with.
+The reference helpers (continued-fraction values, intersection
+matrices, the interior-association bound, the S^3 quadruple reduction
+and pairing vector, graph-file writing) are what the tests compare the
+package's answers with; no command runs them.
 """
 
+import json
 from fractions import Fraction
+from pathlib import Path
 
-from plumbhf import build_graph
+from plumbhf.contfrac import expand_ratio
+from plumbhf.graph import build_graph
+from plumbhf.seifert import SphereQuadruple, is_sphere_quadruple, pairing_vector_from_rays
 
 
 def star(center, *rays, name=None):
@@ -91,8 +99,6 @@ def oracle_count(graph):
 def brute_quadruples(bound):
     """Canonical quadruple tuples with a1 + a2 <= bound, by raw scan of
     the sphere equation a1*a2 + a2*b1 + a1*b2 = 1."""
-    from plumbhf import SphereQuadruple
-
     out = set()
     for a1 in range(2, bound - 1):
         for a2 in range(2, bound - a1 + 1):
@@ -117,7 +123,7 @@ def random_forest(rng, max_vertices=6, weight_range=(-4, -1), edge_chance=0.8):
 def random_small_star(rng):
     """Negative-definite all-(<= -2) star: rays <= 3, weights >= -5,
     at most 8 vertices.  Retries until the form is negative definite."""
-    from plumbhf import is_negative_definite
+    from plumbhf.graph import is_negative_definite
 
     while True:
         nrays = rng.randint(1, 3)
@@ -161,3 +167,89 @@ def reduced_fractions(limit):
         for b in range(1, a):
             if math.gcd(a, b) == 1:
                 yield Fraction(-a, b)
+
+
+def eval_cf(coeffs):
+    """Value of a canonical coefficient list (nonempty, all <= -2).
+
+    Folded from the last coefficient in Fraction arithmetic, independently
+    of the package's integer recurrences.  Canonical lists never hit a
+    zero denominator: every tail evaluates below -1, and so does the
+    result.
+    """
+    if not coeffs:
+        raise ValueError("empty coefficient list")
+    if any(t > -2 for t in coeffs):
+        raise ValueError(f"coefficients must all be <= -2, got {list(coeffs)}")
+    value = Fraction(coeffs[-1])
+    for t in reversed(coeffs[:-1]):
+        value = t - 1 / value
+    return value
+
+
+def intersection_matrix(g):
+    """Rows of the form: weights on the diagonal, 1 for every edge, 0 elsewhere."""
+    n = g.vertex_count
+    rows = [[0] * n for _ in range(n)]
+    for v, w in enumerate(g.weights):
+        rows[v][v] = w
+    for u, v in g.edges:
+        rows[u][v] = 1
+        rows[v][u] = 1
+    return tuple(tuple(r) for r in rows)
+
+
+def interior_association_count(graph):
+    """prod(-1 - m(w)): the associations strictly inside their bounds.
+
+    Each such association is simultaneously initial and final, so this
+    is a lower bound for the good-initial count.  Only meaningful when
+    every weight is <= -2 (ValueError otherwise).
+    """
+    out = 1
+    for v, m in enumerate(graph.weights):
+        if m > -2:
+            raise ValueError(f"vertex {v} has weight {m} > -2")
+        out *= -1 - m
+    return out
+
+
+def reduce_quadruple(q):
+    """One reduction step, strictly shrinking both multiplicities.
+
+    The ray with ratio > -2 is moved into first position and replaced by
+    (-b1, 2*b1 + a1) while the other ray drops to (a2 + b2, b2).  Raises
+    ValueError when the distinguished ratio is exactly -2 (the
+    irreducible family) or q is not a sphere quadruple.
+    """
+    if not is_sphere_quadruple(q):
+        raise ValueError(f"{q.as_tuple()} does not satisfy the sphere equation")
+    c = q.canonical()
+    if c.a1 == -2 * c.b1:
+        raise ValueError(f"{c.as_tuple()} has ray ratio exactly -2")
+    return SphereQuadruple(-c.b1, 2 * c.b1 + c.a1, c.a2 + c.b2, c.b2)
+
+
+def pairing_vector(q):
+    """The pairing vector of a sphere quadruple's star, from its canonical rays.
+
+    Raises ValueError if q is not a sphere quadruple.
+    """
+    if not is_sphere_quadruple(q):
+        raise ValueError(f"{q.as_tuple()} does not satisfy the sphere equation")
+    c = q.canonical()
+    return pairing_vector_from_rays(expand_ratio(-c.a1, -c.b1), expand_ratio(-c.a2, -c.b2))
+
+
+def graph_to_obj(g):
+    """The canonical graph-file object: dense ids, sorted edges."""
+    obj = {}
+    if g.name is not None:
+        obj["name"] = g.name
+    obj["vertices"] = [{"id": v, "weight": w} for v, w in enumerate(g.weights)]
+    obj["edges"] = [list(e) for e in g.edges]
+    return obj
+
+
+def write_graph_file(g, path):
+    Path(path).write_text(json.dumps(graph_to_obj(g), indent=2) + "\n")

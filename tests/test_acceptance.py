@@ -10,25 +10,12 @@ import time
 from contextlib import contextmanager
 from fractions import Fraction
 
-from plumbhf import (
-    AssociationGame,
-    bad_vertices,
-    blow_down,
-    brieskorn,
-    canonical_graph_hash,
-    enumerate_quadruples,
-    eval_cf,
-    expand_cf,
-    graph_determinant,
-    interior_association_count,
-    intersection_matrix,
-    is_negative_definite,
-    quadruple_star,
-    s3_rows,
-    star_graph,
-    survey_all_minus_two,
-    survey_brieskorn,
-)
+from plumbhf.contfrac import expand_cf
+from plumbhf.files import canonical_graph_hash
+from plumbhf.game import AssociationGame
+from plumbhf.graph import bad_vertices, blow_down, graph_determinant, is_negative_definite
+from plumbhf.report import s3_rows, survey_all_minus_two, survey_brieskorn
+from plumbhf.seifert import brieskorn, enumerate_quadruples, quadruple_star, star_graph
 from support import (
     blow_up_edge,
     blow_up_leaf,
@@ -36,6 +23,9 @@ from support import (
     chain,
     cofactor_det,
     e8,
+    eval_cf,
+    interior_association_count,
+    intersection_matrix,
     random_forest,
     random_small_star,
     reduced_fractions,

@@ -7,9 +7,10 @@ from pathlib import Path
 
 import pytest
 
-from plumbhf import S3Row, SurveyRow, build_graph, write_graph_file
 from plumbhf.cli import build_parser, main
-from support import chain, e8
+from plumbhf.graph import build_graph
+from plumbhf.report import S3Row, SurveyRow
+from support import chain, e8, write_graph_file
 
 
 def run(capsys, *argv):
@@ -70,6 +71,24 @@ def test_analyze_parse_error_exits_1(tmp_path, capsys):
     code, out, err = run(capsys, "analyze", str(bad))
     assert code == 1
     assert "ParseError" in err
+
+
+def test_analyze_non_utf8_file_exits_1_naming_it(tmp_path, capsys):
+    bad = tmp_path / "latin1.json"
+    bad.write_bytes(b'{"name": "caf\xe9", "vertices": [], "edges": []}')
+    code, out, err = run(capsys, "analyze", str(bad))
+    assert code == 1
+    assert out == ""
+    assert f"ParseError: {bad}: not UTF-8" in err
+
+
+def test_analyze_deeply_nested_file_exits_1_naming_it(tmp_path, capsys):
+    bad = tmp_path / "deep.json"
+    bad.write_text("[" * 100_000 + "]" * 100_000)
+    code, out, err = run(capsys, "analyze", str(bad))
+    assert code == 1
+    assert out == ""
+    assert f"ParseError: {bad}: JSON nested too deeply" in err
 
 
 def test_analyze_two_bad_vertices_exits_1(tmp_path, capsys):
@@ -162,6 +181,28 @@ def test_survey_torn_cache_exits_1(tmp_path, capsys):
     assert code == 1
     assert out == ""
     assert f"ParseError: {cache}:{len(lines)}:" in err
+
+
+def test_survey_non_utf8_cache_line_exits_1(tmp_path, capsys):
+    cache = tmp_path / "cache.jsonl"
+    run(capsys, "survey", "--max-a", "6", "--cache", str(cache))
+    lines = cache.read_bytes().splitlines()
+    cache.write_bytes(b"\n".join([*lines, b'{"graph_hash": "\xff"}']) + b"\n")
+    code, out, err = run(capsys, "survey", "--max-a", "6", "--cache", str(cache))
+    assert code == 1
+    assert out == ""
+    assert f"ParseError: {cache}:{len(lines) + 1}: bad cache record (UnicodeDecodeError" in err
+
+
+def test_survey_deeply_nested_cache_line_exits_1(tmp_path, capsys):
+    cache = tmp_path / "cache.jsonl"
+    run(capsys, "survey", "--max-a", "6", "--cache", str(cache))
+    lines = cache.read_text().splitlines()
+    cache.write_text("\n".join([lines[0], "[" * 100_000 + "]" * 100_000, *lines[1:]]) + "\n")
+    code, out, err = run(capsys, "survey", "--max-a", "6", "--cache", str(cache))
+    assert code == 1
+    assert out == ""
+    assert f"ParseError: {cache}:2: bad cache record (RecursionError" in err
 
 
 def test_survey_cache_env_var(tmp_path, capsys, monkeypatch):

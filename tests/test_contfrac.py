@@ -4,14 +4,9 @@ from fractions import Fraction
 
 import pytest
 
-from plumbhf import (
-    OutOfRangeError,
-    bumped_sum_check,
-    convergents,
-    eval_cf,
-    expand_cf,
-)
-from support import reduced_fractions
+from plumbhf.contfrac import bumped_sum_check, convergents, expand_cf
+from plumbhf.errors import OutOfRangeError
+from support import eval_cf, reduced_fractions
 
 
 def test_expand_known_values():

@@ -2,15 +2,9 @@ import json
 
 import pytest
 
-from plumbhf import (
-    ParseError,
-    canonical_graph_hash,
-    graph_from_obj,
-    graph_to_obj,
-    parse_graph_file,
-    write_graph_file,
-)
-from support import e8
+from plumbhf.errors import ParseError
+from plumbhf.files import canonical_graph_hash, graph_from_obj, parse_graph_file
+from support import e8, graph_to_obj, write_graph_file
 
 
 def write(tmp_path, obj, name="g.json"):

@@ -2,28 +2,23 @@ import random
 
 import pytest
 
-from plumbhf import (
-    BadIdError,
-    CycleCreatedError,
-    CycleDetectedError,
-    DisconnectedError,
-    DuplicateEdgeError,
+from plumbhf.errors import BadIdError, CycleCreatedError, CycleDetectedError, DuplicateEdgeError
+from plumbhf.graph import (
     PlumbingGraph,
     bad_vertices,
     blow_down,
     build_graph,
     graph_determinant,
-    intersection_matrix,
-    is_homology_sphere,
     is_negative_definite,
 )
-from support import chain, cofactor_det, e8, random_forest, star
+from plumbhf.report import analyze
+from support import chain, cofactor_det, e8, intersection_matrix, random_forest, star
 
 
 def test_build_graph_basic():
     g = build_graph([-2, -3], [(0, 1)], name="pair")
     assert g.vertex_count == 2
-    assert g.weight(1) == -3
+    assert g.weights[1] == -3
     assert g.degree(0) == 1
     assert g.neighbors[0] == (1,)
     assert g.name == "pair"
@@ -40,7 +35,7 @@ def test_empty_graph():
     assert g.vertex_count == 0
     assert g.is_connected
     assert graph_determinant(g) == 1
-    assert is_homology_sphere(g)
+    assert analyze(g).is_homology_sphere
     assert is_negative_definite(g)
 
 
@@ -170,10 +165,8 @@ def test_determinant_known_values():
 
 
 def test_is_homology_sphere():
-    assert is_homology_sphere(e8())
-    assert not is_homology_sphere(build_graph([-2], []))
-    with pytest.raises(DisconnectedError):
-        is_homology_sphere(build_graph([-2, -2], []))
+    assert analyze(e8()).is_homology_sphere
+    assert not analyze(build_graph([-2], [])).is_homology_sphere
 
 
 def test_is_negative_definite():

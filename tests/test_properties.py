@@ -10,17 +10,10 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st
 
-from plumbhf import (
-    bad_vertices,
-    build_graph,
-    canonical_graph_hash,
-    good_initial_count,
-    graph_from_obj,
-    graph_to_obj,
-    is_good_sequence,
-    is_negative_definite,
-)
-from support import blow_up_edge, blow_up_leaf, oracle_count
+from plumbhf.files import canonical_graph_hash, graph_from_obj
+from plumbhf.game import good_initial_count, is_good_sequence
+from plumbhf.graph import bad_vertices, build_graph, is_negative_definite
+from support import blow_up_edge, blow_up_leaf, graph_to_obj, oracle_count
 
 # deterministic, and no example database written next to the tests
 PROPERTY = settings(max_examples=100, deadline=None, database=None, derandomize=True)

@@ -1,28 +1,28 @@
 import csv
 import io
 import json
+import re
 from functools import cached_property
+from pathlib import Path
 
 import pytest
 
 import plumbhf.report
 import plumbhf.seifert
-from plumbhf import (
-    ParseError,
-    PlumbingGraph,
+from plumbhf.errors import ParseError
+from plumbhf.graph import PlumbingGraph, build_graph
+from plumbhf.report import (
+    ResultCache,
     S3Row,
     SurveyRow,
     analyze,
-    survey_all_minus_two,
-    survey_brieskorn,
-)
-from plumbhf.report import (
-    ResultCache,
     brieskorn_row,
     report_to_csv,
     reverify_cache,
     rows_to_csv,
     s3_rows,
+    survey_all_minus_two,
+    survey_brieskorn,
 )
 from support import e8
 
@@ -89,11 +89,28 @@ def test_survey_all_minus_two_exact():
         assert all(r.verdict == "non-solution" for r in rows)
 
 
+def test_homology_sphere_needs_a_connected_graph():
+    # two isolated -1 vertices: |det| = 1, but the forest is not connected
+    forest = build_graph([-1, -1], [])
+    r = analyze(forest)
+    assert r.det == 1
+    assert not r.is_homology_sphere
+    assert analyze(e8()).is_homology_sphere
+
+
+def test_readme_library_example_runs(capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Library use", 1)[1]
+    code = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    exec(compile(code, "README.md", "exec"), {})
+    assert capsys.readouterr().out
+
+
 def test_s3_rows_all_pass_small():
     rows = s3_rows(8)
     assert rows
     for row in rows:
-        assert row.all_pass()
+        assert row.failures() == []
         assert row.count == 1
         assert row.central_moves == row.quadruple[0] + row.quadruple[2] - 1
 

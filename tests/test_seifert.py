@@ -5,25 +5,20 @@ from fractions import Fraction
 import pytest
 
 import plumbhf.seifert
-from plumbhf import (
-    BaseCaseError,
-    NotCoprimeError,
+from plumbhf.contfrac import expand_cf
+from plumbhf.errors import NotCoprimeError
+from plumbhf.graph import bad_vertices, graph_determinant, is_negative_definite
+from plumbhf.report import _coprime_tuples, analyze
+from plumbhf.seifert import (
     SeifertInvariants,
     SphereQuadruple,
-    bad_vertices,
     brieskorn,
     enumerate_quadruples,
-    expand_cf,
-    graph_determinant,
-    is_homology_sphere,
-    is_negative_definite,
     is_sphere_quadruple,
     quadruple_star,
-    reduce_quadruple,
     star_graph,
 )
-from plumbhf.report import _coprime_tuples
-from support import brute_quadruples, e8
+from support import brute_quadruples, e8, reduce_quadruple
 
 
 def test_brieskorn_poincare_invariants():
@@ -88,7 +83,7 @@ def test_star_graph_shape():
     g = star_graph(brieskorn((2, 3, 7)))
     assert g.weights == (-1, -2, -3, -7)
     assert g.edges == ((0, 1), (0, 2), (0, 3))
-    assert is_homology_sphere(g)
+    assert analyze(g).is_homology_sphere
     assert bad_vertices(g) == [0]
 
 
@@ -135,7 +130,7 @@ def test_canonical_puts_large_ratio_first():
 def test_reduce_step_and_base_case():
     q = SphereQuadruple(5, -3, 3, -1)
     assert reduce_quadruple(q).as_tuple() == (3, -1, 2, -1)
-    with pytest.raises(BaseCaseError):
+    with pytest.raises(ValueError):
         reduce_quadruple(SphereQuadruple(2, -1, 3, -1))
     with pytest.raises(ValueError):
         reduce_quadruple(SphereQuadruple(2, -1, 3, -2))
@@ -147,7 +142,7 @@ def test_reduce_chain_terminates_at_base_family():
         while True:
             try:
                 q = reduce_quadruple(q).canonical()
-            except BaseCaseError:
+            except ValueError:
                 break
             steps += 1
             assert steps < 50
@@ -182,7 +177,7 @@ def test_enumerate_ordering_and_bound():
 def test_quadruple_star_properties():
     for q in enumerate_quadruples(10):
         g = quadruple_star(q)
-        assert g.weight(0) == -1
+        assert g.weights[0] == -1
         assert g.degree(0) == 2
         assert is_negative_definite(g)
         assert abs(graph_determinant(g)) == 1

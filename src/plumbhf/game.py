@@ -28,6 +28,31 @@ not scanned, so an early-stopped count is partial exactly when it stops
 at an initial other than the lexicographically last one, the all-capped
 state.
 
+An exact count (no early stop) on a connected nonempty graph with a
+negative-definite form and |det G| = 1 does not scan; the scan stays for
+early stops (two good initials take a few plays, the walk a whole
+period), other forms, |det| != 1 (one walk per class of L'/L) and
+forests.  It walks Nemethi's tau sequence (Geom. Topol. 9, 2005) from v0,
+the bad vertex or vertex 0.  Keep p(v) = (x, E_v): adding E_u adds m(u)
+to p(u) and 1 to p of each neighbor.  From x(0) = 0, x(i+1) adds E_v0,
+then E_v for v != v0 while some p(v) > 0 (Laufer), so x(i) is the least
+cycle with v0-coefficient i and p <= 0 off v0.  tau rises by
+Delta(i) = 1 - p(v0) after step i.  Step 0 is a minimum, and so is the
+step where Delta turns positive after a descent (Delta = 0 steps inside
+it belong to it).  A minimum gives the good initial k(v) = 1 - p(v), the
+characteristic vector -(K + 2x).  Each is checked by a play, which must
+reach a final state, and they are sorted as the scan lists them.
+
+Stop rule.  Let d = |det G|, P = |det(G - v0)| and z = d E*_v0, with
+(E*_v0, E_v) = -1 for v = v0 and 0 otherwise.  By Cramer's rule z is
+integral with v0-coefficient P, so minimality gives x(i+P) <= x(i) + z
+and x(i) <= x(i+P) - z: x(i+P) = x(i) + z, and Delta(i+P) = Delta(i) + d.
+Let t be the last step so far with Delta < -d (-1 if none).  The walk
+stops at the first step i with no descent pending and i - t >= P.  Any
+j > i is j' + qP with t <= i - P < j' <= i and q >= 1, so
+Delta(j) >= -d + d = 0: tau never falls again, and no later step is a
+minimum.  On three-ray Brieskorn stars Delta >= -1: about P steps.
+
 The game is confluent: two vertices movable at the same state are never
 adjacent, so their moves commute, and when one move caps a shared
 neighbor the other order caps it too, leaving an adjacent capped pair.
@@ -45,9 +70,11 @@ earlier play had visited.  A play moves one list in place and keeps its
 capped vertices as it goes; a move caps only neighbors of the moved
 vertex, so the capped-pair test looks only at those.  Each game counts
 the plays that a capped pair (``capped_pairs``) or a repeated state
-(``move_cycles``) stopped; no emission carries the counts.  A count
-keeps only each good initial's moves; the validated witness sequences
-are built the first time :attr:`GoodInitialResult.witnesses` is read.
+(``move_cycles``) stopped, and the steps (``tau_steps``) and Laufer
+additions (``laufer_steps``) of its tau walks; no emission carries the
+counts.  A count keeps only each good initial's moves; the validated
+witness sequences are built the first time
+:attr:`GoodInitialResult.witnesses` is read.
 
 Everything here is integer vectors on one graph: :func:`pairing` takes
 plain integer sequences, and the S^3 pairing vector it is used with is
@@ -56,16 +83,18 @@ built in :mod:`plumbhf.seifert`.
 
 from __future__ import annotations
 
+import math
 import warnings
 from functools import cached_property
 from heapq import heappop, heappush
 from typing import Iterator, Sequence
 
-from .errors import DimensionMismatchError, IllegalMoveError, TooManyBadVerticesError
+from .errors import DimensionMismatchError, IllegalMoveError, PlumbingError, TooManyBadVerticesError
 from .graph import (
     Frozen,
     PlumbingGraph,
     bad_vertices,
+    complement_determinant,
     graph_determinant,
     is_negative_definite,
 )
@@ -201,11 +230,13 @@ class AssociationGame:
         self.graph = graph
         self.capped_pairs = 0  # plays stopped by an adjacent capped pair
         self.move_cycles = 0  # plays stopped by a repeated state
+        self.tau_steps = 0  # steps of the tau walks, step 0 included
+        self.laufer_steps = 0  # E_v additions (v != v0) within those steps
         self._kmax = tuple(-w for w in graph.weights)
         self._nbrs = graph.neighbors
         self._bad = bad_vertices(graph)
         self._negative_definite = is_negative_definite(graph)
-        self._singular = graph_determinant(graph) == 0
+        self._det = graph_determinant(graph)
 
     def _to_assoc(self, state: Sequence[int]) -> Association:
         return Association(
@@ -241,7 +272,7 @@ class AssociationGame:
                 if k[u] == kmax[u]:
                     self.capped_pairs += 1
                     return None
-        visited = set() if self._singular else None
+        visited = set() if self._det == 0 else None
         moves: list[int] = []
         while capped:
             if visited is not None:
@@ -319,14 +350,55 @@ class AssociationGame:
                     break
             values[v] = iter(range(1, top + 1))
 
+    def _tau_states(self) -> list[tuple[int, ...]]:
+        """Offsets of the good initials at the minima of tau (module doc)."""
+        weights, nbrs = self.graph.weights, self._nbrs
+        v0 = self._bad[0] if self._bad else 0
+        period = abs(complement_determinant(self.graph, v0))
+        det = abs(self._det)
+        p = [0] * len(weights)
+        minima: list[tuple[int, ...]] = []
+        i, t, descending, laufer = 0, -1, True, 0  # step 0 (Delta = 1) is a minimum
+        while True:
+            delta = 1 - p[v0]
+            if delta < 0:
+                descending = True
+                if delta < -det:
+                    t = i
+            elif delta > 0 and descending:
+                minima.append(tuple(1 - x for x in p))
+                descending = False
+            if not descending and i - t >= period:
+                break
+            i += 1
+            p[v0] += weights[v0]
+            todo = list(nbrs[v0])
+            for u in todo:
+                p[u] += 1
+            while todo:
+                v = todo.pop()
+                if p[v] <= 0:
+                    continue
+                c = (p[v] - 1) // -weights[v] + 1  # additions while p(v) > 0
+                laufer += c
+                p[v] += c * weights[v]
+                for u in nbrs[v]:
+                    p[u] += c
+                    if u != v0 and p[u] > 0:
+                        todo.append(u)
+        self.tau_steps += i + 1  # steps 0..i
+        self.laufer_steps += laufer
+        return minima
+
     def good_initial_count(self, early_stop: int | None = None) -> GoodInitialResult:
         """Count (and list) the initial associations that complete.
 
-        Scans initial associations in lexicographic order, skipping those
-        with an adjacent capped pair (see module doc).  With
+        An exact count walks tau where it applies (see module doc).  Any
+        other count scans initial associations in lexicographic order,
+        skipping those with an adjacent capped pair.  With
         ``early_stop=K`` the scan may stop as soon as K good ones are
-        found; the result is flagged partial iff it stops before the last
-        initial, the all-capped state, so a count below K is always
+        found; the result is flagged partial iff it stops before the
+        last initial, the all-capped state, so a count below K is always
         exact.  Raises TooManyBadVerticesError beyond one bad vertex and
         warns when the form is not negative definite.
         """
@@ -338,27 +410,46 @@ class AssociationGame:
             self._warn_if_outside_domain()
         if early_stop is not None and early_stop < 1:
             raise ValueError("early_stop must be at least 1")
-        total = 1
-        for k in self._kmax:
-            total *= max(k, 0)
-        goods: list[Association] = []
+        g = self.graph
+        if early_stop is None and self._negative_definite and abs(self._det) == 1:
+            if g.vertex_count and g.is_connected:
+                return self._tau_count()
+        return self._scan_count(early_stop)
+
+    def _tau_count(self) -> GoodInitialResult:
+        # k(v) >= 1: p(v) <= 0 off v0, and k(v0) = Delta > 0 at a minimum
+        starts = sorted(self._tau_states())
+        plays = []
+        for s0 in starts:
+            in_range = all(k <= top for k, top in zip(s0, self._kmax))
+            moves = self._play(s0) if in_range else None
+            if moves is None:
+                raise PlumbingError(f"tau minimum with offsets {s0} is not a good initial")
+            plays.append(tuple(moves))
+        return self._result(starts, plays, False)
+
+    def _scan_count(self, early_stop: int | None = None) -> GoodInitialResult:
+        goods: list[tuple[int, ...]] = []
         plays: list[tuple[int, ...]] = []
         partial = False
         for s0 in self._initial_states():
             moves = self._play(s0)
             if moves is None:
                 continue
-            goods.append(self._to_assoc(s0))
+            goods.append(tuple(s0))
             plays.append(tuple(moves))
             if early_stop is not None and len(goods) >= early_stop:
-                partial = tuple(s0) != self._kmax
+                partial = goods[-1] != self._kmax
                 break
+        return self._result(goods, plays, partial)
+
+    def _result(self, starts, plays, partial: bool) -> GoodInitialResult:
         return GoodInitialResult(
-            count=len(goods),
-            initials=tuple(goods),
+            count=len(starts),
+            initials=tuple(self._to_assoc(s) for s in starts),
             moves=tuple(plays),
             partial=partial,
-            initial_total=total,
+            initial_total=math.prod(max(k, 0) for k in self._kmax),
         )
 
 

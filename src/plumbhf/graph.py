@@ -127,40 +127,11 @@ class PlumbingGraph(Frozen):
         CycleDetectedError if the edges do not form a forest, which only
         a directly built graph can do.
         """
-        n = self.vertex_count
-        nbrs = self.neighbors
-        parent: list[int | None] = [None] * n  # -1 for a root
-        order: list[int] = []  # breadth-first, so parents precede children
-        roots: list[int] = []
-        i = 0
-        for r in range(n):
-            if parent[r] is not None:
-                continue
-            parent[r] = -1
-            roots.append(r)
-            order.append(r)
-            while i < len(order):
-                v = order[i]
-                i += 1
-                for u in nbrs[v]:
-                    if parent[u] is None:
-                        parent[u] = v
-                        order.append(u)
-        if len(self.edges) != n - len(roots):
-            raise CycleDetectedError(f"{len(self.edges)} edges on {n} vertices close a cycle")
-        d = list(self.weights)
-        e = [1] * n
-        negative_definite = True
-        for v in reversed(order):  # children before parents
-            if d[v] * e[v] >= 0:
-                negative_definite = False
-            p = parent[v]
-            if p >= 0:
-                d[p], e[p] = d[p] * d[v] - e[p] * e[v], e[p] * d[v]
+        d, e, roots = _sweep(self, 0)
         det = 1
         for r in roots:
             det *= d[r]
-        return det, negative_definite
+        return det, all(x * y < 0 for x, y in zip(d, e))
 
     @cached_property
     def canonical_hash(self) -> str:
@@ -215,6 +186,42 @@ def build_graph(
     return PlumbingGraph(ws, tuple(sorted(canon)), name)
 
 
+def _sweep(g: PlumbingGraph, first: int) -> tuple[list[int], list[int], list[int]]:
+    """(D, E, roots) of the leaf-to-root sweep of PlumbingGraph.forms.
+
+    ``first`` roots its own component; every other component is rooted
+    at its lowest vertex.
+    """
+    n = g.vertex_count
+    nbrs = g.neighbors
+    parent: list[int | None] = [None] * n  # -1 for a root
+    order: list[int] = []  # breadth-first, so parents precede children
+    roots: list[int] = []
+    i = 0
+    for r in [first, *range(n)] if n else []:
+        if parent[r] is not None:
+            continue
+        parent[r] = -1
+        roots.append(r)
+        order.append(r)
+        while i < len(order):
+            v = order[i]
+            i += 1
+            for u in nbrs[v]:
+                if parent[u] is None:
+                    parent[u] = v
+                    order.append(u)
+    if len(g.edges) != n - len(roots):
+        raise CycleDetectedError(f"{len(g.edges)} edges on {n} vertices close a cycle")
+    d = list(g.weights)
+    e = [1] * n
+    for v in reversed(order):  # children before parents
+        p = parent[v]
+        if p >= 0:
+            d[p], e[p] = d[p] * d[v] - e[p] * e[v], e[p] * d[v]
+    return d, e, roots
+
+
 def graph_determinant(g: PlumbingGraph) -> int:
     """Determinant of the intersection form; see PlumbingGraph.forms."""
     return g.forms[0]
@@ -223,6 +230,12 @@ def graph_determinant(g: PlumbingGraph) -> int:
 def is_negative_definite(g: PlumbingGraph) -> bool:
     """Negative definiteness of the intersection form; see PlumbingGraph.forms."""
     return g.forms[1]
+
+
+def complement_determinant(g: PlumbingGraph, v: int) -> int:
+    """det(G - v) on v's component: the product of the determinants of
+    v's branches, which the forms sweep rooted at v leaves in E_v."""
+    return _sweep(g, v)[1][v]
 
 
 def bad_vertices(g: PlumbingGraph) -> list[int]:

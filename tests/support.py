@@ -120,6 +120,44 @@ def random_forest(rng, max_vertices=6, weight_range=(-4, -1), edge_chance=0.8):
     return build_graph(weights, edges)
 
 
+def random_unimodular_tree(rng, max_vertices=10, max_initials=20_000, nodes=1):
+    """Connected negative-definite tree with |det| = 1, at most one bad
+    vertex and at least ``nodes`` vertices of degree >= 3.
+
+    The determinant is affine in one weight, det = A*m(r) + B, so a
+    random shape and random weights in -5..-1 are completed by solving
+    for m(r); draws without an integer m(r) <= -1 are redrawn.
+    """
+    import math
+
+    from plumbhf.graph import bad_vertices, graph_determinant, is_negative_definite
+
+    while True:
+        n = rng.randint(2, max_vertices)
+        edges = [(rng.randrange(v), v) for v in range(1, n)]
+        degree = [0] * n
+        for u, v in edges:
+            degree[u] += 1
+            degree[v] += 1
+        if sum(d >= 3 for d in degree) < nodes:
+            continue
+        weights = [rng.randint(-5, -1) for _ in range(n)]
+        r = rng.randrange(n)
+        weights[r] = 0
+        b = graph_determinant(build_graph(weights, edges))
+        weights[r] = -1
+        a = b - graph_determinant(build_graph(weights, edges))
+        signs = [s for s in (1, -1) if a and (s - b) % a == 0]
+        if not signs:
+            continue
+        weights[r] = (rng.choice(signs) - b) // a
+        if weights[r] > -1 or math.prod(-w for w in weights) > max_initials:
+            continue
+        g = build_graph(weights, edges)
+        if is_negative_definite(g) and len(bad_vertices(g)) <= 1:
+            return g
+
+
 def random_small_star(rng):
     """Negative-definite all-(<= -2) star: rays <= 3, weights >= -5,
     at most 8 vertices.  Retries until the form is negative definite."""

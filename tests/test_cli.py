@@ -8,8 +8,10 @@ from pathlib import Path
 import pytest
 
 from plumbhf.cli import build_parser, main
-from plumbhf.graph import build_graph
+from plumbhf.game import Association, GoodSequence, is_good_sequence
+from plumbhf.graph import blow_down, build_graph
 from plumbhf.report import S3Row, SurveyRow
+from plumbhf.seifert import sigma_star
 from support import chain, e8, write_graph_file
 
 
@@ -114,6 +116,23 @@ def test_brieskorn_nontrivial(capsys):
     assert code == 0
     assert obj["verdict"] == "nontrivial"
     assert obj["good_initial_count"] == 2
+
+
+def test_brieskorn_count_beyond_any_scan(capsys):
+    """(9, 17, 19) has 3.1e11 initials; the exact count walks tau, and
+    every emitted sequence replays against the game's rules."""
+    code, out, _ = run(capsys, "brieskorn", "9", "17", "19", "--emit-sequences")
+    assert code == 0
+    obj = json.loads(out)
+    assert obj["good_initial_count"] == 64
+    assert obj["partial"] is False
+    assert obj["initial_count"] == 309237645312
+    graph = blow_down(sigma_star((9, 17, 19)))
+    assert len(obj["sequences"]) == 64
+    for seq, initial in zip(obj["sequences"], obj["good_initials"]):
+        states = tuple(Association(graph, tuple(s)) for s in seq["states"])
+        assert list(states[0].values) == initial
+        assert is_good_sequence(GoodSequence(states, tuple(seq["moved"])))
 
 
 def test_brieskorn_csv_carries_the_json_verdict(capsys):

@@ -1,12 +1,18 @@
 import gc
 import itertools
+import math
 import random
 import warnings
 import weakref
 
 import pytest
 
-from plumbhf.errors import DimensionMismatchError, IllegalMoveError, TooManyBadVerticesError
+from plumbhf.errors import (
+    DimensionMismatchError,
+    IllegalMoveError,
+    PlumbingError,
+    TooManyBadVerticesError,
+)
 from plumbhf.game import (
     Association,
     AssociationGame,
@@ -44,6 +50,7 @@ from support import (
     pairing_vector,
     random_forest,
     random_small_star,
+    random_unimodular_tree,
     star,
 )
 
@@ -432,3 +439,79 @@ def test_result_does_not_keep_the_game_alive():
     gc.collect()
     assert ref() is None
     assert all(is_good_sequence(w) for w in result.witnesses)
+
+
+def _assert_tau_equals_scan(g):
+    """The exact count walks tau, and its result (initials, their order,
+    moves, count, partial, initial_total) equals the scan's."""
+    game = AssociationGame(g)
+    tau = game.good_initial_count()
+    steps = game.tau_steps
+    assert steps > 0
+    assert tau == game._scan_count(), g
+    assert game.tau_steps == steps  # the scan does not walk
+    return tau
+
+
+def _coprime(rays, max_a):
+    for t in itertools.combinations(range(2, max_a + 1), rays):
+        if all(math.gcd(x, y) == 1 for x, y in itertools.combinations(t, 2)):
+            yield t
+
+
+def test_tau_matches_the_scan_on_brieskorn_stars():
+    """Every pairwise-coprime tuple with 3 rays and a <= 13, 4 rays and
+    a <= 9, 5 rays and a <= 7, as unreduced and blown-down stars, up to
+    300k initials."""
+    compared = 0
+    for rays, max_a in ((3, 13), (4, 9), (5, 7)):
+        for t in _coprime(rays, max_a):
+            for g in (sigma_star(t), blow_down(sigma_star(t))):
+                if math.prod(-w for w in g.weights) <= 300_000:
+                    _assert_tau_equals_scan(g)
+                    compared += 1
+    assert compared >= 160
+
+
+def test_tau_matches_the_scan_on_random_unimodular_trees():
+    rng = random.Random(5)
+    # Delta(i) < -1 here, so the stop rule must wait a period past that step
+    deep = build_graph([-37, -1, -4, -2, -5, -3], [(0, 1), (1, 2), (1, 3), (1, 4), (2, 5)])
+    graphs = [deep, e8(), build_graph([-1], [])]
+    graphs += [random_unimodular_tree(rng, nodes=2 if i % 5 == 0 else 1) for i in range(300)]
+    two_nodes = no_bad = ranked = 0
+    for g in graphs:
+        two_nodes += sum(len(ns) >= 3 for ns in g.neighbors) >= 2
+        no_bad += not bad_vertices(g)
+        ranked += _assert_tau_equals_scan(g).count >= 2
+    assert good_initial_count(deep).count == 192
+    assert two_nodes >= 50 and no_bad >= 10 and ranked >= 50
+
+
+def test_scan_runs_outside_the_tau_domain():
+    """|det| != 1, a disconnected forest and an early stop use the scan."""
+    det2 = star(-1, [-2], [-4], [-5])
+    assert abs(graph_determinant(det2)) == 2 and is_negative_definite(det2)
+    forest = build_graph([-2, -2, -2, -2, -2, -2, -2, -2, -1], e8().edges)
+    assert graph_determinant(forest) == -1 and not forest.is_connected
+    cases = [(det2, None), (forest, None), (e8(), 1), (sigma_star((2, 3, 7)), 5)]
+    for g, early_stop in cases:
+        game = AssociationGame(g)
+        r = game.good_initial_count(early_stop)
+        assert game.tau_steps == game.laufer_steps == 0
+        assert r == game._scan_count(early_stop)
+    assert good_initial_count(forest).count == 1
+
+
+def test_a_tau_initial_whose_play_fails_raises(monkeypatch):
+    g = sigma_star((2, 3, 7))
+    initial = good_initial_count(g).initials[1]
+    offsets = tuple((x - m) // 2 for m, x in zip(g.weights, initial.values))
+    play = AssociationGame._play
+
+    def failing(self, state):
+        return None if tuple(state) == offsets else play(self, state)
+
+    monkeypatch.setattr(AssociationGame, "_play", failing)
+    with pytest.raises(PlumbingError, match="not a good initial"):
+        AssociationGame(g).good_initial_count()

@@ -8,6 +8,7 @@ from plumbhf.graph import (
     bad_vertices,
     blow_down,
     build_graph,
+    complement_determinant,
     graph_determinant,
     is_negative_definite,
 )
@@ -70,6 +71,17 @@ def test_determinant_matches_cofactor_oracle():
         g = random_forest(rng, max_vertices=6)
         rows = [list(r) for r in intersection_matrix(g)]
         assert graph_determinant(g) == cofactor_det(rows)
+
+
+def test_complement_determinant_matches_cofactor_oracle():
+    """det(G - v) on connected trees, with every vertex as the root."""
+    rng = random.Random(6)
+    for _ in range(100):
+        g = random_forest(rng, max_vertices=6, edge_chance=1.0)
+        rows = intersection_matrix(g)
+        for v in range(g.vertex_count):
+            minor = [r[:v] + r[v + 1 :] for i, r in enumerate(rows) if i != v]
+            assert complement_determinant(g, v) == cofactor_det([list(r) for r in minor])
 
 
 def _sylvester_negative_definite(g):

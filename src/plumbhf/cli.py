@@ -13,6 +13,7 @@ import argparse
 import json
 import os
 import sys
+from contextlib import nullcontext
 from functools import partial
 from pathlib import Path
 
@@ -193,20 +194,20 @@ def _cmd_brieskorn(args) -> int:
 def _cmd_survey(args) -> int:
     if args.reverify_sample and not args.cache:
         args.subparser.error(f"--reverify-sample needs --cache or ${CACHE_ENV}")
-    cache = ResultCache(args.cache) if args.cache else None
-    rows = survey_brieskorn(
-        max_a=args.max_a,
-        rays=args.rays,
-        early_stop=None if args.full else args.early_stop,
-        cache=cache,
-    )
-    _emit_rows(rows, SurveyRow, args)
-    if args.reverify_sample:
-        problems = reverify_cache(cache, rows, args.reverify_sample)
-        if problems:
-            for line in problems:
-                print(line, file=sys.stderr)
-            return 1
+    with ResultCache(args.cache) if args.cache else nullcontext() as cache:
+        rows = survey_brieskorn(
+            max_a=args.max_a,
+            rays=args.rays,
+            early_stop=None if args.full else args.early_stop,
+            cache=cache,
+        )
+        _emit_rows(rows, SurveyRow, args)
+        if args.reverify_sample:
+            problems = reverify_cache(cache, rows, args.reverify_sample)
+            if problems:
+                for line in problems:
+                    print(line, file=sys.stderr)
+                return 1
     return 2 if any(r.verdict == "skipped" for r in rows) else 0
 
 

@@ -72,9 +72,12 @@ vertex, so the capped-pair test looks only at those.  Each game counts
 the plays that a capped pair (``capped_pairs``) or a repeated state
 (``move_cycles``) stopped, and the steps (``tau_steps``) and Laufer
 additions (``laufer_steps``) of its tau walks; no emission carries the
-counts.  A count keeps only each good initial's moves; the validated
-witness sequences are built the first time
-:attr:`GoodInitialResult.witnesses` is read.
+counts.  A count keeps only each good initial's offsets and moves, and
+checks that every offset k(v) lies in 1..-m(v).  The validated
+:class:`Association` of each good initial is built the first time
+:attr:`GoodInitialResult.initials` is read, and the validated witness
+sequences the first time :attr:`GoodInitialResult.witnesses` is read;
+a survey row reads neither.
 
 Everything here is integer vectors on one graph: :func:`pairing` takes
 plain integer sequences, and the S^3 pairing vector it is used with is
@@ -93,7 +96,6 @@ from .errors import DimensionMismatchError, IllegalMoveError, PlumbingError, Too
 from .graph import (
     Frozen,
     PlumbingGraph,
-    bad_vertices,
     complement_determinant,
     graph_determinant,
     is_negative_definite,
@@ -206,17 +208,29 @@ def _witness(n0: Association, moves: Sequence[int]) -> GoodSequence:
 
 
 class GoodInitialResult(Frozen):
-    """Outcome of a (possibly truncated) scan over initial associations.
+    """Outcome of a (possibly truncated) count of good initial associations.
 
-    ``moves[i]`` is the play that takes ``initials[i]`` to a final
-    state.  The witness sequences are built from them when first read.
+    ``offsets[i]`` holds the offsets k(v) of the i-th good initial, each
+    in 1..-m(v) on ``graph``, and ``moves[i]`` is the play that takes it
+    to a final state.  The validated associations and witness sequences
+    are built from them when first read.
     """
 
     count: int
-    initials: tuple[Association, ...]
+    offsets: tuple[tuple[int, ...], ...]
     moves: tuple[tuple[int, ...], ...]
     partial: bool
     initial_total: int
+    graph: PlumbingGraph
+
+    def initial_values(self) -> tuple[tuple[int, ...], ...]:
+        """The good initials n(v) = m(v) + 2 k(v) as plain tuples."""
+        weights = self.graph.weights
+        return tuple(tuple(m + 2 * k for m, k in zip(weights, s)) for s in self.offsets)
+
+    @cached_property
+    def initials(self) -> tuple[Association, ...]:
+        return tuple(Association(self.graph, v) for v in self.initial_values())
 
     @cached_property
     def witnesses(self) -> tuple[GoodSequence, ...]:
@@ -234,15 +248,14 @@ class AssociationGame:
         self.laufer_steps = 0  # E_v additions (v != v0) within those steps
         self._kmax = tuple(-w for w in graph.weights)
         self._nbrs = graph.neighbors
-        self._bad = bad_vertices(graph)
+        self._bad = graph.bad
         self._negative_definite = is_negative_definite(graph)
         self._det = graph_determinant(graph)
 
-    def _to_assoc(self, state: Sequence[int]) -> Association:
-        return Association(
-            self.graph,
-            tuple(m + 2 * k for m, k in zip(self.graph.weights, state)),
-        )
+    def _is_initial(self, state: Sequence[int]) -> bool:
+        """Whether ``state`` is an initial state: one offset 1..-m(v) per vertex."""
+        kmax = self._kmax
+        return len(state) == len(kmax) and all(1 <= k <= top for k, top in zip(state, kmax))
 
     # -- search ---------------------------------------------------------
 
@@ -404,7 +417,7 @@ class AssociationGame:
         """
         if len(self._bad) > 1:
             raise TooManyBadVerticesError(
-                f"graph has bad vertices {self._bad}; the count needs at most one"
+                f"graph has bad vertices {list(self._bad)}; the count needs at most one"
             )
         if not self._negative_definite:
             self._warn_if_outside_domain()
@@ -421,8 +434,7 @@ class AssociationGame:
         starts = sorted(self._tau_states())
         plays = []
         for s0 in starts:
-            in_range = all(k <= top for k, top in zip(s0, self._kmax))
-            moves = self._play(s0) if in_range else None
+            moves = self._play(s0) if self._is_initial(s0) else None
             if moves is None:
                 raise PlumbingError(f"tau minimum with offsets {s0} is not a good initial")
             plays.append(tuple(moves))
@@ -444,12 +456,16 @@ class AssociationGame:
         return self._result(goods, plays, partial)
 
     def _result(self, starts, plays, partial: bool) -> GoodInitialResult:
+        for s0 in starts:
+            if not self._is_initial(s0):
+                raise PlumbingError(f"good start with offsets {s0} is not an initial state")
         return GoodInitialResult(
             count=len(starts),
-            initials=tuple(self._to_assoc(s) for s in starts),
+            offsets=tuple(starts),
             moves=tuple(plays),
             partial=partial,
             initial_total=math.prod(max(k, 0) for k in self._kmax),
+            graph=self.graph,
         )
 
 

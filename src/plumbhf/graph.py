@@ -8,10 +8,14 @@ counting algorithm in :mod:`plumbhf.game` applies when the form is
 negative definite with at most one bad vertex (a vertex with
 m(v) > -degree(v)).
 
-A graph's determinant and definiteness come from one leaf-to-root sweep
-over the tree, computed once per graph object and kept on it
-(:attr:`PlumbingGraph.forms`); its canonical hash, which keys the result
-cache, is likewise computed once and kept
+Each per-graph fact is computed once per graph object and kept on it.
+The determinant and definiteness come from one leaf-to-root sweep over
+the tree (:attr:`PlumbingGraph.forms`), and connectedness from the
+component count that sweep establishes (:attr:`PlumbingGraph.is_connected`).
+The bad vertices are kept as a tuple (:attr:`PlumbingGraph.bad`), of
+which :func:`bad_vertices` returns a fresh list.  The canonical hash,
+which keys the result cache, is the sha256 of a compact JSON
+serialization formatted directly, without the json module
 (:attr:`PlumbingGraph.canonical_hash`).  No matrix is ever built.  All
 arithmetic is exact over the integers.
 """
@@ -19,7 +23,6 @@ arithmetic is exact over the integers.
 from __future__ import annotations
 
 import hashlib
-import json
 from functools import cached_property
 from operator import attrgetter
 from typing import Iterable, Sequence
@@ -97,19 +100,19 @@ class PlumbingGraph(Frozen):
     def degree(self, v: int) -> int:
         return len(self.neighbors[v])
 
-    @cached_property
+    @property
     def is_connected(self) -> bool:
-        n = self.vertex_count
-        if n == 0:
-            return True
-        seen = {0}
-        stack = [0]
-        while stack:
-            for u in self.neighbors[stack.pop()]:
-                if u not in seen:
-                    seen.add(u)
-                    stack.append(u)
-        return len(seen) == n
+        """At most one component.  A forest has n - |E| components, and
+        the forms sweep checks that the edges form one (CycleDetectedError
+        otherwise)."""
+        self.forms  # CycleDetectedError unless the edges form a forest
+        return self.vertex_count - len(self.edges) <= 1
+
+    @cached_property
+    def bad(self) -> tuple[int, ...]:
+        """Vertices with m(v) > -degree(v), ascending."""
+        pairs = zip(self.weights, self.neighbors)
+        return tuple(v for v, (m, ns) in enumerate(pairs) if m > -len(ns))
 
     @cached_property
     def forms(self) -> tuple[int, bool]:
@@ -135,12 +138,15 @@ class PlumbingGraph(Frozen):
 
     @cached_property
     def canonical_hash(self) -> str:
-        """sha256 of the sorted vertex/edge serialization (name excluded)."""
-        payload = {
-            "vertices": [[v, w] for v, w in enumerate(self.weights)],
-            "edges": [list(e) for e in self.edges],
-        }
-        blob = json.dumps(payload, separators=(",", ":"), sort_keys=True)
+        """sha256 of the sorted vertex/edge serialization (name excluded).
+
+        The serialization is the compact, key-sorted JSON of
+        ``{"edges": [[u, v], ...], "vertices": [[i, m(i)], ...]}``,
+        formatted here directly.
+        """
+        edges = ",".join(f"[{u},{v}]" for u, v in self.edges)
+        vertices = ",".join(f"[{v},{w}]" for v, w in enumerate(self.weights))
+        blob = f'{{"edges":[{edges}],"vertices":[{vertices}]}}'
         return hashlib.sha256(blob.encode()).hexdigest()
 
 
@@ -239,8 +245,8 @@ def complement_determinant(g: PlumbingGraph, v: int) -> int:
 
 
 def bad_vertices(g: PlumbingGraph) -> list[int]:
-    """Vertices with m(v) > -degree(v), ascending."""
-    return [v for v in range(g.vertex_count) if g.weights[v] > -g.degree(v)]
+    """Vertices with m(v) > -degree(v), ascending: a fresh list of PlumbingGraph.bad."""
+    return list(g.bad)
 
 
 def blow_down(g: PlumbingGraph) -> PlumbingGraph:

@@ -4,7 +4,9 @@ Reports are frozen value classes (:class:`plumbhf.graph.Frozen`) whose
 JSON emissions are their fields in declaration order; the CSV emissions
 carry the same data column by column, with tuple-valued columns joined
 by ';'.  The survey cache is a JSONL file keyed by the canonical graph
-hash, reused only when the stored early_stop setting matches.
+hash, reused only when the stored early_stop setting matches.  A cache
+keeps one append handle, opened on its first put, and writes each record
+as one whole line; close it, or use it as a context manager.
 """
 
 from __future__ import annotations
@@ -30,7 +32,6 @@ from .game import (
 from .graph import (
     Frozen,
     PlumbingGraph,
-    bad_vertices,
     graph_determinant,
     is_negative_definite,
 )
@@ -104,12 +105,12 @@ def analyze(
         vertex_count=graph.vertex_count,
         det=det,
         negative_definite=is_negative_definite(graph),
-        bad_vertices=tuple(bad_vertices(graph)),
+        bad_vertices=graph.bad,
         is_homology_sphere=graph.is_connected and abs(det) == 1,
         initial_count=result.initial_total,
         good_initial_count=result.count,
         partial=result.partial,
-        good_initials=tuple(a.values for a in result.initials),
+        good_initials=result.initial_values(),
         elapsed_ms=elapsed_ms,
         early_stop=early_stop,
         sequences=tuple(w.to_jsonable() for w in result.witnesses)
@@ -138,14 +139,20 @@ class ResultCache:
     A line that is not UTF-8, or not a JSON object with a str graph_hash,
     an early_stop that is null or an int >= 1, an int good_initial_count
     and a bool partial (a torn last line, say), raises ParseError naming
-    path:line.
+    path:line.  A valid last line without its newline is terminated by
+    the first put.  The first put also makes the directory and opens the
+    one append handle that ``close`` (or leaving a ``with`` block)
+    closes; each record is one write of a whole line, then a flush.
     """
 
     def __init__(self, path: str | Path) -> None:
         self.path = Path(path)
         self.records: dict[tuple[str, int | None], dict] = {}
+        self._fh = None
+        self._pending_newline = False  # the file ends in a record without its newline
         if self.path.exists():
             with self.path.open("rb") as fh:
+                raw = b""
                 for lineno, raw in enumerate(fh, 1):
                     try:
                         line = raw.decode("utf-8").strip()
@@ -159,6 +166,18 @@ class ResultCache:
                             f"{self.path}:{lineno}: bad cache record ({type(exc).__name__}: {exc})"
                         ) from exc
                     self.records[key] = rec
+                self._pending_newline = bool(raw) and not raw.endswith(b"\n")
+
+    def __enter__(self) -> "ResultCache":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+    def close(self) -> None:
+        if self._fh is not None:
+            self._fh.close()
+            self._fh = None
 
     def get(self, graph_hash: str, early_stop: int | None) -> dict | None:
         return self.records.get((graph_hash, early_stop))
@@ -168,10 +187,15 @@ class ResultCache:
         if key in self.records:
             return
         self.records[key] = record
-        if len(self.records) == 1:  # the first record: a cache that loaded none may lack its dir
+        line = json.dumps(record, separators=(",", ":"), sort_keys=True) + "\n"
+        if self._fh is None:
             self.path.parent.mkdir(parents=True, exist_ok=True)
-        with self.path.open("a") as fh:
-            fh.write(json.dumps(record, separators=(",", ":"), sort_keys=True) + "\n")
+            self._fh = self.path.open("ab")
+            if self._pending_newline:
+                line = "\n" + line
+                self._pending_newline = False
+        self._fh.write(line.encode())
+        self._fh.flush()
 
 
 _RECORD_FIELDS = {

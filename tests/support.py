@@ -6,10 +6,12 @@ raw move rules, a brute scan of the sphere equation) so the production
 code is checked against something it does not share internals with.
 The reference helpers (continued-fraction values, intersection
 matrices, the interior-association bound, the S^3 quadruple reduction
-and pairing vector, graph-file writing) are what the tests compare the
-package's answers with; no command runs them.
+and pairing vector, the canonical hash through the json module,
+graph-file writing) are what the tests compare the package's answers
+with; no command runs them.
 """
 
+import hashlib
 import json
 from fractions import Fraction
 from pathlib import Path
@@ -277,6 +279,17 @@ def pairing_vector(q):
         raise ValueError(f"{q.as_tuple()} does not satisfy the sphere equation")
     c = q.canonical()
     return pairing_vector_from_rays(expand_ratio(-c.a1, -c.b1), expand_ratio(-c.a2, -c.b2))
+
+
+def json_canonical_hash(g):
+    """sha256 of the graph's compact, key-sorted json.dumps serialization,
+    the bytes PlumbingGraph.canonical_hash formats directly."""
+    payload = {
+        "vertices": [[v, w] for v, w in enumerate(g.weights)],
+        "edges": [list(e) for e in g.edges],
+    }
+    blob = json.dumps(payload, separators=(",", ":"), sort_keys=True)
+    return hashlib.sha256(blob.encode()).hexdigest()
 
 
 def graph_to_obj(g):

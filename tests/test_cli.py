@@ -1,8 +1,11 @@
 import csv
+import gc
 import io
 import json
 import re
 import shlex
+import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -248,6 +251,24 @@ def test_survey_all_minus_two_ignores_env_cache(tmp_path, capsys, monkeypatch):
     assert code == 0
     assert json.loads(out)
     assert torn.read_text() == '{"graph_hash": "ab'
+
+
+@pytest.mark.parametrize("fails", [False, True], ids=["ok", "emission-fails"])
+def test_survey_closes_its_cache(tmp_path, capsys, monkeypatch, fails):
+    """No handle is left for the garbage collector, also when emission fails."""
+    unraisable = []
+    monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
+    path = tmp_path / "cache.jsonl"
+    argv = ["survey", "--max-a", "7", "--cache", str(path)]
+    if fails:
+        argv += ["--output", str(tmp_path / "missing" / "rows.json")]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv) == (1 if fails else 0)
+        gc.collect()
+    assert unraisable == []
+    assert len(path.read_text().splitlines()) == 8  # one record per row of a <= 7
+    capsys.readouterr()
 
 
 def test_survey_no_cache_by_default(tmp_path, capsys, monkeypatch):

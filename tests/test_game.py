@@ -33,6 +33,7 @@ from plumbhf.graph import (
     graph_determinant,
     is_negative_definite,
 )
+from plumbhf.report import analyze
 from plumbhf.seifert import (
     SphereQuadruple,
     brieskorn,
@@ -515,3 +516,35 @@ def test_a_tau_initial_whose_play_fails_raises(monkeypatch):
     monkeypatch.setattr(AssociationGame, "_play", failing)
     with pytest.raises(PlumbingError, match="not a good initial"):
         AssociationGame(g).good_initial_count()
+
+
+@pytest.mark.parametrize(
+    "state",
+    [[0] + [1] * 7, [3] + [1] * 7, [1] * 7, [1] * 9],
+    ids=["below-one", "above-cap", "short", "long"],
+)
+def test_a_good_start_out_of_range_raises(monkeypatch, state):
+    """The count checks the offsets it keeps, even of a start whose play
+    succeeds: none of these is an initial state of E8."""
+    monkeypatch.setattr(AssociationGame, "_initial_states", lambda self: iter([state]))
+    monkeypatch.setattr(AssociationGame, "_play", lambda self, state: [])
+    with pytest.raises(PlumbingError, match="is not an initial state"):
+        good_initial_count(e8(), early_stop=1)
+    monkeypatch.setattr(AssociationGame, "_tau_states", lambda self: [tuple(state)])
+    with pytest.raises(PlumbingError, match="is not a good initial"):
+        good_initial_count(e8())
+
+
+def test_lazy_initials_equal_the_reported_values():
+    rng = random.Random(31)
+    graphs = [e8(), sigma_star((2, 3, 7)), sigma_star((3, 5, 7)), sigma_star((2, 3, 5, 7))]
+    graphs += [blow_down(sigma_star((2, 5, 9))), quadruple_star(SphereQuadruple(3, -2, 4, -1))]
+    graphs += [random_unimodular_tree(rng) for _ in range(60)]
+    for g in graphs:
+        for early_stop in (None, 2):
+            result = good_initial_count(g, early_stop)
+            assert "initials" not in vars(result)
+            reported = analyze(g, early_stop=early_stop).good_initials
+            assert reported == tuple(a.values for a in result.initials), g
+            assert result.initials is result.initials  # built once, on the first read
+            assert all(is_initial(a) for a in result.initials)

@@ -12,8 +12,17 @@ from plumbhf.graph import (
     graph_determinant,
     is_negative_definite,
 )
-from plumbhf.report import analyze
-from support import chain, cofactor_det, e8, intersection_matrix, random_forest, star
+from plumbhf.report import _coprime_tuples, analyze
+from plumbhf.seifert import sigma_star
+from support import (
+    chain,
+    cofactor_det,
+    e8,
+    intersection_matrix,
+    json_canonical_hash,
+    random_forest,
+    star,
+)
 
 
 def test_build_graph_basic():
@@ -132,6 +141,8 @@ def test_forms_refuse_a_directly_built_cycle():
             graph_determinant(g)
         with pytest.raises(CycleDetectedError):
             is_negative_definite(g)
+        with pytest.raises(CycleDetectedError):
+            g.is_connected
 
 
 def test_graphs_are_frozen_values():
@@ -198,6 +209,52 @@ def test_bad_vertices():
     assert bad_vertices(chain(-2, -1, -2)) == [1]
     # a leaf of weight -1 is fine: -1 is not above -degree = -1
     assert bad_vertices(build_graph([-1, -2], [(0, 1)])) == []
+
+
+def test_bad_vertices_returns_a_fresh_list_each_call():
+    g = chain(-2, -1, -2, -1, -2)
+    first = bad_vertices(g)
+    first.append(0)
+    second = bad_vertices(g)
+    assert second == [1, 3] and second is not bad_vertices(g)
+    assert g.bad == (1, 3)
+
+
+def _component_count(g):
+    """Components by breadth-first search over the edges."""
+    seen = set()
+    count = 0
+    for r in range(g.vertex_count):
+        if r in seen:
+            continue
+        count += 1
+        seen.add(r)
+        frontier = [r]
+        while frontier:
+            frontier = [u for v in frontier for u in g.neighbors[v] if u not in seen]
+            seen.update(frontier)
+    return count
+
+
+def test_is_connected_matches_a_search_on_random_forests():
+    rng = random.Random(23)
+    graphs = [build_graph([], []), build_graph([-2], [])]
+    graphs += [random_forest(rng, max_vertices=9, edge_chance=0.85) for _ in range(300)]
+    connected = 0
+    for g in graphs:
+        assert g.is_connected == (_component_count(g) <= 1), g
+        connected += g.is_connected
+    assert 50 <= connected <= len(graphs) - 50
+
+
+def test_canonical_hash_matches_the_json_serialization():
+    rng = random.Random(29)
+    graphs = [build_graph([], []), build_graph([-2], []), build_graph([7], [])]
+    graphs += [sigma_star(t) for rays in (3, 4) for t in _coprime_tuples(12, rays)]
+    graphs += [random_forest(rng, max_vertices=9, weight_range=(-12, 12)) for _ in range(200)]
+    assert sum(min(g.weights, default=0) < 0 < max(g.weights, default=0) for g in graphs) >= 100
+    for g in graphs:
+        assert g.canonical_hash == json_canonical_hash(g), g
 
 
 def test_blow_down_fixed_points():

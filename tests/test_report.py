@@ -10,6 +10,7 @@ import pytest
 import plumbhf.report
 import plumbhf.seifert
 from plumbhf.errors import ParseError
+from plumbhf.game import AssociationGame
 from plumbhf.graph import PlumbingGraph, build_graph
 from plumbhf.report import (
     ResultCache,
@@ -117,19 +118,19 @@ def test_s3_rows_all_pass_small():
 
 def test_cache_reuse_and_append(tmp_path):
     path = tmp_path / "cache.jsonl"
-    cache = ResultCache(path)
-    rows1 = survey_brieskorn(max_a=7, rays=3, cache=cache)
+    with ResultCache(path) as cache:
+        rows1 = survey_brieskorn(max_a=7, rays=3, cache=cache)
     lines1 = path.read_text().splitlines()
     assert len(lines1) == len(rows1)
 
     # a fresh cache object reads the file back and prevents new appends
-    cache2 = ResultCache(path)
-    rows2 = survey_brieskorn(max_a=7, rays=3, cache=cache2)
-    assert [r.to_obj() for r in rows2] == [r.to_obj() for r in rows1]
-    assert path.read_text().splitlines() == lines1
+    with ResultCache(path) as cache2:
+        rows2 = survey_brieskorn(max_a=7, rays=3, cache=cache2)
+        assert [r.to_obj() for r in rows2] == [r.to_obj() for r in rows1]
+        assert path.read_text().splitlines() == lines1
 
-    # a different early_stop is a different cache key
-    rows3 = survey_brieskorn(max_a=7, rays=3, early_stop=None, cache=cache2)
+        # a different early_stop is a different cache key
+        rows3 = survey_brieskorn(max_a=7, rays=3, early_stop=None, cache=cache2)
     lines3 = path.read_text().splitlines()
     assert len(lines3) == 2 * len(rows1)
     assert [r.params for r in rows3] == [r.params for r in rows1]
@@ -137,7 +138,8 @@ def test_cache_reuse_and_append(tmp_path):
 
 def test_cache_makes_its_directory_on_the_first_put_only(tmp_path, monkeypatch):
     path = tmp_path / "new" / "dir" / "cache.jsonl"
-    rows = survey_brieskorn(max_a=7, rays=3, cache=ResultCache(path))
+    with ResultCache(path) as cache:
+        rows = survey_brieskorn(max_a=7, rays=3, cache=cache)
     assert len(path.read_text().splitlines()) == len(rows) > 1
     made = []
     mkdir = plumbhf.report.Path.mkdir
@@ -148,9 +150,46 @@ def test_cache_makes_its_directory_on_the_first_put_only(tmp_path, monkeypatch):
 
     monkeypatch.setattr(plumbhf.report.Path, "mkdir", counted)
     other = tmp_path / "new" / "other.jsonl"
-    survey_brieskorn(max_a=7, rays=3, cache=ResultCache(other))
+    with ResultCache(other) as cache:
+        survey_brieskorn(max_a=7, rays=3, cache=cache)
     assert made == [other.parent]
     assert len(other.read_text().splitlines()) == len(rows)
+
+
+def test_a_record_without_its_newline_is_terminated_before_the_next(tmp_path):
+    clean, cut = tmp_path / "clean.jsonl", tmp_path / "cut.jsonl"
+    for path in (clean, cut):
+        with ResultCache(path) as cache:
+            survey_brieskorn(max_a=5, cache=cache)
+    cut.write_bytes(cut.read_bytes().rstrip(b"\n"))
+    for path in (clean, cut):
+        with ResultCache(path) as cache:
+            rows = survey_brieskorn(max_a=7, cache=cache)
+    assert cut.read_bytes() == clean.read_bytes()
+    assert len(ResultCache(cut).records) == len(rows) == len(cut.read_bytes().splitlines())
+
+
+def test_a_second_cache_sees_every_record_the_first_has_put(tmp_path):
+    path = tmp_path / "cache.jsonl"
+    with ResultCache(path) as first:
+        survey_brieskorn(max_a=7, cache=first)
+        assert len(first.records) > 1
+        assert ResultCache(path).records == first.records
+
+
+def test_a_survey_row_builds_no_association(monkeypatch):
+    results = []
+    count = AssociationGame.good_initial_count
+
+    def recorded(game, early_stop=None):
+        results.append(count(game, early_stop))
+        return results[-1]
+
+    monkeypatch.setattr(AssociationGame, "good_initial_count", recorded)
+    rows = survey_brieskorn(max_a=9)
+    assert len(results) == len(rows) and sum(r.count for r in results) >= 2 * len(rows) - 1
+    assert not any("initials" in vars(r) or "witnesses" in vars(r) for r in results)
+    assert results[0].initials[0].graph == results[0].graph  # still built on a read
 
 
 def test_survey_needs_three_rays():
@@ -162,8 +201,8 @@ def test_survey_needs_three_rays():
 
 def test_cache_reverify_flags_tampering(tmp_path):
     path = tmp_path / "cache.jsonl"
-    cache = ResultCache(path)
-    rows = survey_brieskorn(max_a=7, rays=3, cache=cache)
+    with ResultCache(path) as cache:
+        rows = survey_brieskorn(max_a=7, rays=3, cache=cache)
     assert reverify_cache(cache, rows, sample=len(rows)) == []
 
     # corrupt one stored count and reload
@@ -177,9 +216,9 @@ def test_cache_reverify_flags_tampering(tmp_path):
 
 
 def test_cache_reverify_covers_every_early_stop_of_a_graph(tmp_path):
-    cache = ResultCache(tmp_path / "cache.jsonl")
-    survey_brieskorn(max_a=7, rays=3, early_stop=None, cache=cache)
-    rows = survey_brieskorn(max_a=7, rays=3, cache=cache)
+    with ResultCache(tmp_path / "cache.jsonl") as cache:
+        survey_brieskorn(max_a=7, rays=3, early_stop=None, cache=cache)
+        rows = survey_brieskorn(max_a=7, rays=3, cache=cache)
     assert len(cache.records) == 2 * len(rows)
     assert reverify_cache(cache, rows, sample=len(cache.records)) == []
     # rows of another run cannot be rebuilt, so their records are not eligible
@@ -215,7 +254,8 @@ def test_cache_reverify_covers_every_early_stop_of_a_graph(tmp_path):
 )
 def test_cache_malformed_record_names_path_and_line(tmp_path, last_line, message):
     path = tmp_path / "cache.jsonl"
-    survey_brieskorn(max_a=6, rays=3, cache=ResultCache(path))
+    with ResultCache(path) as cache:
+        survey_brieskorn(max_a=6, rays=3, cache=cache)
     good = path.read_text().splitlines()
     path.write_text("\n".join(good + ["", last_line]) + "\n")
     with pytest.raises(ParseError) as exc:
@@ -312,8 +352,8 @@ def test_each_survey_row_builds_sweeps_and_hashes_once(tmp_path, monkeypatch):
     stars = _count_calls(monkeypatch, plumbhf.seifert, "star_graph")
     sweeps = _count_calls(monkeypatch, PlumbingGraph, "forms")
     hashes = _count_calls(monkeypatch, PlumbingGraph, "canonical_hash")
-    cache = ResultCache(tmp_path / "cache.jsonl")
-    cold = survey_brieskorn(max_a=12, cache=cache)
+    with ResultCache(tmp_path / "cache.jsonl") as cache:
+        cold = survey_brieskorn(max_a=12, cache=cache)
     assert len(cold) == 45 and all(r.verdict != "skipped" for r in cold)
     assert len(stars) == len(sweeps) == len(hashes) == len(cold)
 

@@ -23,10 +23,13 @@ them can move, a value only drops through its own vertex's move, and no
 move may push a neighbor past its cap, so the pair stays capped and no
 later state is final.  The scan over initial states therefore skips
 every initial with such a pair, and a play stops as soon as it reaches
-one.  Without one, every capped vertex is movable.  Skipped initials are
-not scanned, so an early-stopped count is partial exactly when it stops
-at an initial other than the lexicographically last one, the all-capped
-state.
+one.  Without one, every capped vertex is movable.  The scan is a
+counter-based backtrack in index order: vertex v counts from 1 up to
+-m(v), or one less while a lower neighbor is capped (the higher ones
+still hold 0).  The caps and their product, the number of initials, are
+computed once per game.  An early-stopped count is partial exactly when
+it stops at an initial other than the lexicographically last one, the
+all-capped state.
 
 An exact count (no early stop) on a connected nonempty graph with a
 negative-definite form and |det G| = 1 does not scan; the scan stays for
@@ -64,20 +67,16 @@ intersection form is nonsingular (a repeat would need a nonzero move
 multiset in the form's kernel), so only plays on singular forms keep a
 visited set.
 
-There is no memo across starts: on the a <= 30 survey, the benchmark's
-full counts and ``s3 --bound 20`` no play ever reached a state an
-earlier play had visited.  A play moves one list in place and keeps its
-capped vertices as it goes; a move caps only neighbors of the moved
-vertex, so the capped-pair test looks only at those.  Each game counts
-the plays that a capped pair (``capped_pairs``) or a repeated state
-(``move_cycles``) stopped, and the steps (``tau_steps``) and Laufer
-additions (``laufer_steps``) of its tau walks; no emission carries the
-counts.  A count keeps only each good initial's offsets and moves, and
-checks that every offset k(v) lies in 1..-m(v).  The validated
-:class:`Association` of each good initial is built the first time
-:attr:`GoodInitialResult.initials` is read, and the validated witness
-sequences the first time :attr:`GoodInitialResult.witnesses` is read;
-a survey row reads neither.
+There is no memo across starts (on the a <= 30 survey no play reached
+a state an earlier play had visited).  A play moves one list in place,
+keeping its capped vertices in a heap; a move caps only neighbors of
+the moved vertex, so the capped-pair test looks only at those.  Each
+game counts the plays that a capped pair (``capped_pairs``) or a
+repeated state (``move_cycles``) stopped, and the steps (``tau_steps``)
+and Laufer additions (``laufer_steps``) of its tau walks.  A count keeps
+each good initial's offsets, checked to lie in 1..-m(v), and moves; the
+validated associations and witnesses are built when first read, and a
+survey row reads neither.
 
 Everything here is integer vectors on one graph: :func:`pairing` takes
 plain integer sequences, and the S^3 pairing vector it is used with is
@@ -90,6 +89,7 @@ import math
 import warnings
 from functools import cached_property
 from heapq import heappop, heappush
+from operator import le
 from typing import Iterator, Sequence
 
 from .errors import DimensionMismatchError, IllegalMoveError, PlumbingError, TooManyBadVerticesError
@@ -226,7 +226,7 @@ class GoodInitialResult(Frozen):
     def initial_values(self) -> tuple[tuple[int, ...], ...]:
         """The good initials n(v) = m(v) + 2 k(v) as plain tuples."""
         weights = self.graph.weights
-        return tuple(tuple(m + 2 * k for m, k in zip(weights, s)) for s in self.offsets)
+        return tuple([tuple([m + 2 * k for m, k in zip(weights, s)]) for s in self.offsets])
 
     @cached_property
     def initials(self) -> tuple[Association, ...]:
@@ -246,16 +246,17 @@ class AssociationGame:
         self.move_cycles = 0  # plays stopped by a repeated state
         self.tau_steps = 0  # steps of the tau walks, step 0 included
         self.laufer_steps = 0  # E_v additions (v != v0) within those steps
-        self._kmax = tuple(-w for w in graph.weights)
+        self._kmax = kmax = tuple(-w for w in graph.weights)
         self._nbrs = graph.neighbors
         self._bad = graph.bad
         self._negative_definite = is_negative_definite(graph)
         self._det = graph_determinant(graph)
+        self._initial_total = math.prod(kmax) if not kmax or min(kmax) > 0 else 0  # 0: no initials
 
     def _is_initial(self, state: Sequence[int]) -> bool:
         """Whether ``state`` is an initial state: one offset 1..-m(v) per vertex."""
-        kmax = self._kmax
-        return len(state) == len(kmax) and all(1 <= k <= top for k, top in zip(state, kmax))
+        top = self._kmax
+        return len(state) == len(top) and (not top or min(state) > 0 and all(map(le, state, top)))
 
     # -- search ---------------------------------------------------------
 
@@ -268,15 +269,9 @@ class AssociationGame:
             )
 
     def _play(self, state: Sequence[int]) -> list[int] | None:
-        """Decide a start by one deterministic maximal play (see module doc).
-
-        The play moves a copy of ``state`` in place.  It keeps the capped
-        vertices in a heap and moves the lowest one each step.  A move
-        caps only neighbors of the moved vertex, so only those are tested
-        for a capped neighbor, and an adjacent capped pair decides the
-        start as not good.  On a singular form the play keeps a visited
-        set, and a repeated state decides the start as not good.
-        """
+        """Decide a start by one deterministic maximal play (see module doc):
+        the lowest capped vertex moves each step, and an adjacent capped
+        pair, or on a singular form a repeated state, decides it not good."""
         kmax, nbrs = self._kmax, self._nbrs
         k = list(state)
         capped = [v for v, x in enumerate(k) if x == kmax[v]]  # ascending: a heap
@@ -327,41 +322,35 @@ class AssociationGame:
         return _witness(n0, moves)
 
     def _initial_states(self) -> Iterator:
-        """Initial states without an adjacent capped pair, lexicographically.
-
-        Backtracks over the vertices in index order; vertex v may sit at
-        its cap only if no earlier neighbor does.  Every state is the same
-        list, changed in place between yields.
-        """
-        kmax = self._kmax
-        if any(k < 1 for k in kmax):
+        """Initial states without an adjacent capped pair, lexicographically
+        (module doc).  Every state is the same list, changed in place."""
+        if not self._initial_total:
             return
-        n = len(kmax)
-        if n == 0:
+        kmax, nbrs = self._kmax, self._nbrs
+        last = len(kmax) - 1
+        if last < 0:
             yield []
             return
-        earlier: list[list[int]] = [[] for _ in range(n)]
-        for u, w in self.graph.edges:
-            earlier[max(u, w)].append(min(u, w))
-        state = [0] * n
-        values = [iter(range(1, kmax[0] + 1))] + [None] * (n - 1)
+        state = [0] * len(kmax)
+        top = list(kmax)
         v = 0
         while v >= 0:
-            k = next(values[v], None)
-            if k is None:
+            k = state[v] + 1
+            if k > top[v]:
+                state[v] = 0
                 v -= 1
                 continue
             state[v] = k
-            if v == n - 1:
+            if v == last:
                 yield state
                 continue
             v += 1
-            top = kmax[v]
-            for u in earlier[v]:
+            t = kmax[v]
+            for u in nbrs[v]:  # a higher neighbor holds 0 here, below its cap
                 if state[u] == kmax[u]:
-                    top -= 1
+                    t -= 1
                     break
-            values[v] = iter(range(1, top + 1))
+            top[v] = t
 
     def _tau_states(self) -> list[tuple[int, ...]]:
         """Offsets of the good initials at the minima of tau (module doc)."""
@@ -406,14 +395,11 @@ class AssociationGame:
     def good_initial_count(self, early_stop: int | None = None) -> GoodInitialResult:
         """Count (and list) the initial associations that complete.
 
-        An exact count walks tau where it applies (see module doc).  Any
-        other count scans initial associations in lexicographic order,
-        skipping those with an adjacent capped pair.  With
-        ``early_stop=K`` the scan may stop as soon as K good ones are
-        found; the result is flagged partial iff it stops before the
-        last initial, the all-capped state, so a count below K is always
-        exact.  Raises TooManyBadVerticesError beyond one bad vertex and
-        warns when the form is not negative definite.
+        An exact count walks tau where it applies; any other count scans
+        (module doc).  With ``early_stop=K`` the scan stops once K good ones are
+        found, flagged partial iff before the last initial, so a count
+        below K is exact.  Raises TooManyBadVerticesError beyond one bad
+        vertex and warns when the form is not negative definite.
         """
         if len(self._bad) > 1:
             raise TooManyBadVerticesError(
@@ -464,7 +450,7 @@ class AssociationGame:
             offsets=tuple(starts),
             moves=tuple(plays),
             partial=partial,
-            initial_total=math.prod(max(k, 0) for k in self._kmax),
+            initial_total=self._initial_total,
             graph=self.graph,
         )
 

@@ -10,14 +10,18 @@ m(v) > -degree(v)).
 
 Each per-graph fact is computed once per graph object and kept on it.
 The determinant and definiteness come from one leaf-to-root sweep over
-the tree (:attr:`PlumbingGraph.forms`), and connectedness from the
-component count that sweep establishes (:attr:`PlumbingGraph.is_connected`).
-The bad vertices are kept as a tuple (:attr:`PlumbingGraph.bad`), of
-which :func:`bad_vertices` returns a fresh list.  The canonical hash,
-which keys the result cache, is the sha256 of a compact JSON
-serialization formatted directly, without the json module
-(:attr:`PlumbingGraph.canonical_hash`).  No matrix is ever built.  All
-arithmetic is exact over the integers.
+the tree (:attr:`PlumbingGraph.forms`), which also checks that the
+edges form a forest, and connectedness from the component count that
+sweep establishes.  The bad vertices are kept as a tuple, of which
+:func:`bad_vertices` returns a fresh list.  The canonical hash, which
+keys the result cache, is the sha256 of a compact JSON serialization
+formatted directly.  No matrix is ever built; all arithmetic is exact.
+
+Every constructor (:func:`build_graph`, :func:`blow_down`,
+:func:`plumbhf.seifert.star_graph`, graph files) produces canonical
+edges: (low, high) pairs in sorted order.  :attr:`PlumbingGraph.neighbors`
+relies on them: it lists each vertex's lower neighbors, then its higher
+ones, both ascending, without a sort.
 """
 
 from __future__ import annotations
@@ -47,14 +51,15 @@ class Frozen:
     def __init_subclass__(cls) -> None:
         cls._fields = tuple(cls.__annotations__)
         cls._required = frozenset(f for f in cls._fields if f not in vars(cls))
+        cls._known = frozenset(cls._fields)
         cls._key = attrgetter(*cls._fields)  # not a method: self._key(obj) reads obj's fields
 
     def __init__(self, *args, **kwargs) -> None:
-        given = vars(self)
-        given.update(zip(self._fields, args), **kwargs)
-        unknown = given.keys() - self._fields or len(given) < len(args) + len(kwargs)
-        if unknown or not self._required <= given.keys():
+        given = len(args) + len(kwargs)
+        kwargs.update(zip(self._fields, args))  # this call's own dict becomes the instance's
+        if len(kwargs) < given or not self._required <= kwargs.keys() <= self._known:
             raise TypeError(f"{type(self).__name__} takes the fields {', '.join(self._fields)}")
+        object.__setattr__(self, "__dict__", kwargs)
 
     def __eq__(self, other):
         same = other.__class__ is self.__class__
@@ -95,7 +100,7 @@ class PlumbingGraph(Frozen):
         for u, v in self.edges:
             nbrs[u].append(v)
             nbrs[v].append(u)
-        return tuple(tuple(sorted(ns)) for ns in nbrs)
+        return tuple(map(tuple, nbrs))
 
     def degree(self, v: int) -> int:
         return len(self.neighbors[v])
@@ -203,20 +208,18 @@ def _sweep(g: PlumbingGraph, first: int) -> tuple[list[int], list[int], list[int
     parent: list[int | None] = [None] * n  # -1 for a root
     order: list[int] = []  # breadth-first, so parents precede children
     roots: list[int] = []
-    i = 0
     for r in [first, *range(n)] if n else []:
         if parent[r] is not None:
             continue
         parent[r] = -1
         roots.append(r)
-        order.append(r)
-        while i < len(order):
-            v = order[i]
-            i += 1
+        component = [r]
+        for v in component:  # the list grows as it is walked
             for u in nbrs[v]:
                 if parent[u] is None:
                     parent[u] = v
-                    order.append(u)
+                    component.append(u)
+        order += component
     if len(g.edges) != n - len(roots):
         raise CycleDetectedError(f"{len(g.edges)} edges on {n} vertices close a cycle")
     d = list(g.weights)

@@ -138,11 +138,12 @@ class ResultCache:
 
     A line that is not UTF-8, or not a JSON object with a str graph_hash,
     an early_stop that is null or an int >= 1, an int good_initial_count
-    and a bool partial (a torn last line, say), raises ParseError naming
-    path:line.  A valid last line without its newline is terminated by
-    the first put.  The first put also makes the directory and opens the
-    one append handle that ``close`` (or leaving a ``with`` block)
-    closes; each record is one write of a whole line, then a flush.
+    >= 0 and a bool partial (a torn last line, say), or with a count above
+    early_stop or partial below it, raises ParseError naming path:line.
+    A valid last line without its newline is terminated by the first
+    put, which also makes the directory and opens the one append handle
+    that ``close`` (or leaving a ``with`` block) closes; each record is
+    one write of a whole line, then a flush.
     """
 
     def __init__(self, path: str | Path) -> None:
@@ -201,23 +202,29 @@ class ResultCache:
 _RECORD_FIELDS = {
     "graph_hash": lambda x: isinstance(x, str),
     "early_stop": lambda x: x is None or (type(x) is int and x >= 1),
-    "good_initial_count": lambda x: type(x) is int,
+    "good_initial_count": lambda x: type(x) is int and x >= 0,
     "partial": lambda x: type(x) is bool,
 }
 
 
 def _check_record(rec: dict) -> None:
-    """KeyError or TypeError at the first missing or mistyped field a hit reads."""
+    """KeyError or TypeError at the first missing or mistyped field a hit reads;
+    ValueError for a count no scan returns (it stops at early_stop, partial or not)."""
     for name, valid in _RECORD_FIELDS.items():
         if not valid(rec[name]):
             raise TypeError(f"{name} has the wrong type or value: {rec[name]!r}")
+    count, stop = rec["good_initial_count"], rec["early_stop"]
+    if stop is not None and count > stop:
+        raise ValueError(f"good_initial_count {count} exceeds early_stop {stop}")
+    if rec["partial"] and count != stop:
+        raise ValueError(f"a partial count of {count} did not stop at early_stop {stop}")
 
 
 def _coprime_tuples(max_a: int, rays: int) -> list[tuple[int, ...]]:
-    out = []
-    for t in itertools.combinations(range(2, max_a + 1), rays):
-        if all(math.gcd(x, y) == 1 for x, y in itertools.combinations(t, 2)):
-            out.append(t)
+    out: list[tuple[int, ...]] = [()]
+    for _ in range(rays):  # each coprime prefix, in order, grows by every larger coprime x
+        out = [t + (x,) for t in out for x in range(t[-1] + 1 if t else 2, max_a + 1)
+               if math.gcd(x, math.prod(t)) == 1]
     return out
 
 

@@ -11,6 +11,9 @@ pairwise coprime multiplicities the data is recovered by solving
 b_i * (prod a / a_i) = 1 (mod a_i) with -a_i < b_i < 0.  Construction
 is integer-only, and a Brieskorn row builds one star: :func:`sigma_star`
 returns the very graph whose definiteness :func:`brieskorn` checks.
+:func:`star_graph` builds a star directly in canonical form, with no
+``build_graph`` validation pass: it is a tree by construction, and the
+forms sweep still checks that its edges form a forest.
 
 Two-ray data with m = -1 describe S^3; those quadruples (a1, b1, a2, b2)
 satisfy a1*a2 + a2*b1 + a1*b2 = 1, carry exactly one ray ratio >= -2, and
@@ -22,11 +25,12 @@ from __future__ import annotations
 
 import math
 from functools import cmp_to_key
+from itertools import combinations
 from typing import Sequence
 
 from .contfrac import convergents, expand_ratio
 from .errors import NonNegDefiniteError, NotCoprimeError
-from .graph import Frozen, PlumbingGraph, build_graph, is_negative_definite
+from .graph import Frozen, PlumbingGraph, is_negative_definite
 
 
 class SeifertInvariants(Frozen):
@@ -67,18 +71,18 @@ def star_graph(inv: SeifertInvariants, name: str | None = None) -> PlumbingGraph
     Ray weights are the expansions of a_i/b_i, hence all <= -2; vertex
     ids follow the canonical order used everywhere else (center 0, then
     the rays in the sorted order of the invariants).  A ray is reduced
-    with -a < b < 0, so -a/-b is a/b in lowest terms and below -1.
+    with -a < b < 0, so -a/-b is a/b in lowest terms and below -1.  The
+    edges (0, first vertex of each ray) sort before the chains' (v, v + 1).
     """
     weights: list[int] = [inv.center_weight]
-    edges: list[tuple[int, int]] = []
+    spokes: list[tuple[int, int]] = []  # (0, first vertex of a ray)
+    chains: list[tuple[int, int]] = []  # (v, v + 1) along the rays
     for a, b in inv.rays:
-        prev = 0
-        for t in expand_ratio(-a, -b):
-            idx = len(weights)
-            weights.append(t)
-            edges.append((prev, idx))
-            prev = idx
-    return build_graph(weights, edges, name)
+        first = len(weights)
+        weights += expand_ratio(-a, -b)
+        spokes.append((0, first))
+        chains += zip(range(first, len(weights) - 1), range(first + 1, len(weights)))
+    return PlumbingGraph(tuple(weights), tuple(spokes + chains), name)
 
 
 def brieskorn(multiplicities: Sequence[int]) -> SeifertInvariants:
@@ -106,25 +110,19 @@ def sigma_star(params: tuple[int, ...]) -> PlumbingGraph:
 def _brieskorn_star(
     multiplicities: Sequence[int], name: str | None = None
 ) -> tuple[SeifertInvariants, PlumbingGraph]:
-    a = tuple(int(x) for x in multiplicities)
+    a = tuple(map(int, multiplicities))
     if not a:
         raise ValueError("at least one multiplicity is required")
     for x in a:
         if x < 2:
             raise ValueError(f"multiplicities must be >= 2, got {x}")
-    for i in range(len(a)):
-        for j in range(i + 1, len(a)):
-            if math.gcd(a[i], a[j]) != 1:
-                raise NotCoprimeError(f"gcd({a[i]}, {a[j]}) > 1")
+    for x, y in combinations(a, 2):
+        if math.gcd(x, y) != 1:
+            raise NotCoprimeError(f"gcd({x}, {y}) > 1")
     product = math.prod(a)
-    rays = []
-    for ai in a:
-        cofactor = product // ai
-        bi = pow(cofactor, -1, ai) - ai  # -a_i < b_i < 0
-        rays.append((ai, bi))
-    total = sum(bi * (product // ai) for ai, bi in rays)
-    m = (total - 1) // product
-    inv = SeifertInvariants(m, tuple(rays))
+    rays = tuple((ai, pow(product // ai, -1, ai) - ai) for ai in a)  # -a_i < b_i < 0
+    m = (sum(bi * (product // ai) for ai, bi in rays) - 1) // product
+    inv = SeifertInvariants(m, rays)
     star = star_graph(inv, name)
     if not is_negative_definite(star):
         raise NonNegDefiniteError(f"star of {a} is not negative definite")

@@ -98,6 +98,32 @@ def oracle_count(graph):
     )
 
 
+def brute_initial_states(graph):
+    """Every initial offset vector k(v) in 1..-m(v) without an adjacent
+    capped pair, in lexicographic order: the unpruned product, filtered."""
+    import itertools
+
+    kmax = [-w for w in graph.weights]
+    return [
+        k
+        for k in itertools.product(*[range(1, top + 1) for top in kmax])
+        if not any(k[u] == kmax[u] and k[v] == kmax[v] for u, v in graph.edges)
+    ]
+
+
+def relabeled_forest(rng, max_vertices=7, weights=(-1, -2, -3, -4)):
+    """A random forest whose vertex ids are shuffled, so a vertex may have
+    several lower neighbors, built from edges in random order and
+    orientation."""
+    n = rng.randint(1, max_vertices)
+    label = list(range(n))
+    rng.shuffle(label)
+    edges = [(label[rng.randrange(v)], label[v]) for v in range(1, n) if rng.random() < 0.85]
+    edges = [(v, u) if rng.random() < 0.5 else (u, v) for u, v in edges]
+    rng.shuffle(edges)
+    return build_graph([rng.choice(weights) for _ in range(n)], edges)
+
+
 def brute_quadruples(bound):
     """Canonical quadruple tuples with a1 + a2 <= bound, by raw scan of
     the sphere equation a1*a2 + a2*b1 + a1*b2 = 1."""

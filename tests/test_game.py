@@ -43,6 +43,7 @@ from plumbhf.seifert import (
     star_graph,
 )
 from support import (
+    brute_initial_states,
     chain,
     e8,
     interior_association_count,
@@ -52,6 +53,7 @@ from support import (
     random_forest,
     random_small_star,
     random_unimodular_tree,
+    relabeled_forest,
     star,
 )
 
@@ -200,24 +202,35 @@ def test_play_moves_the_lowest_capped_vertex():
     assert r.witnesses[-1].moved == (0, 1, 2)
 
 
-def _has_capped_pair(g, k):
-    return any(k[u] == -g.weights[u] and k[v] == -g.weights[v] for u, v in g.edges)
-
-
 def test_initial_states_skip_adjacent_capped_pairs():
     """The scan yields exactly the initials without an adjacent capped
-    pair, in the lexicographic order of the unpruned product."""
+    pair, in the lexicographic order of the unpruned product.  Shuffled
+    ids give vertices several lower neighbors, and caps of 0 (no initial
+    at all), 1 (always capped) and >= 2 all occur."""
     rng = random.Random(11)
-    graphs = [e8(), blow_down(sigma_star((3, 5, 7)))]
+    graphs = [e8(), blow_down(sigma_star((3, 5, 7))), build_graph([], [])]
     graphs += [random_forest(rng, max_vertices=7) for _ in range(200)]
-    pruned = 0
+    for i in range(300):
+        g = relabeled_forest(rng)
+        if i % 10 == 0:  # a vertex of weight 0 or 1 leaves no initial state
+            weights = list(g.weights)
+            weights[rng.randrange(len(weights))] = rng.choice((0, 1))
+            g = build_graph(weights, g.edges)
+        graphs.append(g)
+    seen = {"pruned": 0, "no initials": 0, "cap 1": 0, "cap >= 2": 0, "two lower neighbors": 0}
     for g in graphs:
-        ranges = [range(1, -w + 1) for w in g.weights]
-        expected = [k for k in itertools.product(*ranges) if not _has_capped_pair(g, k)]
+        expected = brute_initial_states(g)
         got = [tuple(s) for s in AssociationGame(g)._initial_states()]
         assert got == expected, g
-        pruned += len(expected) < len(list(itertools.product(*ranges)))
-    assert pruned >= 100  # the corpus must exercise the pruning
+        seen["pruned"] += len(expected) < math.prod(max(-w, 0) for w in g.weights)
+        seen["no initials"] += not got
+        seen["cap 1"] += -1 in g.weights
+        seen["cap >= 2"] += min(g.weights, default=0) <= -2
+        seen["two lower neighbors"] += any(
+            sum(u < v for u in ns) >= 2 for v, ns in enumerate(g.neighbors)
+        )
+    assert brute_initial_states(graphs[2]) == [()]  # the empty graph has one, empty, initial
+    assert seen["pruned"] >= 100 and all(n >= 30 for n in seen.values()), seen
 
 
 def _assert_play_decides_every_state(forests):

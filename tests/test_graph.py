@@ -1,8 +1,10 @@
+import json
 import random
 
 import pytest
 
 from plumbhf.errors import BadIdError, CycleCreatedError, CycleDetectedError, DuplicateEdgeError
+from plumbhf.files import parse_graph_file
 from plumbhf.graph import (
     PlumbingGraph,
     bad_vertices,
@@ -13,7 +15,7 @@ from plumbhf.graph import (
     is_negative_definite,
 )
 from plumbhf.report import _coprime_tuples, analyze
-from plumbhf.seifert import sigma_star
+from plumbhf.seifert import brieskorn, enumerate_quadruples, quadruple_star, sigma_star, star_graph
 from support import (
     chain,
     cofactor_det,
@@ -21,6 +23,7 @@ from support import (
     intersection_matrix,
     json_canonical_hash,
     random_forest,
+    relabeled_forest,
     star,
 )
 
@@ -255,6 +258,38 @@ def test_canonical_hash_matches_the_json_serialization():
     assert sum(min(g.weights, default=0) < 0 < max(g.weights, default=0) for g in graphs) >= 100
     for g in graphs:
         assert g.canonical_hash == json_canonical_hash(g), g
+
+
+def _ascending_neighbors(g):
+    """Each vertex's neighbors from the edges, sorted here."""
+    nbrs = [set() for _ in g.weights]
+    for u, v in g.edges:
+        nbrs[u].add(v)
+        nbrs[v].add(u)
+    return tuple(tuple(sorted(ns)) for ns in nbrs)
+
+
+def test_every_constructor_gives_ascending_neighbors(tmp_path):
+    """neighbors does not sort: it relies on the canonical edges that
+    build_graph, blow_down, star_graph and parse_graph_file produce."""
+    rng = random.Random(31)
+    graphs = [relabeled_forest(rng, max_vertices=12, weights=(-1, -1, -2, -3)) for _ in range(200)]
+    blown = [blow_down(g) for g in graphs]
+    assert sum(b != g for b, g in zip(blown, graphs)) >= 100
+    stars = [star_graph(brieskorn(t)) for t in _coprime_tuples(12, 3)]
+    stars += [sigma_star(t) for t in _coprime_tuples(9, 4)]
+    stars += [quadruple_star(q) for q in enumerate_quadruples(20)]
+    parsed = []
+    for i, g in enumerate(graphs[:50] + stars[:20]):
+        ids = rng.sample(range(-1000, 1000), g.vertex_count)  # renumbered in ascending order
+        edges = [[ids[u], ids[v]] if rng.random() < 0.5 else [ids[v], ids[u]] for u, v in g.edges]
+        rng.shuffle(edges)
+        obj = {"vertices": [{"id": x, "weight": w} for x, w in zip(ids, g.weights)], "edges": edges}
+        path = tmp_path / f"g{i}.json"
+        path.write_text(json.dumps(obj))
+        parsed.append(parse_graph_file(path))
+    for g in graphs + blown + stars + parsed:
+        assert g.neighbors == _ascending_neighbors(g), g
 
 
 def test_blow_down_fixed_points():

@@ -205,9 +205,11 @@ def test_cache_reverify_flags_tampering(tmp_path):
         rows = survey_brieskorn(max_a=7, rays=3, cache=cache)
     assert reverify_cache(cache, rows, sample=len(rows)) == []
 
-    # corrupt one stored count and reload
+    # corrupt one stored count, keeping the record consistent so that the
+    # loader accepts it and only the recount can catch it, and reload
     records = [json.loads(line) for line in path.read_text().splitlines()]
-    records[0]["good_initial_count"] += 5
+    assert records[0]["good_initial_count"] == 1 and not records[0]["partial"]
+    records[0]["good_initial_count"] = 0
     path.write_text("\n".join(json.dumps(r) for r in records) + "\n")
     tampered = ResultCache(path)
     problems = reverify_cache(tampered, rows, sample=len(rows))
@@ -250,6 +252,23 @@ def test_cache_reverify_covers_every_early_stop_of_a_graph(tmp_path):
             '{"early_stop":true,"good_initial_count":1,"graph_hash":"ab","partial":false}',
             "early_stop has the wrong type",
         ),
+        # well-typed records that no count produces
+        (
+            '{"early_stop":null,"good_initial_count":-3,"graph_hash":"ab","partial":false}',
+            "good_initial_count has the wrong type or value: -3",
+        ),
+        (
+            '{"early_stop":null,"good_initial_count":7,"graph_hash":"ab","partial":true}',
+            "ValueError: a partial count of 7 did not stop at early_stop None",
+        ),
+        (
+            '{"early_stop":2,"good_initial_count":7,"graph_hash":"ab","partial":false}',
+            "ValueError: good_initial_count 7 exceeds early_stop 2",
+        ),
+        (
+            '{"early_stop":3,"good_initial_count":1,"graph_hash":"ab","partial":true}',
+            "ValueError: a partial count of 1 did not stop at early_stop 3",
+        ),
     ],
 )
 def test_cache_malformed_record_names_path_and_line(tmp_path, last_line, message):
@@ -262,6 +281,29 @@ def test_cache_malformed_record_names_path_and_line(tmp_path, last_line, message
         ResultCache(path)
     assert f"{path}:{len(good) + 2}:" in str(exc.value)
     assert message in str(exc.value)
+
+
+def test_consistent_records_at_the_edges_load(tmp_path):
+    # a count below early_stop is exact, and one that stops at the last
+    # initial reaches early_stop without being partial
+    lines = [
+        '{"early_stop":null,"good_initial_count":0,"graph_hash":"a","partial":false}',
+        '{"early_stop":2,"good_initial_count":1,"graph_hash":"b","partial":false}',
+        '{"early_stop":2,"good_initial_count":2,"graph_hash":"c","partial":false}',
+        '{"early_stop":2,"good_initial_count":2,"graph_hash":"d","partial":true}',
+    ]
+    path = tmp_path / "cache.jsonl"
+    path.write_text("\n".join(lines) + "\n")
+    assert len(ResultCache(path).records) == 4
+
+
+@pytest.mark.parametrize("max_a, early_stop", [(30, 2), (9, None)])
+def test_a_fresh_survey_cache_loads_back(tmp_path, max_a, early_stop):
+    path = tmp_path / "cache.jsonl"
+    with ResultCache(path) as cache:
+        rows = survey_brieskorn(max_a=max_a, early_stop=early_stop, cache=cache)
+    assert ResultCache(path).records == cache.records
+    assert len(cache.records) == len(rows) == len(path.read_bytes().splitlines())
 
 
 def test_csv_and_json_rows_carry_identical_data():

@@ -5,9 +5,9 @@ from fractions import Fraction
 import pytest
 
 import plumbhf.seifert
-from plumbhf.contfrac import expand_cf
+from plumbhf.contfrac import expand_cf, expand_ratio
 from plumbhf.errors import NotCoprimeError
-from plumbhf.graph import bad_vertices, graph_determinant, is_negative_definite
+from plumbhf.graph import bad_vertices, build_graph, graph_determinant, is_negative_definite
 from plumbhf.report import _coprime_tuples, analyze
 from plumbhf.seifert import (
     SeifertInvariants,
@@ -16,9 +16,10 @@ from plumbhf.seifert import (
     enumerate_quadruples,
     is_sphere_quadruple,
     quadruple_star,
+    sigma_star,
     star_graph,
 )
-from support import brute_quadruples, e8, reduce_quadruple
+from support import brute_quadruples, e8, reduce_quadruple, star
 
 
 def test_brieskorn_poincare_invariants():
@@ -254,6 +255,27 @@ def test_star_chains_are_the_fraction_expansions():
         for a, b in inv.rays:
             weights += expand_cf(Fraction(a, b))
         assert star_graph(inv).weights == tuple(weights)
+
+
+def test_direct_stars_equal_the_validated_construction():
+    """star_graph builds canonical edges with no build_graph pass; build_graph
+    on the same weights and edges, and on the edges in construction order
+    (support.star), gives the same graph, neighbors, hash and forms."""
+    stars = [
+        (sigma_star(t), brieskorn(t)) for rays, a in ((3, 30), (4, 12)) for t in _coprime_tuples(a, rays)
+    ]
+    stars += [
+        (quadruple_star(q), SeifertInvariants(-1, ((q.a1, q.b1), (q.a2, q.b2))))
+        for q in enumerate_quadruples(40)
+    ]
+    for g, inv in stars:
+        chains = [expand_ratio(-a, -b) for a, b in inv.rays]
+        for built in (build_graph(g.weights, g.edges, g.name), star(inv.center_weight, *chains, name=g.name)):
+            assert built == g, g
+            assert built.neighbors == g.neighbors
+            assert built.canonical_hash == g.canonical_hash
+            assert built.forms == g.forms
+    assert len(stars) > 1037 + 100
 
 
 def test_enumerate_quadruples_raises_on_a_failed_inverse_move(monkeypatch):

@@ -20,7 +20,6 @@ from pathlib import Path
 from .errors import PlumbingError
 from .graph import blow_down
 from .report import (
-    AnalysisReport,
     ResultCache,
     S3Row,
     SurveyRow,
@@ -70,16 +69,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     analyze_p = sub.add_parser("analyze", help="analyze one plumbing graph file")
     analyze_p.add_argument("graph_file", metavar="FILE")
-    analyze_p.set_defaults(handler=_cmd_analyze)
     brieskorn_p = sub.add_parser("brieskorn", help="build and analyze one Brieskorn sphere")
     brieskorn_p.add_argument(
         "multiplicities", metavar="A", type=partial(_int_at_least, low=2), nargs="+"
     )
-    brieskorn_p.set_defaults(handler=_cmd_brieskorn)
-    for p in (analyze_p, brieskorn_p):
+    # a verdict needs two good initials, so brieskorn stops at 2 or later
+    for p, low in ((analyze_p, 1), (brieskorn_p, 2)):
+        p.set_defaults(handler=_cmd_report)
         p.add_argument(
             "--early-stop",
-            type=_int_at_least,
+            type=partial(_int_at_least, low=low),
             metavar="K",
             help="stop scanning once K good initials are found (default: scan them all)",
         )
@@ -101,10 +100,10 @@ def build_parser() -> argparse.ArgumentParser:
     # default object and argparse still rejects --early-stop 2 --full
     g.add_argument(
         "--early-stop",
-        type=_int_at_least,
+        type=partial(_int_at_least, low=2),
         default="2",
         metavar="K",
-        help="stop each count once K good initials are found (default 2)",
+        help="stop each count once K >= 2 good initials are found (default 2)",
     )
     g.add_argument(
         "--full",
@@ -147,47 +146,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(text: str, output: str | None) -> None:
-    if output is None:
+def _emit(args, obj, to_csv) -> None:
+    """``obj`` as JSON, or the text ``to_csv()`` returns, to --output or stdout."""
+    text = to_csv() if args.format == "csv" else json.dumps(obj, indent=2) + "\n"
+    if args.output is None:
         sys.stdout.write(text)
     else:
-        Path(output).write_text(text)
+        Path(args.output).write_text(text)
 
 
-def _emit_report(report: AnalysisReport, args, extra: dict | None = None) -> None:
-    if args.format == "csv":
-        _emit(report_to_csv(report, extra), args.output)
+def _cmd_report(args) -> int:
+    """analyze reads its graph from a file; brieskorn builds it and adds a verdict."""
+    brieskorn = args.command == "brieskorn"
+    if brieskorn:
+        graph = blow_down(sigma_star(tuple(args.multiplicities)))
     else:
-        _emit(json.dumps({**report.to_obj(), **(extra or {})}, indent=2) + "\n", args.output)
-
-
-def _emit_rows(rows, row_type: type, args) -> None:
-    if args.format == "csv":
-        _emit(rows_to_csv(rows, row_type), args.output)
-    else:
-        _emit(json.dumps([r.to_obj() for r in rows], indent=2) + "\n", args.output)
-
-
-def _cmd_analyze(args) -> int:
-    graph = parse_graph_file(args.graph_file)
-    report = analyze(
-        graph,
-        early_stop=args.early_stop,
-        emit_sequences=args.emit_sequences,
-    )
-    _emit_report(report, args)
-    return 0
-
-
-def _cmd_brieskorn(args) -> int:
-    graph = blow_down(sigma_star(tuple(args.multiplicities)))
-    report = analyze(
-        graph,
-        early_stop=args.early_stop,
-        emit_sequences=args.emit_sequences,
-    )
-    verdict = brieskorn_verdict(report.good_initial_count)
-    _emit_report(report, args, extra={"verdict": verdict})
+        graph = parse_graph_file(args.graph_file)
+    report = analyze(graph, early_stop=args.early_stop, emit_sequences=args.emit_sequences)
+    extra = {"verdict": brieskorn_verdict(report.good_initial_count)} if brieskorn else {}
+    _emit(args, {**report.to_obj(), **extra}, lambda: report_to_csv(report, extra))
     return 0
 
 
@@ -201,7 +178,7 @@ def _cmd_survey(args) -> int:
             early_stop=None if args.full else args.early_stop,
             cache=cache,
         )
-        _emit_rows(rows, SurveyRow, args)
+        _emit(args, [r.to_obj() for r in rows], lambda: rows_to_csv(rows, SurveyRow))
         if args.reverify_sample:
             problems = reverify_cache(cache, rows, args.reverify_sample)
             if problems:
@@ -212,13 +189,14 @@ def _cmd_survey(args) -> int:
 
 
 def _cmd_all_minus_two(args) -> int:
-    _emit_rows(survey_all_minus_two(max_p=args.max_p, rays=args.rays), SurveyRow, args)
+    rows = survey_all_minus_two(max_p=args.max_p, rays=args.rays)
+    _emit(args, [r.to_obj() for r in rows], lambda: rows_to_csv(rows, SurveyRow))
     return 0
 
 
 def _cmd_s3(args) -> int:
     rows = s3_rows(args.bound)
-    _emit_rows(rows, S3Row, args)
+    _emit(args, [r.to_obj() for r in rows], lambda: rows_to_csv(rows, S3Row))
     failed = [r for r in rows if r.failures()]
     for r in failed:
         print(f"plumbhf: s3 {r.quadruple} fails {', '.join(r.failures())}", file=sys.stderr)

@@ -41,9 +41,5 @@ class TooManyBadVerticesError(PlumbingError):
     """The counting algorithm needs at most one bad vertex."""
 
 
-class DimensionMismatchError(PlumbingError):
-    """Vectors being paired have different lengths."""
-
-
 class ParseError(PlumbingError):
     """A graph file does not match the expected schema."""

@@ -78,9 +78,9 @@ each good initial's offsets, checked to lie in 1..-m(v), and moves; the
 validated associations and witnesses are built when first read, and a
 survey row reads neither.
 
-Everything here is integer vectors on one graph: :func:`pairing` takes
-plain integer sequences, and the S^3 pairing vector it is used with is
-built in :mod:`plumbhf.seifert`.
+Everything here is integer vectors on one graph; the S^3 pairing vector
+that :mod:`plumbhf.report` pairs with witness states is built in
+:mod:`plumbhf.seifert`.
 """
 
 from __future__ import annotations
@@ -92,7 +92,7 @@ from heapq import heappop, heappush
 from operator import le
 from typing import Iterator, Sequence
 
-from .errors import DimensionMismatchError, IllegalMoveError, PlumbingError, TooManyBadVerticesError
+from .errors import IllegalMoveError, PlumbingError, TooManyBadVerticesError
 from .graph import (
     Frozen,
     PlumbingGraph,
@@ -412,42 +412,35 @@ class AssociationGame:
         g = self.graph
         if early_stop is None and self._negative_definite and abs(self._det) == 1:
             if g.vertex_count and g.is_connected:
-                return self._tau_count()
-        return self._scan_count(early_stop)
+                return self._count(sorted(self._tau_states()), tau=True)
+        return self._count(self._initial_states(), early_stop)
 
-    def _tau_count(self) -> GoodInitialResult:
-        # k(v) >= 1: p(v) <= 0 off v0, and k(v0) = Delta > 0 at a minimum
-        starts = sorted(self._tau_states())
-        plays = []
-        for s0 in starts:
-            moves = self._play(s0) if self._is_initial(s0) else None
-            if moves is None:
-                raise PlumbingError(f"tau minimum with offsets {s0} is not a good initial")
-            plays.append(tuple(moves))
-        return self._result(starts, plays, False)
+    def _count(self, starts, early_stop: int | None = None, tau: bool = False) -> GoodInitialResult:
+        """Play each start in order and keep the good ones, up to ``early_stop``.
 
-    def _scan_count(self, early_stop: int | None = None) -> GoodInitialResult:
+        A kept start that is not an initial state raises, and so does a tau
+        start whose play fails: each tau minimum is a good initial, with
+        k(v) >= 1 as p(v) <= 0 off v0 and k(v0) = Delta > 0.
+        """
         goods: list[tuple[int, ...]] = []
         plays: list[tuple[int, ...]] = []
         partial = False
-        for s0 in self._initial_states():
+        for s0 in starts:
             moves = self._play(s0)
             if moves is None:
+                if tau:
+                    raise PlumbingError(f"tau minimum with offsets {s0} is not a good initial")
                 continue
+            if not self._is_initial(s0):
+                raise PlumbingError(f"good start with offsets {s0} is not an initial state")
             goods.append(tuple(s0))
             plays.append(tuple(moves))
             if early_stop is not None and len(goods) >= early_stop:
                 partial = goods[-1] != self._kmax
                 break
-        return self._result(goods, plays, partial)
-
-    def _result(self, starts, plays, partial: bool) -> GoodInitialResult:
-        for s0 in starts:
-            if not self._is_initial(s0):
-                raise PlumbingError(f"good start with offsets {s0} is not an initial state")
         return GoodInitialResult(
-            count=len(starts),
-            offsets=tuple(starts),
+            count=len(goods),
+            offsets=tuple(goods),
             moves=tuple(plays),
             partial=partial,
             initial_total=self._initial_total,
@@ -458,15 +451,3 @@ class AssociationGame:
 def good_initial_count(graph: PlumbingGraph, early_stop: int | None = None) -> GoodInitialResult:
     """One-shot wrapper; see AssociationGame.good_initial_count."""
     return AssociationGame(graph).good_initial_count(early_stop)
-
-
-def pairing(x: Sequence[int], y: Sequence[int]) -> int:
-    """Coordinatewise dot product sum n(w) n'(w) of two integer vectors."""
-    if len(x) != len(y):
-        raise DimensionMismatchError(f"lengths {len(x)} and {len(y)} differ")
-    return sum(a * b for a, b in zip(x, y))
-
-
-def central_count(seq: GoodSequence, center: int) -> int:
-    """How many moves of the sequence happen at the center vertex."""
-    return sum(1 for v in seq.moved if v == center)

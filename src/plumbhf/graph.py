@@ -12,8 +12,8 @@ Each per-graph fact is computed once per graph object and kept on it.
 The determinant and definiteness come from one leaf-to-root sweep over
 the tree (:attr:`PlumbingGraph.forms`), which also checks that the
 edges form a forest, and connectedness from the component count that
-sweep establishes.  The bad vertices are kept as a tuple, of which
-:func:`bad_vertices` returns a fresh list.  The canonical hash, which
+sweep establishes.  The bad vertices are the tuple
+:attr:`PlumbingGraph.bad`.  The canonical hash, which
 keys the result cache, is the sha256 of a compact JSON serialization
 formatted directly.  No matrix is ever built; all arithmetic is exact.
 
@@ -101,9 +101,6 @@ class PlumbingGraph(Frozen):
             nbrs[u].append(v)
             nbrs[v].append(u)
         return tuple(map(tuple, nbrs))
-
-    def degree(self, v: int) -> int:
-        return len(self.neighbors[v])
 
     @property
     def is_connected(self) -> bool:
@@ -245,11 +242,6 @@ def complement_determinant(g: PlumbingGraph, v: int) -> int:
     """det(G - v) on v's component: the product of the determinants of
     v's branches, which the forms sweep rooted at v leaves in E_v."""
     return _sweep(g, v)[1][v]
-
-
-def bad_vertices(g: PlumbingGraph) -> list[int]:
-    """Vertices with m(v) > -degree(v), ascending: a fresh list of PlumbingGraph.bad."""
-    return list(g.bad)
 
 
 def blow_down(g: PlumbingGraph) -> PlumbingGraph:

@@ -22,13 +22,7 @@ from typing import Sequence
 from .contfrac import bumped_sum_check
 from .errors import ParseError, PlumbingError
 from .files import canonical_graph_hash
-from .game import (
-    AssociationGame,
-    central_count,
-    is_good_sequence,
-    pairing,
-    reverse_negate,
-)
+from .game import AssociationGame, is_good_sequence, reverse_negate
 from .graph import (
     Frozen,
     PlumbingGraph,
@@ -286,6 +280,8 @@ def survey_brieskorn(
     """One row per pairwise-coprime multiplicity tuple within the bound."""
     if rays < 3:
         raise ValueError(f"rays must be at least 3, got {rays}: fewer fibers give S^3 (count 1)")
+    if early_stop is not None and early_stop < 2:
+        raise ValueError(f"early_stop must be at least 2, got {early_stop}: a verdict needs two")
     return [
         brieskorn_row(t, early_stop=early_stop, cache=cache)
         for t in _coprime_tuples(max_a, rays)
@@ -380,14 +376,16 @@ def s3_row(q: SphereQuadruple) -> S3Row:
     t, s = graph.weights[1:split], graph.weights[split:]
     bumped = bumped_sum_check(t, s) == (True, True)
 
-    central = central_count(witness, 0) if witness else -1
+    central = witness.moved.count(0) if witness else -1
     central_ok = central == c.a1 + c.a2 - 1
 
     jumps_ok = False
     reversal_ok = False
     if witness is not None:
         pv = pairing_vector_from_rays(t, s)
-        values = [pairing(pv, state.values) for state in witness.states]
+        values = [  # strict: a length mismatch raises ValueError
+            sum(x * y for x, y in zip(pv, state.values, strict=True)) for state in witness.states
+        ]
         jumps_ok = all(
             after - before == (2 if moved == 0 else 0)
             for before, after, moved in zip(values, values[1:], witness.moved)

@@ -33,6 +33,11 @@ from .errors import NonNegDefiniteError, NotCoprimeError
 from .graph import Frozen, PlumbingGraph, is_negative_definite
 
 
+def _check_ray(a: int, b: int) -> None:
+    if a < 2 or not (-a < b < 0):
+        raise ValueError(f"ray ({a}, {b}) needs a >= 2 and -a < b < 0")
+
+
 class SeifertInvariants(Frozen):
     """Center weight and rays, rays kept sorted by a_i/b_i descending.
 
@@ -49,8 +54,7 @@ class SeifertInvariants(Frozen):
         if not rays:
             raise ValueError("at least one ray is required")
         for a, b in rays:
-            if a < 2 or not (-a < b < 0):
-                raise ValueError(f"ray ({a}, {b}) needs a >= 2 and -a < b < 0")
+            _check_ray(a, b)
             if math.gcd(a, b) != 1:
                 raise ValueError(f"ray ({a}, {b}) is not reduced")
         # sorted by a/b descending: a/b > c/d iff a*d > c*b, as b, d < 0
@@ -145,9 +149,8 @@ class SphereQuadruple(Frozen):
     b2: int
 
     def __init__(self, a1: int, b1: int, a2: int, b2: int) -> None:
-        for a, b in ((a1, b1), (a2, b2)):
-            if a < 2 or not (-a < b < 0):
-                raise ValueError(f"ray ({a}, {b}) needs a >= 2 and -a < b < 0")
+        _check_ray(a1, b1)
+        _check_ray(a2, b2)
         vars(self).update(a1=a1, b1=b1, a2=a2, b2=b2)
 
     def as_tuple(self) -> tuple[int, int, int, int]:
@@ -210,9 +213,11 @@ def enumerate_quadruples(bound: int) -> list[SphereQuadruple]:
 
 
 def quadruple_star(q: SphereQuadruple, name: str | None = None) -> PlumbingGraph:
-    """Two-ray star with center weight -1 for a sphere quadruple."""
-    if not is_sphere_quadruple(q):
-        raise ValueError(f"{q.as_tuple()} does not satisfy the sphere equation")
+    """Two-ray star with center weight -1 for a sphere quadruple.
+
+    With m = -1 the invariants' homology-sphere equation is the sphere
+    equation, so a quadruple that fails it raises ValueError there.
+    """
     inv = SeifertInvariants(-1, ((q.a1, q.b1), (q.a2, q.b2)))
     return star_graph(inv, name)
 

@@ -158,7 +158,7 @@ def random_unimodular_tree(rng, max_vertices=10, max_initials=20_000, nodes=1):
     """
     import math
 
-    from plumbhf.graph import bad_vertices, graph_determinant, is_negative_definite
+    from plumbhf.graph import graph_determinant, is_negative_definite
 
     while True:
         n = rng.randint(2, max_vertices)
@@ -182,7 +182,7 @@ def random_unimodular_tree(rng, max_vertices=10, max_initials=20_000, nodes=1):
         if weights[r] > -1 or math.prod(-w for w in weights) > max_initials:
             continue
         g = build_graph(weights, edges)
-        if is_negative_definite(g) and len(bad_vertices(g)) <= 1:
+        if is_negative_definite(g) and len(g.bad) <= 1:
             return g
 
 

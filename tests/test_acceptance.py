@@ -13,7 +13,7 @@ from fractions import Fraction
 from plumbhf.contfrac import expand_cf
 from plumbhf.files import canonical_graph_hash
 from plumbhf.game import AssociationGame
-from plumbhf.graph import bad_vertices, blow_down, graph_determinant, is_negative_definite
+from plumbhf.graph import blow_down, graph_determinant, is_negative_definite
 from plumbhf.report import s3_rows, survey_all_minus_two, survey_brieskorn
 from plumbhf.seifert import brieskorn, enumerate_quadruples, quadruple_star, star_graph
 from support import (
@@ -65,7 +65,7 @@ def test_criterion_1_poincare_sphere(capfd):
         assert is_negative_definite(graph)
         # the degree-3 center is the one bad vertex (m = -2 > -3), the
         # most the counting algorithm allows
-        assert bad_vertices(graph) == [0]
+        assert graph.bad == (0,)
         assert full_count(graph) == 1
         elapsed = time.perf_counter() - start
         assert elapsed < 1.0

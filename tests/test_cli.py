@@ -333,6 +333,9 @@ def test_usage_errors_exit_1(tmp_path, capsys, monkeypatch):
         ["survey", "--max-a", "6", "--reverify-sample", "3"],  # no cache to reverify
         ["survey", "--early-stop", "0"],
         ["brieskorn", "2", "3", "5", "--early-stop", "-1"],
+        # a partial count of 1 settles no verdict
+        ["survey", "--max-a", "7", "--early-stop", "1"],
+        ["brieskorn", "2", "3", "7", "--early-stop", "1"],
         # all-minus-two never reads or writes a cache
         ["all-minus-two", "--cache", cache],
         ["all-minus-two", "--reverify-sample", "3"],
@@ -406,7 +409,7 @@ def test_module_entry_point():
     import sys
 
     proc = subprocess.run(
-        [sys.executable, "-m", "plumbhf", "brieskorn", "2", "3", "5", "--early-stop", "1"],
+        [sys.executable, "-m", "plumbhf", "brieskorn", "2", "3", "5", "--early-stop", "2"],
         capture_output=True,
         text=True,
     )

@@ -8,7 +8,6 @@ import weakref
 import pytest
 
 from plumbhf.errors import (
-    DimensionMismatchError,
     IllegalMoveError,
     PlumbingError,
     TooManyBadVerticesError,
@@ -18,16 +17,13 @@ from plumbhf.game import (
     AssociationGame,
     GoodSequence,
     apply_move,
-    central_count,
     good_initial_count,
     is_final,
     is_good_sequence,
     is_initial,
-    pairing,
     reverse_negate,
 )
 from plumbhf.graph import (
-    bad_vertices,
     blow_down,
     build_graph,
     graph_determinant,
@@ -353,15 +349,6 @@ def test_interior_bound_holds_on_small_stars():
         assert good_initial_count(g, early_stop=bound).count >= bound
 
 
-def test_pairing_and_dimension_guard():
-    g = chain(-2, -3)
-    a = assoc(g, 0, -1)
-    assert pairing(a.values, a.values) == 1
-    assert pairing((1, 2), (3, 4)) == 11
-    with pytest.raises(DimensionMismatchError):
-        pairing((1, 2), (1, 2, 3))
-
-
 def test_pairing_vector_frozen_examples():
     assert pairing_vector(SphereQuadruple(2, -1, 3, -1)) == (-6, -3, -2)
     assert pairing_vector(SphereQuadruple(2, -1, 5, -2)) == (-10, -5, -4, -2)
@@ -377,7 +364,7 @@ def test_pairing_jumps_two_at_center_moves():
         g = quadruple_star(q)
         seq = good_initial_count(g).witnesses[0]
         pv = pairing_vector(q)
-        values = [pairing(pv, s.values) for s in seq.states]
+        values = [sum(x * y for x, y in zip(pv, s.values, strict=True)) for s in seq.states]
         for before, after, moved in zip(values, values[1:], seq.moved):
             assert after - before == (2 if moved == 0 else 0)
 
@@ -391,7 +378,7 @@ def test_central_count_is_a1_plus_a2_minus_one():
     for tup, expected in cases.items():
         q = SphereQuadruple(*tup)
         seq = good_initial_count(quadruple_star(q)).witnesses[0]
-        assert central_count(seq, 0) == expected == q.a1 + q.a2 - 1
+        assert seq.moved.count(0) == expected == q.a1 + q.a2 - 1
 
 
 def test_reverse_negate_replays():
@@ -427,7 +414,7 @@ def test_lazy_witnesses_equal_the_eager_construction():
     graphs = [sigma_star((3, 5, 7)), sigma_star((2, 3, 7)), e8()]
     while len(graphs) < 103:
         g = random_forest(rng, max_vertices=6)
-        if is_negative_definite(g) and len(bad_vertices(g)) <= 1:
+        if is_negative_definite(g) and len(g.bad) <= 1:
             graphs.append(g)
     witnessed = 0
     for g in graphs:
@@ -462,7 +449,7 @@ def _assert_tau_equals_scan(g):
     tau = game.good_initial_count()
     steps = game.tau_steps
     assert steps > 0
-    assert tau == game._scan_count(), g
+    assert tau == game._count(game._initial_states()), g
     assert game.tau_steps == steps  # the scan does not walk
     return tau
 
@@ -474,17 +461,19 @@ def _coprime(rays, max_a):
 
 
 def test_tau_matches_the_scan_on_brieskorn_stars():
-    """Every pairwise-coprime tuple with 3 rays and a <= 13, 4 rays and
-    a <= 9, 5 rays and a <= 7, as unreduced and blown-down stars, up to
-    300k initials."""
+    """Every pairwise-coprime tuple with 3 rays and a <= 17, 4 rays and
+    a <= 9, 5 rays and a <= 7, up to 300k initials.  With three or more
+    rays the star is already blown down (a center of degree >= 3, rays
+    of weight <= -2), so each tuple gives one graph."""
     compared = 0
-    for rays, max_a in ((3, 13), (4, 9), (5, 7)):
+    for rays, max_a in ((3, 17), (4, 9), (5, 7)):
         for t in _coprime(rays, max_a):
-            for g in (sigma_star(t), blow_down(sigma_star(t))):
-                if math.prod(-w for w in g.weights) <= 300_000:
-                    _assert_tau_equals_scan(g)
-                    compared += 1
-    assert compared >= 160
+            g = sigma_star(t)
+            assert blow_down(g) == g
+            if math.prod(-w for w in g.weights) <= 300_000:
+                _assert_tau_equals_scan(g)
+                compared += 1
+    assert compared >= 165
 
 
 def test_tau_matches_the_scan_on_random_unimodular_trees():
@@ -496,7 +485,7 @@ def test_tau_matches_the_scan_on_random_unimodular_trees():
     two_nodes = no_bad = ranked = 0
     for g in graphs:
         two_nodes += sum(len(ns) >= 3 for ns in g.neighbors) >= 2
-        no_bad += not bad_vertices(g)
+        no_bad += not g.bad
         ranked += _assert_tau_equals_scan(g).count >= 2
     assert good_initial_count(deep).count == 192
     assert two_nodes >= 50 and no_bad >= 10 and ranked >= 50
@@ -513,7 +502,7 @@ def test_scan_runs_outside_the_tau_domain():
         game = AssociationGame(g)
         r = game.good_initial_count(early_stop)
         assert game.tau_steps == game.laufer_steps == 0
-        assert r == game._scan_count(early_stop)
+        assert r == game._count(game._initial_states(), early_stop)
     assert good_initial_count(forest).count == 1
 
 
@@ -544,7 +533,7 @@ def test_a_good_start_out_of_range_raises(monkeypatch, state):
     with pytest.raises(PlumbingError, match="is not an initial state"):
         good_initial_count(e8(), early_stop=1)
     monkeypatch.setattr(AssociationGame, "_tau_states", lambda self: [tuple(state)])
-    with pytest.raises(PlumbingError, match="is not a good initial"):
+    with pytest.raises(PlumbingError, match="is not an initial state"):
         good_initial_count(e8())
 
 
@@ -561,3 +550,22 @@ def test_lazy_initials_equal_the_reported_values():
             assert reported == tuple(a.values for a in result.initials), g
             assert result.initials is result.initials  # built once, on the first read
             assert all(is_initial(a) for a in result.initials)
+
+
+def test_each_kept_start_is_checked_once(monkeypatch):
+    """One _is_initial call per good initial, on the tau walk and the scan."""
+    calls = []
+    check = AssociationGame._is_initial
+
+    def counted(self, state):
+        calls.append(tuple(state))
+        return check(self, state)
+
+    monkeypatch.setattr(AssociationGame, "_is_initial", counted)
+    g = sigma_star((2, 3, 7))
+    for early_stop in (None, 2, 9):
+        del calls[:]
+        game = AssociationGame(g)
+        result = game.good_initial_count(early_stop)
+        assert result.count == 2 and (game.tau_steps > 0) == (early_stop is None)
+        assert calls == list(result.offsets)

@@ -7,7 +7,6 @@ from plumbhf.errors import BadIdError, CycleCreatedError, CycleDetectedError, Du
 from plumbhf.files import parse_graph_file
 from plumbhf.graph import (
     PlumbingGraph,
-    bad_vertices,
     blow_down,
     build_graph,
     complement_determinant,
@@ -32,7 +31,6 @@ def test_build_graph_basic():
     g = build_graph([-2, -3], [(0, 1)], name="pair")
     assert g.vertex_count == 2
     assert g.weights[1] == -3
-    assert g.degree(0) == 1
     assert g.neighbors[0] == (1,)
     assert g.name == "pair"
     assert g.is_connected
@@ -207,19 +205,17 @@ def test_is_negative_definite():
 
 
 def test_bad_vertices():
-    assert bad_vertices(e8()) == [0]
-    assert bad_vertices(chain(-2, -2, -2)) == []
-    assert bad_vertices(chain(-2, -1, -2)) == [1]
+    assert e8().bad == (0,)
+    assert chain(-2, -2, -2).bad == ()
+    assert chain(-2, -1, -2).bad == (1,)
     # a leaf of weight -1 is fine: -1 is not above -degree = -1
-    assert bad_vertices(build_graph([-1, -2], [(0, 1)])) == []
+    assert build_graph([-1, -2], [(0, 1)]).bad == ()
 
 
-def test_bad_vertices_returns_a_fresh_list_each_call():
+def test_bad_vertices_are_one_cached_tuple():
+    """Immutable, so no caller can change what the graph keeps."""
     g = chain(-2, -1, -2, -1, -2)
-    first = bad_vertices(g)
-    first.append(0)
-    second = bad_vertices(g)
-    assert second == [1, 3] and second is not bad_vertices(g)
+    assert type(g.bad) is tuple and g.bad is g.bad
     assert g.bad == (1, 3)
 
 
@@ -333,7 +329,7 @@ def test_blow_down_preserves_abs_determinant():
     found = 0
     while found < 25:
         g = random_forest(rng, max_vertices=7, weight_range=(-3, -1))
-        if all(w != -1 or g.degree(v) > 2 for v, w in enumerate(g.weights)):
+        if all(w != -1 or len(g.neighbors[v]) > 2 for v, w in enumerate(g.weights)):
             continue
         out = blow_down(g)
         found += 1

@@ -12,7 +12,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from plumbhf.files import canonical_graph_hash, graph_from_obj
 from plumbhf.game import good_initial_count, is_good_sequence
-from plumbhf.graph import bad_vertices, build_graph, is_negative_definite
+from plumbhf.graph import build_graph, is_negative_definite
 from support import blow_up_edge, blow_up_leaf, graph_to_obj, oracle_count
 
 # deterministic, and no example database written next to the tests
@@ -102,10 +102,10 @@ def test_count_survives_blow_ups(g, data):
     With weights <= -max(2, degree) the form is negative definite, and
     either blow-up adds at most one bad vertex."""
     g = build_graph([min(w, -2) for w in g.weights], g.edges)
-    assert is_negative_definite(g) and not bad_vertices(g)
+    assert is_negative_definite(g) and not g.bad
     if g.edges and data.draw(st.booleans()):
         bigger = blow_up_edge(g, *data.draw(st.sampled_from(g.edges)))
     else:
         bigger = blow_up_leaf(g, data.draw(st.integers(0, g.vertex_count - 1)))
-    assert len(bad_vertices(bigger)) <= 1
+    assert len(bigger.bad) <= 1
     assert good_initial_count(bigger).count == good_initial_count(g).count

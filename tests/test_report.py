@@ -199,6 +199,19 @@ def test_survey_needs_three_rays():
             survey_brieskorn(max_a=5, rays=rays)
 
 
+def test_survey_needs_an_early_stop_of_two():
+    # a partial count of 1 would label every row trivial-rank, Sigma(2,3,7) too
+    for early_stop in (0, 1):
+        with pytest.raises(ValueError, match="early_stop must be at least 2"):
+            survey_brieskorn(max_a=7, early_stop=early_stop)
+
+
+def test_s3_pairing_needs_equal_lengths(monkeypatch):
+    monkeypatch.setattr(plumbhf.report, "pairing_vector_from_rays", lambda t, s: (1, 2))
+    with pytest.raises(ValueError, match="zip"):
+        s3_rows(5)
+
+
 def test_cache_reverify_flags_tampering(tmp_path):
     path = tmp_path / "cache.jsonl"
     with ResultCache(path) as cache:

@@ -7,7 +7,7 @@ import pytest
 import plumbhf.seifert
 from plumbhf.contfrac import expand_cf, expand_ratio
 from plumbhf.errors import NotCoprimeError
-from plumbhf.graph import bad_vertices, build_graph, graph_determinant, is_negative_definite
+from plumbhf.graph import build_graph, graph_determinant, is_negative_definite
 from plumbhf.report import _coprime_tuples, analyze
 from plumbhf.seifert import (
     SeifertInvariants,
@@ -85,7 +85,7 @@ def test_star_graph_shape():
     assert g.weights == (-1, -2, -3, -7)
     assert g.edges == ((0, 1), (0, 2), (0, 3))
     assert analyze(g).is_homology_sphere
-    assert bad_vertices(g) == [0]
+    assert g.bad == (0,)
 
 
 def test_seifert_invariants_sorted_and_validated():
@@ -179,10 +179,11 @@ def test_quadruple_star_properties():
     for q in enumerate_quadruples(10):
         g = quadruple_star(q)
         assert g.weights[0] == -1
-        assert g.degree(0) == 2
+        assert len(g.neighbors[0]) == 2
         assert is_negative_definite(g)
         assert abs(graph_determinant(g)) == 1
-    with pytest.raises(ValueError):
+    # with center -1 the invariants' homology-sphere equation is the sphere equation
+    with pytest.raises(ValueError, match="homology-sphere equation"):
         quadruple_star(SphereQuadruple(2, -1, 3, -2))
 
 

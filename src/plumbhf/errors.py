@@ -33,10 +33,6 @@ class NonNegDefiniteError(PlumbingError):
     """A negative-definite intersection form was required."""
 
 
-class IllegalMoveError(PlumbingError):
-    """The requested change is not legal at this vertex."""
-
-
 class TooManyBadVerticesError(PlumbingError):
     """The counting algorithm needs at most one bad vertex."""
 

@@ -76,7 +76,8 @@ repeated state (``move_cycles``) stopped, and the steps (``tau_steps``)
 and Laufer additions (``laufer_steps``) of its tau walks.  A count keeps
 each good initial's offsets, checked to lie in 1..-m(v), and moves; the
 validated associations and witnesses are built when first read, and a
-survey row reads neither.
+survey row reads neither.  Every witness returned is replayed by
+``is_good_sequence`` from initial to final, or raises PlumbingError.
 
 Everything here is integer vectors on one graph; the S^3 pairing vector
 that :mod:`plumbhf.report` pairs with witness states is built in
@@ -92,7 +93,7 @@ from heapq import heappop, heappush
 from operator import le
 from typing import Iterator, Sequence
 
-from .errors import IllegalMoveError, PlumbingError, TooManyBadVerticesError
+from .errors import PlumbingError, TooManyBadVerticesError
 from .graph import (
     Frozen,
     PlumbingGraph,
@@ -131,22 +132,6 @@ def is_final(n: Association) -> bool:
     return all(m <= x < -m for m, x in zip(n.graph.weights, n.values))
 
 
-def apply_move(n: Association, v: int) -> Association:
-    """The changed association, or IllegalMoveError."""
-    g = n.graph
-    if not (0 <= v < g.vertex_count):
-        raise IllegalMoveError(f"no vertex {v}")
-    if n.values[v] != -g.weights[v]:
-        raise IllegalMoveError(f"vertex {v} is not at -m(v)")
-    vals = list(n.values)
-    vals[v] = g.weights[v]
-    for u in g.neighbors[v]:
-        vals[u] += 2
-        if vals[u] > -g.weights[u]:
-            raise IllegalMoveError(f"move at {v} would push neighbor {u} past its bound")
-    return Association(g, tuple(vals))
-
-
 class GoodSequence(Frozen):
     """A witness: states[0] initial, states[-1] final, one move per step."""
 
@@ -177,7 +162,7 @@ def is_good_sequence(seq: GoodSequence) -> bool:
         return False
     g = seq.graph
     for before, after, v in zip(seq.states, seq.states[1:], seq.moved):
-        if after.graph != g or before.graph != g:
+        if after.graph != g or before.graph != g or not 0 <= v < g.vertex_count:
             return False
         if before.values[v] != -g.weights[v] or after.values[v] != g.weights[v]:
             return False
@@ -199,12 +184,22 @@ def reverse_negate(seq: GoodSequence) -> GoodSequence:
     return GoodSequence(states, tuple(reversed(seq.moved)))
 
 
-def _witness(n0: Association, moves: Sequence[int]) -> GoodSequence:
-    """The sequence that plays ``moves`` from n0, every state validated."""
-    states = [n0]
+def _witness(graph: PlumbingGraph, offsets: Sequence[int], moves: Sequence[int]) -> GoodSequence:
+    """Play ``moves`` from offsets k: a move at v sets k(v) = 0 and adds 1
+    at each neighbor, and each state is the Association n = m + 2k.
+    PlumbingError unless is_good_sequence accepts the whole sequence."""
+    weights, nbrs, k = graph.weights, graph.neighbors, list(offsets)
+    rows = [tuple(k)]
     for v in moves:
-        states.append(apply_move(states[-1], v))
-    return GoodSequence(tuple(states), tuple(moves))
+        k[v] = 0
+        for u in nbrs[v]:
+            k[u] += 1
+        rows.append(tuple(k))
+    states = [Association(graph, tuple([m + 2 * x for m, x in zip(weights, r)])) for r in rows]
+    seq = GoodSequence(tuple(states), tuple(moves))
+    if not is_good_sequence(seq):
+        raise PlumbingError(f"play {list(moves)} from offsets {tuple(offsets)} fails the replay")
+    return seq
 
 
 class GoodInitialResult(Frozen):
@@ -212,8 +207,8 @@ class GoodInitialResult(Frozen):
 
     ``offsets[i]`` holds the offsets k(v) of the i-th good initial, each
     in 1..-m(v) on ``graph``, and ``moves[i]`` is the play that takes it
-    to a final state.  The validated associations and witness sequences
-    are built from them when first read.
+    to a final state.  The validated associations and the witness
+    sequences, each replayed, are built from them when first read.
     """
 
     count: int
@@ -234,7 +229,7 @@ class GoodInitialResult(Frozen):
 
     @cached_property
     def witnesses(self) -> tuple[GoodSequence, ...]:
-        return tuple(_witness(n0, ms) for n0, ms in zip(self.initials, self.moves))
+        return tuple(_witness(self.graph, s, ms) for s, ms in zip(self.offsets, self.moves))
 
 
 class AssociationGame:
@@ -316,10 +311,11 @@ class AssociationGame:
         if not is_initial(n0):
             raise ValueError("completes_to_good needs an initial association")
         self._warn_if_outside_domain()
-        moves = self._play([(x - m) // 2 for m, x in zip(self.graph.weights, n0.values)])
+        offsets = [(x - m) // 2 for m, x in zip(self.graph.weights, n0.values)]
+        moves = self._play(offsets)
         if moves is None:
             return None
-        return _witness(n0, moves)
+        return _witness(self.graph, offsets, moves)
 
     def _initial_states(self) -> Iterator:
         """Initial states without an adjacent capped pair, lexicographically

@@ -2,21 +2,17 @@ import gc
 import itertools
 import math
 import random
+import re
 import warnings
 import weakref
 
 import pytest
 
-from plumbhf.errors import (
-    IllegalMoveError,
-    PlumbingError,
-    TooManyBadVerticesError,
-)
+from plumbhf.errors import PlumbingError, TooManyBadVerticesError
 from plumbhf.game import (
     Association,
     AssociationGame,
     GoodSequence,
-    apply_move,
     good_initial_count,
     is_final,
     is_good_sequence,
@@ -78,14 +74,25 @@ def test_initial_and_final_predicates():
     assert is_final(assoc(g, -2, -3)) and not is_initial(assoc(g, -2, -3))
 
 
-def test_apply_move():
+def sequence(graph, moved, *states):
+    return GoodSequence(tuple(assoc(graph, *s) for s in states), moved)
+
+
+def test_replay_of_hand_built_sequences():
+    """is_good_sequence is the one check of move legality."""
     g = chain(-1, -2)
-    a = apply_move(assoc(g, 1, 0), 0)
-    assert a.values == (-1, 2)
-    with pytest.raises(IllegalMoveError):
-        apply_move(assoc(g, -1, 0), 0)
-    with pytest.raises(IllegalMoveError):
-        apply_move(assoc(g, 1, 2), 0)
+    states = [(1, 0), (-1, 2), (1, -2), (-1, 0)]
+    assert is_good_sequence(sequence(g, (0, 1, 0), *states))
+    # no vertex 2, 3 or 5; vertex -1, read from the end of the tuple, is
+    # vertex 1, which is at -m = 2 before the second move
+    for moved in [(2, 3, 2), (0, -1, 0), (0, 1, 5)]:
+        assert not is_good_sequence(sequence(g, moved, *states))
+    # initial and final, but the moved vertex is at 0, not at -m(v) = 2
+    single = build_graph([-2], [])
+    assert is_good_sequence(sequence(single, (0,), (2,), (-2,)))
+    assert not is_good_sequence(sequence(single, (0,), (0,), (-2,)))
+    with pytest.raises(ValueError):  # moving 0 at (1, 2) would push 1 to 4 > 2
+        assoc(g, -1, 4)
 
 
 def test_good_sequence_replay():
@@ -229,10 +236,18 @@ def test_initial_states_skip_adjacent_capped_pairs():
     assert seen["pruned"] >= 100 and all(n >= 30 for n in seen.values()), seen
 
 
+def _move(g, k, v):
+    """Move v in the offsets k, in place; the new state as an Association."""
+    k[v] = 0
+    for u in g.neighbors[v]:
+        k[u] += 1
+    return Association(g, tuple(m + 2 * x for m, x in zip(g.weights, k)))
+
+
 def _assert_play_decides_every_state(forests):
-    """_play agrees with the oracle on every state, and good plays replay
-    through apply_move to a final association.  Returns the games'
-    summed (capped_pairs, move_cycles)."""
+    """_play agrees with the oracle on every state, and a good play moves
+    only capped vertices, keeps every state an association and ends at a
+    final one.  Returns the games' summed (capped_pairs, move_cycles)."""
     capped_pairs = move_cycles = 0
     for g in forests:
         game = AssociationGame(g)
@@ -241,9 +256,10 @@ def _assert_play_decides_every_state(forests):
             values = tuple(w + 2 * x for w, x in zip(g.weights, k))
             assert (moves is not None) == oracle_completes(g, values), (g, k)
             if moves is not None:
-                a = Association(g, values)
+                a, offsets = Association(g, values), list(k)
                 for v in moves:
-                    a = apply_move(a, v)
+                    assert offsets[v] == -g.weights[v], (g, k, moves)
+                    a = _move(g, offsets, v)
                 assert is_final(a)
         capped_pairs += game.capped_pairs
         move_cycles += game.move_cycles
@@ -401,12 +417,8 @@ def _eager_witness(n0):
         capped = [v for v, m in enumerate(g.weights) if k[v] == -m]
         if not capped:
             return GoodSequence(tuple(states), tuple(moved))
-        v = capped[0]
-        moved.append(v)
-        k[v] = 0
-        for u in g.neighbors[v]:
-            k[u] += 1
-        states.append(Association(g, tuple(m + 2 * x for m, x in zip(g.weights, k))))
+        moved.append(capped[0])
+        states.append(_move(g, k, capped[0]))
 
 
 def test_lazy_witnesses_equal_the_eager_construction():
@@ -430,6 +442,26 @@ def test_lazy_witnesses_equal_the_eager_construction():
                 assert is_good_sequence(w)
                 witnessed += len(w.moved) > 0
     assert witnessed >= 50  # the corpus must exercise nonempty plays
+
+
+@pytest.mark.parametrize(
+    "start, play",
+    [((0,), [0]), ((2,), [])],
+    ids=["uncapped-move", "short-of-final"],
+)
+def test_a_bad_play_raises_instead_of_returning_a_witness(monkeypatch, start, play):
+    """Every witness is replayed from initial to final: a play that moves
+    an uncapped vertex or stops before a final state raises, from
+    completes_to_good and from a count's witnesses."""
+    g = build_graph([-2], [])  # both initials, k = 1 and k = 2, are good
+    monkeypatch.setattr(AssociationGame, "_play", lambda self, state: list(play))
+    offsets = ((start[0] + 2) // 2,)
+    with pytest.raises(PlumbingError, match=re.escape(f"play {play} from offsets {offsets} fails the replay")):
+        AssociationGame(g).completes_to_good(assoc(g, *start))
+    result = good_initial_count(g)
+    assert result.count == 2
+    with pytest.raises(PlumbingError, match="fails the replay"):
+        result.witnesses
 
 
 def test_result_does_not_keep_the_game_alive():

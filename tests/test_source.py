@@ -20,6 +20,21 @@ def test_no_assert_statements_in_the_package():
     assert found == []
 
 
+def test_every_error_type_is_raised_in_the_package():
+    # an error type that nothing raises is dead code that callers may
+    # still try to catch
+    errors = ast.parse((SOURCE / "errors.py").read_text())
+    declared = {node.name for node in errors.body if isinstance(node, ast.ClassDef)}
+    assert declared
+    raised = set()
+    for path in sorted(SOURCE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                raised.add(getattr(exc, "id", getattr(exc, "attr", None)))
+    assert sorted(declared - raised) == []
+
+
 def test_cli_imports_only_what_a_run_executes():
     # every run pays the CLI's import time, so modules that only some
     # paths use (or none) are imported where they are used

@@ -81,9 +81,11 @@ class Frozen:
 class PlumbingGraph(Frozen):
     """Immutable weighted forest on vertices 0..n-1.
 
-    Edges are stored as sorted (low, high) pairs in sorted order, so two
-    graphs with the same vertices and edges compare and hash equal.  The
-    empty graph is allowed; it denotes the standard 3-sphere.
+    Edges are stored as sorted (low, high) pairs in sorted order.  The
+    name is a field, so it is part of equality and ``hash()``, but not of
+    ``canonical_hash``: same-weight, same-edge graphs under two names have
+    one canonical hash yet compare unequal.  The empty graph is allowed;
+    it denotes the standard 3-sphere.
     """
 
     weights: tuple[int, ...]

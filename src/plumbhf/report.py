@@ -31,6 +31,7 @@ from .graph import (
 )
 from .seifert import (
     SphereQuadruple,
+    coprime_tuples,
     enumerate_quadruples,
     pairing_vector_from_rays,
     quadruple_star,
@@ -214,14 +215,6 @@ def _check_record(rec: dict) -> None:
         raise ValueError(f"a partial count of {count} did not stop at early_stop {stop}")
 
 
-def _coprime_tuples(max_a: int, rays: int) -> list[tuple[int, ...]]:
-    out: list[tuple[int, ...]] = [()]
-    for _ in range(rays):  # each coprime prefix, in order, grows by every larger coprime x
-        out = [t + (x,) for t in out for x in range(t[-1] + 1 if t else 2, max_a + 1)
-               if math.gcd(x, math.prod(t)) == 1]
-    return out
-
-
 def brieskorn_verdict(count: int) -> str:
     """The survey verdict: two good initials make the kernel rank at least 2."""
     return "nontrivial" if count >= 2 else "trivial-rank"
@@ -284,7 +277,7 @@ def survey_brieskorn(
         raise ValueError(f"early_stop must be at least 2, got {early_stop}: a verdict needs two")
     return [
         brieskorn_row(t, early_stop=early_stop, cache=cache)
-        for t in _coprime_tuples(max_a, rays)
+        for t in coprime_tuples(max_a, rays)
     ]
 
 

@@ -15,10 +15,11 @@ returns the very graph whose definiteness :func:`brieskorn` checks.
 ``build_graph`` validation pass: it is a tree by construction, and the
 forms sweep still checks that its edges form a forest.
 
-Two-ray data with m = -1 describe S^3; those quadruples (a1, b1, a2, b2)
-satisfy a1*a2 + a2*b1 + a1*b2 = 1, carry exactly one ray ratio >= -2, and
-shrink under a blow-down-style reduction move until that ratio is
-exactly -2 (the base family (2, -1, 2k+1, -k)).
+Two-ray data with m = -1 describe S^3 = Sigma(x, y); those quadruples
+(a1, b1, a2, b2) satisfy a1*a2 + a2*b1 + a1*b2 = 1 and carry exactly one
+ray ratio >= -2.  :func:`enumerate_quadruples` reads them off
+:func:`brieskorn` of the coprime pairs that :func:`coprime_tuples`, the
+survey's tuple generator, lists.
 """
 
 from __future__ import annotations
@@ -89,6 +90,15 @@ def star_graph(inv: SeifertInvariants, name: str | None = None) -> PlumbingGraph
     return PlumbingGraph(tuple(weights), tuple(spokes + chains), name)
 
 
+def coprime_tuples(max_a: int, rays: int) -> list[tuple[int, ...]]:
+    """Ascending pairwise-coprime tuples of ``rays`` multiplicities in 2..max_a."""
+    out: list[tuple[int, ...]] = [()]
+    for _ in range(rays):  # each coprime prefix, in order, grows by every larger coprime x
+        out = [t + (x,) for t in out for x in range(t[-1] + 1 if t else 2, max_a + 1)
+               if math.gcd(x, math.prod(t)) == 1]
+    return out
+
+
 def brieskorn(multiplicities: Sequence[int]) -> SeifertInvariants:
     """Seifert data of the Brieskorn sphere with the given multiplicities.
 
@@ -136,11 +146,10 @@ def _brieskorn_star(
 class SphereQuadruple(Frozen):
     """Two-ray S^3 data (a1, b1, a2, b2).
 
-    Construction checks only the sign/range constraints on each ray;
-    whether the sphere equation holds is the separate predicate
-    :func:`is_sphere_quadruple`, and the inverse reduction moves of
-    :func:`enumerate_quadruples` give rays in raw move order, so canonical
-    display order (ratio >= -2 first) is a method rather than an invariant.
+    Construction checks only the sign/range constraints on each ray, not
+    the sphere equation (:func:`quadruple_star` checks that), and keeps
+    the rays in the order given, so canonical display order (ratio >= -2
+    first) is a method rather than an invariant.
     """
 
     a1: int
@@ -169,47 +178,20 @@ class SphereQuadruple(Frozen):
         return SphereQuadruple(self.a2, self.b2, self.a1, self.b1)
 
 
-def is_sphere_quadruple(q: SphereQuadruple) -> bool:
-    """Exact integer form of 1 + b1/a1 + b2/a2 = 1/(a1*a2)."""
-    return q.a1 * q.a2 + q.a2 * q.b1 + q.a1 * q.b2 == 1
-
-
 def enumerate_quadruples(bound: int) -> list[SphereQuadruple]:
     """All sphere quadruples with a1 + a2 <= bound, canonical, no dups.
 
-    Closes the base family (2, -1, 2k+1, -k) under the two inverse
-    reduction moves (b1 = -a1', a1 = b1' + 2*a1', a2 = a2' - b2',
-    b2 = b2', and the same with the rays swapped).  Both multiplicities
-    grow strictly under inversion, so pruning at the bound is complete.
+    The sphere equation a1*a2 + a2*b1 + a1*b2 = 1 forces gcd(a1, a2) = 1.
+    Mod a1 it fixes b1 = (a2^-1 mod a1) - a1, and then
+    b2 = (1 - a1*a2 - a2*b1)/a1 falls in (-a2, 0).  So each coprime pair
+    x < y has exactly one quadruple: the rays of brieskorn((x, y)), whose
+    center is -1 and whose rays are sorted ratio >= -2 first.
     """
     if bound < 5:
         raise ValueError("bound must be at least 5 (the smallest quadruple is (2,-1,3,-1))")
-    found: dict[tuple[int, int, int, int], SphereQuadruple] = {}
-    frontier: list[SphereQuadruple] = []
-    k = 1
-    while 2 + (2 * k + 1) <= bound:
-        q = SphereQuadruple(2, -1, 2 * k + 1, -k)
-        found[q.as_tuple()] = q
-        frontier.append(q)
-        k += 1
-    while frontier:
-        q = frontier.pop()
-        rays = ((q.a1, q.b1, q.a2, q.b2), (q.a2, q.b2, q.a1, q.b1))
-        for x1, y1, x2, y2 in rays:
-            parent = SphereQuadruple(y1 + 2 * x1, -x1, x2 - y2, y2)
-            if not is_sphere_quadruple(parent):
-                raise ValueError(
-                    f"inverse move from {q.as_tuple()} gave {parent.as_tuple()}, "
-                    f"which does not satisfy the sphere equation"
-                )
-            if parent.a1 + parent.a2 > bound:
-                continue
-            key = parent.canonical().as_tuple()
-            if key not in found:
-                canon = parent.canonical()
-                found[key] = canon
-                frontier.append(canon)
-    return sorted(found.values(), key=lambda q: (q.a1 + q.a2,) + q.as_tuple())
+    rays = (brieskorn(t).rays for t in coprime_tuples(bound - 2, 2) if sum(t) <= bound)
+    quads = [SphereQuadruple(a1, b1, a2, b2) for (a1, b1), (a2, b2) in rays]
+    return sorted(quads, key=lambda q: (q.a1 + q.a2,) + q.as_tuple())
 
 
 def quadruple_star(q: SphereQuadruple, name: str | None = None) -> PlumbingGraph:

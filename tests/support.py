@@ -5,20 +5,22 @@ definitions (cofactor expansion, uncached breadth-first search over the
 raw move rules, a brute scan of the sphere equation) so the production
 code is checked against something it does not share internals with.
 The reference helpers (continued-fraction values, intersection
-matrices, the interior-association bound, the S^3 quadruple reduction
-and pairing vector, the canonical hash through the json module,
-graph-file writing) are what the tests compare the package's answers
-with; no command runs them.
+matrices, the interior-association bound, the S^3 sphere equation,
+quadruple reduction and pairing vector, the Delta-descent survey
+verdict, the canonical hash through the json module, graph-file
+writing) are what the tests compare the package's answers with; no
+command runs them.
 """
 
 import hashlib
 import json
+import math
 from fractions import Fraction
 from pathlib import Path
 
 from plumbhf.contfrac import expand_ratio
 from plumbhf.graph import build_graph
-from plumbhf.seifert import SphereQuadruple, is_sphere_quadruple, pairing_vector_from_rays
+from plumbhf.seifert import SphereQuadruple, pairing_vector_from_rays
 
 
 def star(center, *rays, name=None):
@@ -122,6 +124,29 @@ def relabeled_forest(rng, max_vertices=7, weights=(-1, -2, -3, -4)):
     edges = [(v, u) if rng.random() < 0.5 else (u, v) for u, v in edges]
     rng.shuffle(edges)
     return build_graph([rng.choice(weights) for _ in range(n)], edges)
+
+
+def is_sphere_quadruple(q):
+    """Exact integer form of 1 + b1/a1 + b2/a2 = 1/(a1*a2)."""
+    return q.a1 * q.a2 + q.a2 * q.b1 + q.a1 * q.b2 == 1
+
+
+def descent_verdict(params):
+    """The survey verdict of Sigma(params) from Nemethi's Delta alone.
+
+    With P = prod(a), b_j = (P/a_j)^-1 mod a_j shifted into (-a_j, 0) and
+    center m = (sum b_j*P/a_j - 1)/P, Delta(i) = 1 - m*i + sum floor(i*b_j/a_j).
+    The sphere has two good initials iff Delta(i) < 0 for some i; as
+    Delta(i + P) = Delta(i) + 1, only i in 0..P-1 can be the first.
+    Shares no code with the graph, the forms or the game.
+    """
+    product = math.prod(params)
+    rays = [(a, pow(product // a, -1, a) - a) for a in params]
+    m = (sum(b * (product // a) for a, b in rays) - 1) // product
+    for i in range(product):
+        if 1 - m * i + sum(i * b // a for a, b in rays) < 0:
+            return "nontrivial"
+    return "trivial-rank"
 
 
 def brute_quadruples(bound):

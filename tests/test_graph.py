@@ -5,6 +5,7 @@ import pytest
 
 from plumbhf.errors import BadIdError, CycleCreatedError, CycleDetectedError, DuplicateEdgeError
 from plumbhf.files import parse_graph_file
+from plumbhf.game import Association, AssociationGame
 from plumbhf.graph import (
     PlumbingGraph,
     blow_down,
@@ -13,8 +14,15 @@ from plumbhf.graph import (
     graph_determinant,
     is_negative_definite,
 )
-from plumbhf.report import _coprime_tuples, analyze
-from plumbhf.seifert import brieskorn, enumerate_quadruples, quadruple_star, sigma_star, star_graph
+from plumbhf.report import analyze
+from plumbhf.seifert import (
+    brieskorn,
+    coprime_tuples,
+    enumerate_quadruples,
+    quadruple_star,
+    sigma_star,
+    star_graph,
+)
 from support import (
     chain,
     cofactor_det,
@@ -25,6 +33,20 @@ from support import (
     relabeled_forest,
     star,
 )
+
+
+def test_the_name_is_part_of_equality_but_not_of_the_canonical_hash():
+    a = build_graph([-2, -2], [(0, 1)], name="a")
+    b = build_graph([-2, -2], [(0, 1)], name="b")
+    assert a != b
+    assert a == build_graph([-2, -2], [(1, 0)], name="a")
+    assert hash(a) == hash(build_graph([-2, -2], [(0, 1)], name="a"))
+    assert a.canonical_hash == b.canonical_hash
+    game = AssociationGame(a)
+    initial = next(Association(b, v) for v in game.good_initial_count().initial_values())
+    with pytest.raises(ValueError, match="association belongs to a different graph"):
+        game.completes_to_good(initial)
+    assert game.completes_to_good(Association(a, initial.values)) is not None
 
 
 def test_build_graph_basic():
@@ -249,7 +271,7 @@ def test_is_connected_matches_a_search_on_random_forests():
 def test_canonical_hash_matches_the_json_serialization():
     rng = random.Random(29)
     graphs = [build_graph([], []), build_graph([-2], []), build_graph([7], [])]
-    graphs += [sigma_star(t) for rays in (3, 4) for t in _coprime_tuples(12, rays)]
+    graphs += [sigma_star(t) for rays in (3, 4) for t in coprime_tuples(12, rays)]
     graphs += [random_forest(rng, max_vertices=9, weight_range=(-12, 12)) for _ in range(200)]
     assert sum(min(g.weights, default=0) < 0 < max(g.weights, default=0) for g in graphs) >= 100
     for g in graphs:
@@ -272,8 +294,8 @@ def test_every_constructor_gives_ascending_neighbors(tmp_path):
     graphs = [relabeled_forest(rng, max_vertices=12, weights=(-1, -1, -2, -3)) for _ in range(200)]
     blown = [blow_down(g) for g in graphs]
     assert sum(b != g for b, g in zip(blown, graphs)) >= 100
-    stars = [star_graph(brieskorn(t)) for t in _coprime_tuples(12, 3)]
-    stars += [sigma_star(t) for t in _coprime_tuples(9, 4)]
+    stars = [star_graph(brieskorn(t)) for t in coprime_tuples(12, 3)]
+    stars += [sigma_star(t) for t in coprime_tuples(9, 4)]
     stars += [quadruple_star(q) for q in enumerate_quadruples(20)]
     parsed = []
     for i, g in enumerate(graphs[:50] + stars[:20]):

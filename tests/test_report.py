@@ -25,7 +25,8 @@ from plumbhf.report import (
     survey_all_minus_two,
     survey_brieskorn,
 )
-from support import e8
+from plumbhf.seifert import enumerate_quadruples
+from support import descent_verdict, e8
 
 
 def test_analyze_report_fields():
@@ -79,6 +80,22 @@ def test_survey_brieskorn_small():
     # pairwise-coprime tuples only
     assert (2, 4, 5) not in by_params
     assert (2, 4, 7) not in by_params
+
+
+def test_every_survey_verdict_matches_the_delta_descent():
+    """A second route to each verdict: Nemethi's Delta from the Seifert
+    invariants alone, with no graph, forms or game."""
+    sizes = {}
+    for a, rays in ((40, 3), (16, 4), (12, 5)):
+        rows = survey_brieskorn(max_a=a, rays=rays)
+        sizes[rays] = len(rows)
+        for row in rows:
+            assert row.verdict == descent_verdict(row.params), row
+    assert sizes == {3: 2518, 4: 109, 5: 6}
+    # two fibers give S^3, count 1: no descent
+    pairs = [(q.a1, q.a2) for q in enumerate_quadruples(60)]
+    assert len(pairs) == 492
+    assert all(descent_verdict(p) == "trivial-rank" for p in pairs)
 
 
 def test_survey_all_minus_two_exact():

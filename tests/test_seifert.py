@@ -4,22 +4,21 @@ from fractions import Fraction
 
 import pytest
 
-import plumbhf.seifert
 from plumbhf.contfrac import expand_cf, expand_ratio
 from plumbhf.errors import NotCoprimeError
 from plumbhf.graph import build_graph, graph_determinant, is_negative_definite
-from plumbhf.report import _coprime_tuples, analyze
+from plumbhf.report import analyze
 from plumbhf.seifert import (
     SeifertInvariants,
     SphereQuadruple,
     brieskorn,
+    coprime_tuples,
     enumerate_quadruples,
-    is_sphere_quadruple,
     quadruple_star,
     sigma_star,
     star_graph,
 )
-from support import brute_quadruples, e8, reduce_quadruple, star
+from support import brute_quadruples, e8, is_sphere_quadruple, reduce_quadruple, star
 
 
 def test_brieskorn_poincare_invariants():
@@ -160,9 +159,17 @@ def test_reduce_inverts_the_closure_move():
 
 
 def test_enumerate_matches_brute_scan():
-    got = {q.as_tuple() for q in enumerate_quadruples(20)}
-    assert got == brute_quadruples(20)
-    assert len(got) == 45
+    got = {q.as_tuple() for q in enumerate_quadruples(40)}
+    assert got == brute_quadruples(40)
+    assert len(got) == 206
+
+
+def test_each_quadruple_star_is_the_sigma_star_of_its_pair():
+    """enumerate_quadruples reads each quadruple off brieskorn((a1, a2)), so
+    its star is Sigma(a1, a2)'s; the names differ, so weights and edges only."""
+    for q in enumerate_quadruples(40):
+        g, sigma = quadruple_star(q), sigma_star(tuple(sorted((q.a1, q.a2))))
+        assert (g.weights, g.edges) == (sigma.weights, sigma.edges), q
 
 
 def test_enumerate_ordering_and_bound():
@@ -217,7 +224,7 @@ def _brieskorn_data(mults):
 def test_integer_invariants_match_the_fraction_reference():
     """Same ray order, same accept/reject and same error text as Fractions."""
     rng = random.Random(6)
-    tuples = _coprime_tuples(30, 3)
+    tuples = coprime_tuples(30, 3)
     assert len(tuples) == 1037
     cases = []
     for t in tuples:
@@ -249,7 +256,7 @@ def test_integer_invariants_match_the_fraction_reference():
 
 
 def test_star_chains_are_the_fraction_expansions():
-    for t in _coprime_tuples(30, 3):
+    for t in coprime_tuples(30, 3):
         m, rays = _brieskorn_data(t)
         inv = SeifertInvariants(m, tuple(rays))
         weights = [m]
@@ -263,7 +270,7 @@ def test_direct_stars_equal_the_validated_construction():
     on the same weights and edges, and on the edges in construction order
     (support.star), gives the same graph, neighbors, hash and forms."""
     stars = [
-        (sigma_star(t), brieskorn(t)) for rays, a in ((3, 30), (4, 12)) for t in _coprime_tuples(a, rays)
+        (sigma_star(t), brieskorn(t)) for rays, a in ((3, 30), (4, 12)) for t in coprime_tuples(a, rays)
     ]
     stars += [
         (quadruple_star(q), SeifertInvariants(-1, ((q.a1, q.b1), (q.a2, q.b2))))
@@ -277,13 +284,3 @@ def test_direct_stars_equal_the_validated_construction():
             assert built.canonical_hash == g.canonical_hash
             assert built.forms == g.forms
     assert len(stars) > 1037 + 100
-
-
-def test_enumerate_quadruples_raises_on_a_failed_inverse_move(monkeypatch):
-    monkeypatch.setattr(plumbhf.seifert, "is_sphere_quadruple", lambda q: False)
-    with pytest.raises(ValueError) as exc:
-        enumerate_quadruples(5)
-    assert str(exc.value) == (
-        "inverse move from (2, -1, 3, -1) gave (3, -2, 4, -1), "
-        "which does not satisfy the sphere equation"
-    )

@@ -29,14 +29,7 @@ from .graph import (
     graph_determinant,
     is_negative_definite,
 )
-from .seifert import (
-    SphereQuadruple,
-    coprime_tuples,
-    enumerate_quadruples,
-    pairing_vector_from_rays,
-    quadruple_star,
-    sigma_star,
-)
+from .seifert import _brieskorn_star, coprime_tuples, pairing_vector_from_rays, sigma_star
 
 ASSUMPTION_NOTE = "good initial associations are assumed linearly independent in Ker(U)"
 
@@ -128,6 +121,10 @@ class SurveyRow(Frozen):
         return _fields_obj(self)
 
 
+# one compact, key-sorted encoder for every cache record (json.dumps builds one per call)
+_encode_record = json.JSONEncoder(separators=(",", ":"), sort_keys=True).encode
+
+
 class ResultCache:
     """Append-only JSONL cache of analyze results keyed by graph hash.
 
@@ -183,7 +180,7 @@ class ResultCache:
         if key in self.records:
             return
         self.records[key] = record
-        line = json.dumps(record, separators=(",", ":"), sort_keys=True) + "\n"
+        line = _encode_record(record) + "\n"
         if self._fh is None:
             self.path.parent.mkdir(parents=True, exist_ok=True)
             self._fh = self.path.open("ab")
@@ -355,10 +352,10 @@ class S3Row(Frozen):
         return _fields_obj(self)
 
 
-def s3_row(q: SphereQuadruple) -> S3Row:
-    """Check the five structural properties on one quadruple's star."""
-    c = q.canonical()
-    graph = quadruple_star(c, name="s3" + str(c.as_tuple()))
+def s3_row(pair: tuple[int, int]) -> S3Row:
+    """Check the five structural properties on the star of Sigma(pair) = S^3."""
+    inv, graph = _brieskorn_star(pair)
+    (a1, b1), (a2, b2) = inv.rays
     result = AssociationGame(graph).good_initial_count()
     expected_minimum = tuple(m + 2 for m in graph.weights)
     unique = result.count == 1 and result.initials[0].values == expected_minimum
@@ -370,7 +367,7 @@ def s3_row(q: SphereQuadruple) -> S3Row:
     bumped = bumped_sum_check(t, s) == (True, True)
 
     central = witness.moved.count(0) if witness else -1
-    central_ok = central == c.a1 + c.a2 - 1
+    central_ok = central == a1 + a2 - 1
 
     jumps_ok = False
     reversal_ok = False
@@ -386,7 +383,7 @@ def s3_row(q: SphereQuadruple) -> S3Row:
         reversal_ok = is_good_sequence(reverse_negate(witness))
 
     return S3Row(
-        quadruple=c.as_tuple(),
+        quadruple=(a1, b1, a2, b2),
         unique_good_initial=unique,
         bumped_sums_hold=bumped,
         central_count_matches=central_ok,
@@ -398,7 +395,18 @@ def s3_row(q: SphereQuadruple) -> S3Row:
 
 
 def s3_rows(bound: int = 20) -> list[S3Row]:
-    return [s3_row(q) for q in enumerate_quadruples(bound)]
+    """One row per sphere quadruple with a1 + a2 <= bound, sorted by
+    a1 + a2, then by the quadruple.
+
+    The sphere equation a1*a2 + a2*b1 + a1*b2 = 1 forces gcd(a1, a2) = 1.
+    Mod a1 it fixes b1 = (a2^-1 mod a1) - a1, and then
+    b2 = (1 - a1*a2 - a2*b1)/a1 falls in (-a2, 0).  So each coprime pair
+    x < y has exactly one quadruple: the rays of Sigma(x, y), whose center
+    is -1 and whose rays come ratio >= -2 first.
+    """
+    pairs = (t for t in coprime_tuples(bound - 2, 2) if sum(t) <= bound)
+    rows = [s3_row(t) for t in pairs]
+    return sorted(rows, key=lambda r: (r.quadruple[0] + r.quadruple[2],) + r.quadruple)
 
 
 # -- emission ---------------------------------------------------------------

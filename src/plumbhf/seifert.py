@@ -17,9 +17,10 @@ forms sweep still checks that its edges form a forest.
 
 Two-ray data with m = -1 describe S^3 = Sigma(x, y); those quadruples
 (a1, b1, a2, b2) satisfy a1*a2 + a2*b1 + a1*b2 = 1 and carry exactly one
-ray ratio >= -2.  :func:`enumerate_quadruples` reads them off
-:func:`brieskorn` of the coprime pairs that :func:`coprime_tuples`, the
-survey's tuple generator, lists.
+ray ratio >= -2, which the invariants' order puts first.  The S^3
+harness (``report.s3_rows``) reads each quadruple off the rays of
+Sigma(x, y) for the coprime pairs that :func:`coprime_tuples`, the
+survey's tuple generator, lists, and plays on that same star.
 """
 
 from __future__ import annotations
@@ -32,11 +33,6 @@ from typing import Sequence
 from .contfrac import convergents, expand_ratio
 from .errors import NonNegDefiniteError, NotCoprimeError
 from .graph import Frozen, PlumbingGraph, is_negative_definite
-
-
-def _check_ray(a: int, b: int) -> None:
-    if a < 2 or not (-a < b < 0):
-        raise ValueError(f"ray ({a}, {b}) needs a >= 2 and -a < b < 0")
 
 
 class SeifertInvariants(Frozen):
@@ -55,7 +51,8 @@ class SeifertInvariants(Frozen):
         if not rays:
             raise ValueError("at least one ray is required")
         for a, b in rays:
-            _check_ray(a, b)
+            if a < 2 or not (-a < b < 0):
+                raise ValueError(f"ray ({a}, {b}) needs a >= 2 and -a < b < 0")
             if math.gcd(a, b) != 1:
                 raise ValueError(f"ray ({a}, {b}) is not reduced")
         # sorted by a/b descending: a/b > c/d iff a*d > c*b, as b, d < 0
@@ -141,67 +138,6 @@ def _brieskorn_star(
     if not is_negative_definite(star):
         raise NonNegDefiniteError(f"star of {a} is not negative definite")
     return inv, star
-
-
-class SphereQuadruple(Frozen):
-    """Two-ray S^3 data (a1, b1, a2, b2).
-
-    Construction checks only the sign/range constraints on each ray, not
-    the sphere equation (:func:`quadruple_star` checks that), and keeps
-    the rays in the order given, so canonical display order (ratio >= -2
-    first) is a method rather than an invariant.
-    """
-
-    a1: int
-    b1: int
-    a2: int
-    b2: int
-
-    def __init__(self, a1: int, b1: int, a2: int, b2: int) -> None:
-        _check_ray(a1, b1)
-        _check_ray(a2, b2)
-        vars(self).update(a1=a1, b1=b1, a2=a2, b2=b2)
-
-    def as_tuple(self) -> tuple[int, int, int, int]:
-        return (self.a1, self.b1, self.a2, self.b2)
-
-    def canonical(self) -> "SphereQuadruple":
-        """Rays ordered so the unique ratio >= -2 comes first.
-
-        With b < 0, a/b >= -2 is a <= -2b.
-        """
-        first = self.a1 <= -2 * self.b1
-        if first == (self.a2 <= -2 * self.b2):
-            raise ValueError(f"{self.as_tuple()} does not have exactly one ratio >= -2")
-        if first:
-            return self
-        return SphereQuadruple(self.a2, self.b2, self.a1, self.b1)
-
-
-def enumerate_quadruples(bound: int) -> list[SphereQuadruple]:
-    """All sphere quadruples with a1 + a2 <= bound, canonical, no dups.
-
-    The sphere equation a1*a2 + a2*b1 + a1*b2 = 1 forces gcd(a1, a2) = 1.
-    Mod a1 it fixes b1 = (a2^-1 mod a1) - a1, and then
-    b2 = (1 - a1*a2 - a2*b1)/a1 falls in (-a2, 0).  So each coprime pair
-    x < y has exactly one quadruple: the rays of brieskorn((x, y)), whose
-    center is -1 and whose rays are sorted ratio >= -2 first.
-    """
-    if bound < 5:
-        raise ValueError("bound must be at least 5 (the smallest quadruple is (2,-1,3,-1))")
-    rays = (brieskorn(t).rays for t in coprime_tuples(bound - 2, 2) if sum(t) <= bound)
-    quads = [SphereQuadruple(a1, b1, a2, b2) for (a1, b1), (a2, b2) in rays]
-    return sorted(quads, key=lambda q: (q.a1 + q.a2,) + q.as_tuple())
-
-
-def quadruple_star(q: SphereQuadruple, name: str | None = None) -> PlumbingGraph:
-    """Two-ray star with center weight -1 for a sphere quadruple.
-
-    With m = -1 the invariants' homology-sphere equation is the sphere
-    equation, so a quadruple that fails it raises ValueError there.
-    """
-    inv = SeifertInvariants(-1, ((q.a1, q.b1), (q.a2, q.b2)))
-    return star_graph(inv, name)
 
 
 def pairing_vector_from_rays(first: Sequence[int], second: Sequence[int]) -> tuple[int, ...]:

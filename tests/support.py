@@ -6,7 +6,8 @@ raw move rules, a brute scan of the sphere equation) so the production
 code is checked against something it does not share internals with.
 The reference helpers (continued-fraction values, intersection
 matrices, the interior-association bound, the S^3 sphere equation,
-quadruple reduction and pairing vector, the Delta-descent survey
+quadruple reduction and pairing vector on plain (a1, b1, a2, b2)
+tuples, the Delta-descent survey
 verdict, the canonical hash through the json module, graph-file
 writing) are what the tests compare the package's answers with; no
 command runs them.
@@ -20,7 +21,7 @@ from pathlib import Path
 
 from plumbhf.contfrac import expand_ratio
 from plumbhf.graph import build_graph
-from plumbhf.seifert import SphereQuadruple, pairing_vector_from_rays
+from plumbhf.seifert import coprime_tuples, pairing_vector_from_rays
 
 
 def star(center, *rays, name=None):
@@ -127,8 +128,20 @@ def relabeled_forest(rng, max_vertices=7, weights=(-1, -2, -3, -4)):
 
 
 def is_sphere_quadruple(q):
-    """Exact integer form of 1 + b1/a1 + b2/a2 = 1/(a1*a2)."""
-    return q.a1 * q.a2 + q.a2 * q.b1 + q.a1 * q.b2 == 1
+    """Exact integer form of 1 + b1/a1 + b2/a2 = 1/(a1*a2) for q = (a1, b1, a2, b2)."""
+    a1, b1, a2, b2 = q
+    return a1 * a2 + a2 * b1 + a1 * b2 == 1
+
+
+def canonical_quadruple(q):
+    """q = (a1, b1, a2, b2) with the ray of ratio >= -2 first; with b < 0,
+    a/b >= -2 is a <= -2b.  A sphere quadruple has exactly one such ray."""
+    return q if q[0] <= -2 * q[1] else q[2:] + q[:2]
+
+
+def coprime_pairs(bound):
+    """The coprime pairs x < y with x + y <= bound: one S^3 = Sigma(x, y) each."""
+    return [t for t in coprime_tuples(bound - 2, 2) if sum(t) <= bound]
 
 
 def descent_verdict(params):
@@ -158,8 +171,7 @@ def brute_quadruples(bound):
             for b1 in range(-a1 + 1, 0):
                 for b2 in range(-a2 + 1, 0):
                     if a1 * a2 + a2 * b1 + a1 * b2 == 1:
-                        q = SphereQuadruple(a1, b1, a2, b2)
-                        out.add(q.canonical().as_tuple())
+                        out.add(canonical_quadruple((a1, b1, a2, b2)))
     return out
 
 
@@ -314,11 +326,11 @@ def reduce_quadruple(q):
     irreducible family) or q is not a sphere quadruple.
     """
     if not is_sphere_quadruple(q):
-        raise ValueError(f"{q.as_tuple()} does not satisfy the sphere equation")
-    c = q.canonical()
-    if c.a1 == -2 * c.b1:
-        raise ValueError(f"{c.as_tuple()} has ray ratio exactly -2")
-    return SphereQuadruple(-c.b1, 2 * c.b1 + c.a1, c.a2 + c.b2, c.b2)
+        raise ValueError(f"{q} does not satisfy the sphere equation")
+    a1, b1, a2, b2 = canonical_quadruple(q)
+    if a1 == -2 * b1:
+        raise ValueError(f"{(a1, b1, a2, b2)} has ray ratio exactly -2")
+    return (-b1, 2 * b1 + a1, a2 + b2, b2)
 
 
 def pairing_vector(q):
@@ -327,9 +339,9 @@ def pairing_vector(q):
     Raises ValueError if q is not a sphere quadruple.
     """
     if not is_sphere_quadruple(q):
-        raise ValueError(f"{q.as_tuple()} does not satisfy the sphere equation")
-    c = q.canonical()
-    return pairing_vector_from_rays(expand_ratio(-c.a1, -c.b1), expand_ratio(-c.a2, -c.b2))
+        raise ValueError(f"{q} does not satisfy the sphere equation")
+    a1, b1, a2, b2 = canonical_quadruple(q)
+    return pairing_vector_from_rays(expand_ratio(-a1, -b1), expand_ratio(-a2, -b2))
 
 
 def json_canonical_hash(g):

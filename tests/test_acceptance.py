@@ -15,13 +15,14 @@ from plumbhf.files import canonical_graph_hash
 from plumbhf.game import AssociationGame
 from plumbhf.graph import blow_down, graph_determinant, is_negative_definite
 from plumbhf.report import s3_rows, survey_all_minus_two, survey_brieskorn
-from plumbhf.seifert import brieskorn, enumerate_quadruples, quadruple_star, star_graph
+from plumbhf.seifert import brieskorn, sigma_star, star_graph
 from support import (
     blow_up_edge,
     blow_up_leaf,
     brute_quadruples,
     chain,
     cofactor_det,
+    coprime_pairs,
     e8,
     eval_cf,
     interior_association_count,
@@ -139,7 +140,7 @@ def test_criterion_5_oracle_equivalences(capfd):
             matrix = [list(row) for row in intersection_matrix(graph)]
             assert graph_determinant(graph) == cofactor_det(matrix)
 
-        ours = {q.as_tuple() for q in enumerate_quadruples(20)}
+        ours = {sum(brieskorn(t).rays, ()) for t in coprime_pairs(20)}  # S^3 = Sigma(x, y)
         assert ours == brute_quadruples(20)
         assert len(ours) == 45
 
@@ -167,7 +168,7 @@ def test_criterion_6_product_lower_bound(capfd):
 def test_criterion_7_blow_down_invariance(capfd):
     with announce(capfd, 7, "blow-down preserves count and |det| on 20 graphs") as info:
         sigma237 = star_graph(brieskorn((2, 3, 7)))
-        corpus = [quadruple_star(q) for q in enumerate_quadruples(12)]
+        corpus = [sigma_star(t) for t in coprime_pairs(12)]
         corpus += [blow_up_edge(e8(), 0, v) for v in (1, 5, 7)]
         corpus += [blow_up_leaf(e8(), 0), blow_up_leaf(sigma237, 0)]
         corpus += [chain(-3, -1, -3), chain(-1), chain(-1, -2)]

@@ -2,8 +2,10 @@
 
 The digests pin the emitters, so a refactor of them must keep every byte.
 ``elapsed_ms`` is the one field that varies between runs; it is masked to
-0 in JSON and CSV before hashing.  A digest changes only with a deliberate
-change to the output, together with a CHANGES.md line saying why.
+0 in JSON and CSV before hashing.  The bytes of the cache file that a
+cold ``survey --cache`` writes are pinned the same way.  A digest changes
+only with a deliberate change to the output, together with a CHANGES.md
+line saying why.
 """
 
 import csv
@@ -31,6 +33,9 @@ COMMANDS = {
     "s3 14": (["s3", "--bound", "14"], 0, "cb843aa7e24a6449b17cceeec8572ffeb9a54e13658bcdd5de2770692fb68012"),
     "s3 14 csv": (["s3", "--bound", "14", "--format", "csv"], 0, "8f1433589fc516348f7449feaab17d00eef84a0bf8e954e879214c814c95278a"),
 }
+
+# sha256 of the file a cold `survey --max-a 12 --cache PATH` writes (45 records)
+CACHE_SHA = "0e99a60f6c6377f6279a0ec93a42a0eca986764d384fce576f5eb1c0ec699ed7"
 
 
 def masked(text: str) -> str:
@@ -62,3 +67,16 @@ def test_cli_bytes_match_recorded_digest(name, tmp_path, capsys, monkeypatch):
     write_graph_file(e8(), path)
     argv = [a.format(e8=path) for a in argv]
     assert digest(argv, capsys) == (code, sha)
+
+
+def test_cache_bytes_match_recorded_digest_and_a_warm_rerun_keeps_them(tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv("PLUMB_HF_CACHE", raising=False)
+    path = tmp_path / "cache.jsonl"
+    argv = ["survey", "--max-a", "12", "--cache", str(path)]
+    assert main(argv) == 0
+    cold = capsys.readouterr().out
+    assert hashlib.sha256(cold.encode()).hexdigest() == COMMANDS["survey 12"][2]
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == CACHE_SHA
+    assert main(argv) == 0  # every row read from the cache, nothing appended
+    assert capsys.readouterr().out == cold
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == CACHE_SHA

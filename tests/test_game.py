@@ -26,17 +26,11 @@ from plumbhf.graph import (
     is_negative_definite,
 )
 from plumbhf.report import analyze
-from plumbhf.seifert import (
-    SphereQuadruple,
-    brieskorn,
-    enumerate_quadruples,
-    quadruple_star,
-    sigma_star,
-    star_graph,
-)
+from plumbhf.seifert import brieskorn, sigma_star, star_graph
 from support import (
     brute_initial_states,
     chain,
+    coprime_pairs,
     e8,
     interior_association_count,
     oracle_completes,
@@ -164,7 +158,7 @@ def test_counts_match_full_oracle():
         chain(-2, -3, -2),
         star(-2, [-2], [-3]),
         star(-3, [-2, -2], [-4]),
-        quadruple_star(SphereQuadruple(2, -1, 5, -2)),
+        sigma_star((2, 5)),  # the quadruple (2, -1, 5, -2)
         star_graph(brieskorn((2, 3, 7))),
         chain(-2, -2, -2),
     ]
@@ -366,39 +360,38 @@ def test_interior_bound_holds_on_small_stars():
 
 
 def test_pairing_vector_frozen_examples():
-    assert pairing_vector(SphereQuadruple(2, -1, 3, -1)) == (-6, -3, -2)
-    assert pairing_vector(SphereQuadruple(2, -1, 5, -2)) == (-10, -5, -4, -2)
-    assert pairing_vector(SphereQuadruple(3, -2, 4, -1)) == (-12, -8, -4, -3)
+    assert pairing_vector((2, -1, 3, -1)) == (-6, -3, -2)
+    assert pairing_vector((2, -1, 5, -2)) == (-10, -5, -4, -2)
+    assert pairing_vector((3, -2, 4, -1)) == (-12, -8, -4, -3)
     # canonical order does not depend on the order the rays are given in
-    assert pairing_vector(SphereQuadruple(3, -1, 2, -1)) == (-6, -3, -2)
+    assert pairing_vector((3, -1, 2, -1)) == (-6, -3, -2)
     with pytest.raises(ValueError):
-        pairing_vector(SphereQuadruple(4, -2, 3, -1))  # not a sphere quadruple
+        pairing_vector((4, -2, 3, -1))  # not a sphere quadruple
 
 
 def test_pairing_jumps_two_at_center_moves():
-    for q in enumerate_quadruples(10):
-        g = quadruple_star(q)
+    for t in coprime_pairs(10):
+        g = sigma_star(t)
         seq = good_initial_count(g).witnesses[0]
-        pv = pairing_vector(q)
+        pv = pairing_vector(sum(brieskorn(t).rays, ()))
         values = [sum(x * y for x, y in zip(pv, s.values, strict=True)) for s in seq.states]
         for before, after, moved in zip(values, values[1:], seq.moved):
             assert after - before == (2 if moved == 0 else 0)
 
 
 def test_central_count_is_a1_plus_a2_minus_one():
-    cases = {
-        (2, -1, 3, -1): 4,
-        (3, -2, 4, -1): 6,
-        (2, -1, 5, -2): 6,
+    cases = {  # Sigma(x, y): its quadruple (a1, b1, a2, b2) has a1 + a2 = x + y
+        (2, 3): 4,  # (2, -1, 3, -1)
+        (3, 4): 6,  # (3, -2, 4, -1)
+        (2, 5): 6,  # (2, -1, 5, -2)
     }
-    for tup, expected in cases.items():
-        q = SphereQuadruple(*tup)
-        seq = good_initial_count(quadruple_star(q)).witnesses[0]
-        assert seq.moved.count(0) == expected == q.a1 + q.a2 - 1
+    for pair, expected in cases.items():
+        seq = good_initial_count(sigma_star(pair)).witnesses[0]
+        assert seq.moved.count(0) == expected == sum(pair) - 1
 
 
 def test_reverse_negate_replays():
-    g = quadruple_star(SphereQuadruple(3, -2, 4, -1))
+    g = sigma_star((3, 4))  # the quadruple (3, -2, 4, -1)
     seq = good_initial_count(g).witnesses[0]
     rev = reverse_negate(seq)
     assert is_good_sequence(rev)
@@ -572,7 +565,7 @@ def test_a_good_start_out_of_range_raises(monkeypatch, state):
 def test_lazy_initials_equal_the_reported_values():
     rng = random.Random(31)
     graphs = [e8(), sigma_star((2, 3, 7)), sigma_star((3, 5, 7)), sigma_star((2, 3, 5, 7))]
-    graphs += [blow_down(sigma_star((2, 5, 9))), quadruple_star(SphereQuadruple(3, -2, 4, -1))]
+    graphs += [blow_down(sigma_star((2, 5, 9))), sigma_star((3, 4))]
     graphs += [random_unimodular_tree(rng) for _ in range(60)]
     for g in graphs:
         for early_stop in (None, 2):

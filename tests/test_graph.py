@@ -18,14 +18,13 @@ from plumbhf.report import analyze
 from plumbhf.seifert import (
     brieskorn,
     coprime_tuples,
-    enumerate_quadruples,
-    quadruple_star,
     sigma_star,
     star_graph,
 )
 from support import (
     chain,
     cofactor_det,
+    coprime_pairs,
     e8,
     intersection_matrix,
     json_canonical_hash,
@@ -296,7 +295,7 @@ def test_every_constructor_gives_ascending_neighbors(tmp_path):
     assert sum(b != g for b, g in zip(blown, graphs)) >= 100
     stars = [star_graph(brieskorn(t)) for t in coprime_tuples(12, 3)]
     stars += [sigma_star(t) for t in coprime_tuples(9, 4)]
-    stars += [quadruple_star(q) for q in enumerate_quadruples(20)]
+    stars += [sigma_star(t) for t in coprime_pairs(20)]
     parsed = []
     for i, g in enumerate(graphs[:50] + stars[:20]):
         ids = rng.sample(range(-1000, 1000), g.vertex_count)  # renumbered in ascending order

@@ -25,8 +25,8 @@ from plumbhf.report import (
     survey_all_minus_two,
     survey_brieskorn,
 )
-from plumbhf.seifert import enumerate_quadruples
-from support import descent_verdict, e8
+from plumbhf.seifert import star_graph
+from support import coprime_pairs, descent_verdict, e8
 
 
 def test_analyze_report_fields():
@@ -93,7 +93,7 @@ def test_every_survey_verdict_matches_the_delta_descent():
             assert row.verdict == descent_verdict(row.params), row
     assert sizes == {3: 2518, 4: 109, 5: 6}
     # two fibers give S^3, count 1: no descent
-    pairs = [(q.a1, q.a2) for q in enumerate_quadruples(60)]
+    pairs = coprime_pairs(60)
     assert len(pairs) == 492
     assert all(descent_verdict(p) == "trivial-rank" for p in pairs)
 
@@ -221,6 +221,20 @@ def test_survey_needs_an_early_stop_of_two():
     for early_stop in (0, 1):
         with pytest.raises(ValueError, match="early_stop must be at least 2"):
             survey_brieskorn(max_a=7, early_stop=early_stop)
+
+
+def test_s3_rows_build_one_star_per_row(monkeypatch):
+    """Each row plays on the star of Sigma(x, y) that gave its quadruple."""
+    built = []
+
+    def counted(inv, name=None):
+        built.append(sum(inv.rays, ()))
+        return star_graph(inv, name)
+
+    monkeypatch.setattr(plumbhf.seifert, "star_graph", counted)
+    rows = s3_rows(20)
+    assert len(rows) == 45
+    assert sorted(built) == sorted(r.quadruple for r in rows)
 
 
 def test_s3_pairing_needs_equal_lengths(monkeypatch):

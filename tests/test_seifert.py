@@ -7,18 +7,17 @@ import pytest
 from plumbhf.contfrac import expand_cf, expand_ratio
 from plumbhf.errors import NotCoprimeError
 from plumbhf.graph import build_graph, graph_determinant, is_negative_definite
-from plumbhf.report import analyze
-from plumbhf.seifert import (
-    SeifertInvariants,
-    SphereQuadruple,
-    brieskorn,
-    coprime_tuples,
-    enumerate_quadruples,
-    quadruple_star,
-    sigma_star,
-    star_graph,
+from plumbhf.report import analyze, s3_rows
+from plumbhf.seifert import SeifertInvariants, brieskorn, coprime_tuples, sigma_star, star_graph
+from support import (
+    brute_quadruples,
+    canonical_quadruple,
+    coprime_pairs,
+    e8,
+    is_sphere_quadruple,
+    reduce_quadruple,
+    star,
 )
-from support import brute_quadruples, e8, is_sphere_quadruple, reduce_quadruple, star
 
 
 def test_brieskorn_poincare_invariants():
@@ -99,99 +98,89 @@ def test_seifert_invariants_sorted_and_validated():
 
 
 def test_sphere_quadruple_validation():
-    q = SphereQuadruple(2, -1, 3, -1)
-    assert q.as_tuple() == (2, -1, 3, -1)
-    assert is_sphere_quadruple(q)
-    assert not is_sphere_quadruple(SphereQuadruple(2, -1, 3, -2))
+    assert is_sphere_quadruple((2, -1, 3, -1))
+    assert not is_sphere_quadruple((2, -1, 3, -2))
     with pytest.raises(ValueError):
-        SphereQuadruple(2, -2, 3, -1)  # b1 must stay in (-a1, 0)
+        SeifertInvariants(-1, ((2, -2), (3, -1)))  # b1 must stay in (-a1, 0)
     with pytest.raises(ValueError):
-        SphereQuadruple(1, 0, 3, -1)
+        SeifertInvariants(-1, ((1, 0), (3, -1)))
 
 
 def test_canonical_puts_large_ratio_first():
-    q = SphereQuadruple(3, -1, 2, -1)
-    assert q.canonical().as_tuple() == (2, -1, 3, -1)
-    assert SphereQuadruple(2, -1, 3, -1).canonical().as_tuple() == (2, -1, 3, -1)
-    # the integer comparison a <= -2b is the ratio test a/b >= -2
+    """Each Sigma(x, y) has center -1 and exactly one ray ratio >= -2, which
+    the invariants' order puts first, so s3_row reads a canonical quadruple
+    off its rays."""
+    pairs = coprime_pairs(120)
+    assert len(pairs) == 2074
+    for t in pairs:
+        inv = brieskorn(t)
+        (a1, b1), (a2, b2) = inv.rays
+        assert inv.center_weight == -1, t
+        assert Fraction(a1, b1) >= -2 > Fraction(a2, b2), t
+        assert is_sphere_quadruple((a1, b1, a2, b2)), t
+    # the support helper's integer comparison a <= -2b is the ratio test a/b >= -2
+    assert canonical_quadruple((3, -1, 2, -1)) == (2, -1, 3, -1)
+    assert canonical_quadruple((2, -1, 3, -1)) == (2, -1, 3, -1)
     rays = [(a, b) for a in range(2, 10) for b in range(-a + 1, 0)]
     for a1, b1 in rays:
         for a2, b2 in rays:
-            q = SphereQuadruple(a1, b1, a2, b2)
-            big = [Fraction(a, b) >= -2 for a, b in ((a1, b1), (a2, b2))]
-            if big[0] == big[1]:
-                with pytest.raises(ValueError):
-                    q.canonical()
-            else:
-                c = q.canonical()
-                assert Fraction(c.a1, c.b1) >= -2 > Fraction(c.a2, c.b2)
+            if (Fraction(a1, b1) >= -2) != (Fraction(a2, b2) >= -2):
+                c = canonical_quadruple((a1, b1, a2, b2))
+                assert Fraction(c[0], c[1]) >= -2 > Fraction(c[2], c[3])
 
 
 def test_reduce_step_and_base_case():
-    q = SphereQuadruple(5, -3, 3, -1)
-    assert reduce_quadruple(q).as_tuple() == (3, -1, 2, -1)
+    assert reduce_quadruple((5, -3, 3, -1)) == (3, -1, 2, -1)
     with pytest.raises(ValueError):
-        reduce_quadruple(SphereQuadruple(2, -1, 3, -1))
+        reduce_quadruple((2, -1, 3, -1))
     with pytest.raises(ValueError):
-        reduce_quadruple(SphereQuadruple(2, -1, 3, -2))
+        reduce_quadruple((2, -1, 3, -2))
 
 
 def test_reduce_chain_terminates_at_base_family():
-    for q in enumerate_quadruples(20):
+    for q in brute_quadruples(20):
         steps = 0
         while True:
             try:
-                q = reduce_quadruple(q).canonical()
+                q = reduce_quadruple(q)
             except ValueError:
                 break
             steps += 1
             assert steps < 50
-        assert q.canonical().a1 == 2 and q.canonical().b1 == -1
+        assert canonical_quadruple(q)[:2] == (2, -1)
 
 
-def test_reduce_inverts_the_closure_move():
-    q = SphereQuadruple(2, -1, 3, -1)
-    parent = SphereQuadruple(q.b1 + 2 * q.a1, -q.a1, q.a2 - q.b2, q.b2)
-    assert parent.as_tuple() == (3, -2, 4, -1)
+def test_reduce_undoes_its_inverse_move():
+    a1, b1, a2, b2 = (2, -1, 3, -1)
+    parent = (b1 + 2 * a1, -a1, a2 - b2, b2)
+    assert parent == (3, -2, 4, -1)
     assert is_sphere_quadruple(parent)
-    back = reduce_quadruple(parent.canonical())
-    assert back.canonical().as_tuple() == q.as_tuple()
+    assert canonical_quadruple(reduce_quadruple(parent)) == (2, -1, 3, -1)
 
 
 def test_enumerate_matches_brute_scan():
-    got = {q.as_tuple() for q in enumerate_quadruples(40)}
-    assert got == brute_quadruples(40)
+    """s3_rows enumerates each sphere quadruple once, by a1 + a2, then the
+    quadruple, as a raw scan of the sphere equation finds them."""
+    got = [r.quadruple for r in s3_rows(40)]
+    assert got == sorted(brute_quadruples(40), key=lambda q: (q[0] + q[2],) + q)
     assert len(got) == 206
 
 
-def test_each_quadruple_star_is_the_sigma_star_of_its_pair():
-    """enumerate_quadruples reads each quadruple off brieskorn((a1, a2)), so
-    its star is Sigma(a1, a2)'s; the names differ, so weights and edges only."""
-    for q in enumerate_quadruples(40):
-        g, sigma = quadruple_star(q), sigma_star(tuple(sorted((q.a1, q.a2))))
-        assert (g.weights, g.edges) == (sigma.weights, sigma.edges), q
-
-
 def test_enumerate_ordering_and_bound():
-    qs = enumerate_quadruples(12)
-    sums = [q.a1 + q.a2 for q in qs]
-    assert sums == sorted(sums)
-    assert all(s <= 12 for s in sums)
-    assert qs[0].as_tuple() == (2, -1, 3, -1)
-    with pytest.raises(ValueError):
-        enumerate_quadruples(4)
+    assert s3_rows(4) == []  # the smallest quadruple (2,-1,3,-1) has a1 + a2 = 5
+    assert [r.quadruple for r in s3_rows(7)] == [(2, -1, 3, -1), (2, -1, 5, -2), (3, -2, 4, -1)]
 
 
 def test_quadruple_star_properties():
-    for q in enumerate_quadruples(10):
-        g = quadruple_star(q)
+    for t in coprime_pairs(10):
+        g = sigma_star(t)
         assert g.weights[0] == -1
         assert len(g.neighbors[0]) == 2
         assert is_negative_definite(g)
         assert abs(graph_determinant(g)) == 1
     # with center -1 the invariants' homology-sphere equation is the sphere equation
     with pytest.raises(ValueError, match="homology-sphere equation"):
-        quadruple_star(SphereQuadruple(2, -1, 3, -2))
+        SeifertInvariants(-1, ((2, -1), (3, -2)))
 
 
 def _fraction_invariants(m, rays):
@@ -269,13 +258,8 @@ def test_direct_stars_equal_the_validated_construction():
     """star_graph builds canonical edges with no build_graph pass; build_graph
     on the same weights and edges, and on the edges in construction order
     (support.star), gives the same graph, neighbors, hash and forms."""
-    stars = [
-        (sigma_star(t), brieskorn(t)) for rays, a in ((3, 30), (4, 12)) for t in coprime_tuples(a, rays)
-    ]
-    stars += [
-        (quadruple_star(q), SeifertInvariants(-1, ((q.a1, q.b1), (q.a2, q.b2))))
-        for q in enumerate_quadruples(40)
-    ]
+    tuples = coprime_tuples(30, 3) + coprime_tuples(12, 4) + coprime_pairs(40)
+    stars = [(sigma_star(t), brieskorn(t)) for t in tuples]
     for g, inv in stars:
         chains = [expand_ratio(-a, -b) for a, b in inv.rays]
         for built in (build_graph(g.weights, g.edges, g.name), star(inv.center_weight, *chains, name=g.name)):

@@ -10,7 +10,6 @@ row that fails one of its properties.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from contextlib import nullcontext
@@ -25,6 +24,7 @@ from .report import (
     SurveyRow,
     analyze,
     brieskorn_verdict,
+    json_text,
     report_to_csv,
     reverify_cache,
     rows_to_csv,
@@ -148,7 +148,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _emit(args, obj, to_csv) -> None:
     """``obj`` as JSON, or the text ``to_csv()`` returns, to --output or stdout."""
-    text = to_csv() if args.format == "csv" else json.dumps(obj, indent=2) + "\n"
+    text = to_csv() if args.format == "csv" else json_text(obj) + "\n"
     if args.output is None:
         sys.stdout.write(text)
     else:
@@ -178,7 +178,7 @@ def _cmd_survey(args) -> int:
             early_stop=None if args.full else args.early_stop,
             cache=cache,
         )
-        _emit(args, [r.to_obj() for r in rows], lambda: rows_to_csv(rows, SurveyRow))
+        _emit(args, rows, lambda: rows_to_csv(rows, SurveyRow))
         if args.reverify_sample:
             problems = reverify_cache(cache, rows, args.reverify_sample)
             if problems:
@@ -190,13 +190,13 @@ def _cmd_survey(args) -> int:
 
 def _cmd_all_minus_two(args) -> int:
     rows = survey_all_minus_two(max_p=args.max_p, rays=args.rays)
-    _emit(args, [r.to_obj() for r in rows], lambda: rows_to_csv(rows, SurveyRow))
+    _emit(args, rows, lambda: rows_to_csv(rows, SurveyRow))
     return 0
 
 
 def _cmd_s3(args) -> int:
     rows = s3_rows(args.bound)
-    _emit(args, [r.to_obj() for r in rows], lambda: rows_to_csv(rows, S3Row))
+    _emit(args, rows, lambda: rows_to_csv(rows, S3Row))
     failed = [r for r in rows if r.failures()]
     for r in failed:
         print(f"plumbhf: s3 {r.quadruple} fails {', '.join(r.failures())}", file=sys.stderr)

@@ -88,7 +88,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from functools import cached_property
 from heapq import heappop, heappush
 from operator import le
 from typing import Iterator, Sequence
@@ -97,6 +96,7 @@ from .errors import PlumbingError, TooManyBadVerticesError
 from .graph import (
     Frozen,
     PlumbingGraph,
+    cached_property,
     complement_determinant,
     graph_determinant,
     is_negative_definite,

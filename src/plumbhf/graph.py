@@ -16,6 +16,9 @@ sweep establishes.  The bad vertices are the tuple
 :attr:`PlumbingGraph.bad`.  The canonical hash, which
 keys the result cache, is the sha256 of a compact JSON serialization
 formatted directly.  No matrix is ever built; all arithmetic is exact.
+These facts are :class:`cached_property` attributes: the standard
+descriptor, minus the lock that Python 3.10 and 3.11 take on every
+first read, which costs more than reading a small fact does.
 
 Every constructor (:func:`build_graph`, :func:`blow_down`,
 :func:`plumbhf.seifert.star_graph`, graph files) produces canonical
@@ -26,8 +29,8 @@ ones, both ascending, without a sort.
 
 from __future__ import annotations
 
+import functools
 import hashlib
-from functools import cached_property
 from operator import attrgetter
 from typing import Iterable, Sequence
 
@@ -39,13 +42,31 @@ from .errors import (
 )
 
 
+class cached_property(functools.cached_property):
+    """functools.cached_property whose first read stores the value without a lock.
+
+    Up to Python 3.11 the standard ``__get__`` takes a lock on every first
+    read, which more than doubles its cost.  The values kept here are pure
+    functions of immutable fields, so a race between threads at worst
+    computes one twice.  Later reads find the value in the instance dict.
+    """
+
+    def __get__(self, instance, owner=None):
+        if instance is None:
+            return self
+        value = instance.__dict__[self.attrname] = self.func(instance)
+        return value
+
+
 class Frozen:
     """Base of the package's immutable value classes.
 
     A subclass's fields are its annotations, in order, with defaults as
     class attributes.  Construction, equality, hashing and a
-    dataclass-style repr follow from ``_fields``.  Setting or deleting an
-    attribute raises AttributeError; ``cached_property`` still works.
+    dataclass-style repr follow from ``_fields``, and
+    :func:`plumbhf.report.json_text` writes an instance as the JSON object
+    of its fields in that order.  Setting or deleting an attribute raises
+    AttributeError; ``cached_property`` still works.
     """
 
     def __init_subclass__(cls) -> None:

@@ -3,7 +3,11 @@
 Reports are frozen value classes (:class:`plumbhf.graph.Frozen`) whose
 JSON emissions are their fields in declaration order; the CSV emissions
 carry the same data column by column, with tuple-valued columns joined
-by ';'.  The survey cache is a JSONL file keyed by the canonical graph
+by ';'.  :func:`json_text` writes the JSON.  It gives the bytes of
+``json.dumps(value, indent=2)``, which CPython 3.10 to 3.12 encode in
+pure Python whenever an indent is set, from the C string encoder and one
+join per container, and it takes rows as they are, with no dict built
+per row.  The survey cache is a JSONL file keyed by the canonical graph
 hash, reused only when the stored early_stop setting matches.  A cache
 keeps one append handle, opened on its first put, and writes each record
 as one whole line; close it, or use it as a context manager.
@@ -16,6 +20,7 @@ import itertools
 import json
 import math
 import time
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Sequence
 
@@ -410,6 +415,41 @@ def s3_rows(bound: int = 20) -> list[S3Row]:
 
 
 # -- emission ---------------------------------------------------------------
+
+
+def json_text(value, newline: str = "\n") -> str:
+    """``json.dumps(value, indent=2)``, for the values the CLI emits.
+
+    Those are values of exactly the types str, int, bool and None, dicts
+    with str keys, lists, tuples and Frozen rows, which are written as the
+    object of their fields in order.  Anything else, a float or a str
+    subclass say, raises TypeError, so no bytes are written that
+    ``json.dumps`` would write differently.  ``newline`` is the line break
+    and the indent of the line ``value`` starts on.
+    """
+    kind = type(value)
+    if kind is str:
+        return encode_basestring_ascii(value)
+    if kind is int:
+        return int.__repr__(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    inner = newline + "  "
+    if kind is list or kind is tuple:
+        items = [json_text(v, inner) for v in value]
+        return "[" + inner + f",{inner}".join(items) + newline + "]" if items else "[]"
+    if isinstance(value, Frozen):
+        items = [f"{encode_basestring_ascii(k)}: {json_text(getattr(value, k), inner)}"
+                 for k in value._fields]
+    elif kind is dict:  # encode_basestring_ascii raises TypeError on a key that is not a str
+        items = [f"{encode_basestring_ascii(k)}: {json_text(v, inner)}" for k, v in value.items()]
+    else:
+        raise TypeError(f"{kind.__name__} is not written as JSON here")
+    return "{" + inner + f",{inner}".join(items) + newline + "}" if items else "{}"
 
 
 def _csv_cell(value) -> str:

@@ -26,7 +26,6 @@ survey's tuple generator, lists, and plays on that same star.
 from __future__ import annotations
 
 import math
-from functools import cmp_to_key
 from itertools import combinations
 from typing import Sequence
 
@@ -55,9 +54,8 @@ class SeifertInvariants(Frozen):
                 raise ValueError(f"ray ({a}, {b}) needs a >= 2 and -a < b < 0")
             if math.gcd(a, b) != 1:
                 raise ValueError(f"ray ({a}, {b}) is not reduced")
-        # sorted by a/b descending: a/b > c/d iff a*d > c*b, as b, d < 0
-        rays = tuple(sorted(rays, key=cmp_to_key(lambda r, s: s[0] * r[1] - r[0] * s[1])))
         product = math.prod(a for a, _ in rays)
+        rays = _sort_rays(rays, product)
         value = -center_weight * product + sum(b * (product // a) for a, b in rays)
         if value != 1:
             raise ValueError(
@@ -65,6 +63,13 @@ class SeifertInvariants(Frozen):
                 f"prod(a) * (-m + sum b/a) = {value}, expected 1"
             )
         vars(self).update(center_weight=center_weight, rays=rays)
+
+
+def _sort_rays(rays, product: int) -> tuple[tuple[int, int], ...]:
+    """Rays by a/b descending: ``product`` is a multiple of every a, so the
+    key b * (product / a) is an exact integer, and as b < 0 < a, b/a
+    ascending is a/b descending."""
+    return tuple(sorted(rays, key=lambda r: r[1] * (product // r[0])))
 
 
 def star_graph(inv: SeifertInvariants, name: str | None = None) -> PlumbingGraph:
@@ -77,14 +82,13 @@ def star_graph(inv: SeifertInvariants, name: str | None = None) -> PlumbingGraph
     edges (0, first vertex of each ray) sort before the chains' (v, v + 1).
     """
     weights: list[int] = [inv.center_weight]
-    spokes: list[tuple[int, int]] = []  # (0, first vertex of a ray)
-    chains: list[tuple[int, int]] = []  # (v, v + 1) along the rays
+    firsts: list[int] = []  # the first vertex of each ray
     for a, b in inv.rays:
-        first = len(weights)
+        firsts.append(len(weights))
         weights += expand_ratio(-a, -b)
-        spokes.append((0, first))
-        chains += zip(range(first, len(weights) - 1), range(first + 1, len(weights)))
-    return PlumbingGraph(tuple(weights), tuple(spokes + chains), name)
+    edges = [(0, f) for f in firsts]
+    edges += [(v, v + 1) for v in range(1, len(weights) - 1) if v + 1 not in firsts]
+    return PlumbingGraph(tuple(weights), tuple(edges), name)
 
 
 def coprime_tuples(max_a: int, rays: int) -> list[tuple[int, ...]]:

@@ -1,3 +1,4 @@
+import functools
 import json
 import random
 
@@ -5,7 +6,7 @@ import pytest
 
 from plumbhf.errors import BadIdError, CycleCreatedError, CycleDetectedError, DuplicateEdgeError
 from plumbhf.files import parse_graph_file
-from plumbhf.game import Association, AssociationGame
+from plumbhf.game import Association, AssociationGame, GoodInitialResult
 from plumbhf.graph import (
     PlumbingGraph,
     blow_down,
@@ -199,6 +200,27 @@ def test_forms_are_computed_once_per_graph():
     cached = vars(g)["forms"]
     assert is_negative_definite(g) is True
     assert g.forms is cached
+
+
+@pytest.mark.parametrize(
+    "owner, name",
+    [(PlumbingGraph, name) for name in ("neighbors", "bad", "forms", "canonical_hash")]
+    + [(GoodInitialResult, "initials"), (GoodInitialResult, "witnesses")],
+)
+def test_each_per_graph_fact_is_computed_once_and_kept(owner, name, monkeypatch):
+    """Each fact is a functools.cached_property (a subclass of it), so
+    wrappers that recognise one still work; a second read returns the
+    kept object without calling the function again."""
+    fact = vars(owner)[name]
+    assert isinstance(fact, functools.cached_property)
+    calls = []
+    func = fact.func
+    monkeypatch.setattr(fact, "func", lambda obj: calls.append(obj) or func(obj))
+    g = e8()
+    obj = g if owner is PlumbingGraph else AssociationGame(g).good_initial_count()
+    first = getattr(obj, name)
+    assert getattr(obj, name) is first and vars(obj)[name] is first
+    assert calls == [obj]
 
 
 def test_determinant_known_values():

@@ -1,6 +1,7 @@
 """Property tests on random forests: the graph-file object round trip,
 the canonical hash, the game's count against the BFS oracle, and blow-up
-invariance of counts.  Skipped when hypothesis is not installed."""
+invariance of counts; and the CLI's JSON writer against json.dumps.
+Skipped when hypothesis is not installed."""
 
 import json
 import warnings
@@ -12,7 +13,9 @@ from hypothesis import example, given, settings, strategies as st
 
 from plumbhf.files import canonical_graph_hash, graph_from_obj
 from plumbhf.game import good_initial_count, is_good_sequence
-from plumbhf.graph import build_graph, is_negative_definite
+from plumbhf.graph import blow_down, build_graph, is_negative_definite
+from plumbhf.report import S3Row, SurveyRow, analyze, brieskorn_row, json_text
+from plumbhf.seifert import sigma_star
 from support import blow_up_edge, blow_up_leaf, graph_to_obj, oracle_count
 
 # deterministic, and no example database written next to the tests
@@ -109,3 +112,59 @@ def test_count_survives_blow_ups(g, data):
         bigger = blow_up_leaf(g, data.draw(st.integers(0, g.vertex_count - 1)))
     assert len(bigger.bad) <= 1
     assert good_initial_count(bigger).count == good_initial_count(g).count
+
+
+# quotes, backslashes, control characters, non-ASCII and lone surrogates
+json_strings = st.text(
+    st.characters(exclude_categories=()) | st.sampled_from('"\\\x00\x1f\x7f\u2028é€😀')
+    | st.characters(categories=["Cs"])
+)
+json_ints = st.integers() | st.integers(min_value=2**64) | st.integers(max_value=-(2**64))
+json_values = st.recursive(
+    json_strings | json_ints | st.booleans() | st.none(),
+    lambda inner: st.lists(inner) | st.lists(inner).map(tuple) | st.dictionaries(json_strings, inner),
+    max_leaves=30,
+)
+survey_row_values = st.builds(
+    SurveyRow,
+    params=st.lists(st.integers(2, 99), max_size=5).map(tuple),
+    verdict=st.sampled_from(["nontrivial", "trivial-rank", "skipped", "solution"]),
+    count=st.none() | st.integers(0, 10**6),
+    partial=st.booleans(),
+    graph_hash=st.none() | st.text("0123456789abcdef", min_size=64, max_size=64),
+    reason=st.none() | json_strings,
+)
+s3_row_values = st.builds(
+    S3Row,
+    quadruple=st.tuples(*[st.integers(-99, 99)] * 4),
+    unique_good_initial=st.booleans(),
+    bumped_sums_hold=st.booleans(),
+    central_count_matches=st.booleans(),
+    pairing_jumps_match=st.booleans(),
+    reversal_is_good=st.booleans(),
+    count=st.integers(0, 99),
+    central_moves=st.integers(-1, 99),
+)
+
+
+@PROPERTY
+@given(json_values)
+@example("\ud800 \"\\\n\x00é😀")
+@example([2**64, -(2**70), True, False, None, [], (), {}, {"": [[{}]]}])
+def test_json_text_writes_the_bytes_of_json_dumps(value):
+    assert json_text(value) == json.dumps(value, indent=2)
+
+
+@PROPERTY
+@given(st.lists(survey_row_values | s3_row_values, max_size=4))
+@example([brieskorn_row((2, 4, 5))])  # skipped, with a reason
+def test_json_text_writes_rows_as_their_fields_in_order(rows):
+    assert json_text(rows) == json.dumps([r.to_obj() for r in rows], indent=2)
+
+
+@settings(PROPERTY, max_examples=10)
+@given(st.sampled_from([(2, 3, 5), (2, 3, 7), (3, 4, 5), (2, 5, 7)]), st.none() | st.just(2))
+def test_json_text_writes_a_report_with_sequences_as_json_dumps(params, early_stop):
+    obj = analyze(blow_down(sigma_star(params)), early_stop, emit_sequences=True).to_obj()
+    assert obj["sequences"]
+    assert json_text(obj) == json.dumps(obj, indent=2)

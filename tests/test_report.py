@@ -18,6 +18,7 @@ from plumbhf.report import (
     SurveyRow,
     analyze,
     brieskorn_row,
+    json_text,
     report_to_csv,
     reverify_cache,
     rows_to_csv,
@@ -348,6 +349,17 @@ def test_a_fresh_survey_cache_loads_back(tmp_path, max_a, early_stop):
         rows = survey_brieskorn(max_a=max_a, early_stop=early_stop, cache=cache)
     assert ResultCache(path).records == cache.records
     assert len(cache.records) == len(rows) == len(path.read_bytes().splitlines())
+
+
+@pytest.mark.parametrize(
+    "value",
+    [1.5, {1, 2}, b"x", {1: "a"}, {None: 1}, [0, 1.0], {"a": ({"b": frozenset()},)}, type("S", (str,), {})()],
+)
+def test_json_text_refuses_what_it_cannot_write_as_json_dumps_would(value):
+    """A float, a set, bytes, a dict key that is not a str, or a str
+    subclass, at any depth."""
+    with pytest.raises(TypeError):
+        json_text(value)
 
 
 def test_csv_and_json_rows_carry_identical_data():

@@ -1,6 +1,8 @@
+import itertools
 import math
 import random
 from fractions import Fraction
+from functools import cmp_to_key
 
 import pytest
 
@@ -8,7 +10,14 @@ from plumbhf.contfrac import expand_cf, expand_ratio
 from plumbhf.errors import NotCoprimeError
 from plumbhf.graph import build_graph, graph_determinant, is_negative_definite
 from plumbhf.report import analyze, s3_rows
-from plumbhf.seifert import SeifertInvariants, brieskorn, coprime_tuples, sigma_star, star_graph
+from plumbhf.seifert import (
+    SeifertInvariants,
+    _sort_rays,
+    brieskorn,
+    coprime_tuples,
+    sigma_star,
+    star_graph,
+)
 from support import (
     brute_quadruples,
     canonical_quadruple,
@@ -95,6 +104,26 @@ def test_seifert_invariants_sorted_and_validated():
         SeifertInvariants(-2, ((2, -3), (3, -2), (5, -4)))  # b out of range
     with pytest.raises(ValueError):
         SeifertInvariants(2, ((2, -1),))  # center must be negative
+
+
+def test_the_integer_ray_key_orders_every_pair_of_reduced_rays_by_ratio():
+    """The ray order fixes a star's vertex ids, and so every graph_hash."""
+    rays = [(a, b) for a in range(2, 41) for b in range(1 - a, 0) if math.gcd(a, b) == 1]
+    ratio = {r: Fraction(*r) for r in rays}
+    for r, s in itertools.permutations(rays, 2):
+        expected = (r, s) if ratio[r] > ratio[s] else (s, r)
+        assert _sort_rays((r, s), r[0] * s[0]) == expected
+
+
+def test_invariants_sort_rays_as_the_cross_multiplied_comparison_did():
+    """a/b > c/d iff a*d > c*b, as b, d < 0: the comparison the key replaced."""
+    by_ratio = cmp_to_key(lambda r, s: s[0] * r[1] - r[0] * s[1])
+    for t in coprime_tuples(30, 3):
+        product = math.prod(t)
+        rays = [(a, pow(product // a, -1, a) - a) for a in t]
+        m = (sum(b * (product // a) for a, b in rays) - 1) // product
+        for given in (rays, rays[::-1]):
+            assert SeifertInvariants(m, tuple(given)).rays == tuple(sorted(rays, key=by_ratio))
 
 
 def test_sphere_quadruple_validation():

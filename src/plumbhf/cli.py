@@ -24,10 +24,9 @@ from .report import (
     SurveyRow,
     analyze,
     brieskorn_verdict,
+    csv_text,
     json_text,
-    report_to_csv,
     reverify_cache,
-    rows_to_csv,
     sigma_star,
     survey_all_minus_two,
     survey_brieskorn,
@@ -146,13 +145,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(args, obj, to_csv) -> None:
-    """``obj`` as JSON, or the text ``to_csv()`` returns, to --output or stdout."""
-    text = to_csv() if args.format == "csv" else json_text(obj) + "\n"
+def _emit(args, value, header, records) -> None:
+    """``value`` as JSON, or ``header`` and ``records`` as CSV, to stdout or --output (UTF-8)."""
+    text = csv_text(header, records) if args.format == "csv" else json_text(value) + "\n"
     if args.output is None:
         sys.stdout.write(text)
     else:
-        Path(args.output).write_text(text)
+        Path(args.output).write_text(text, encoding="utf-8")
 
 
 def _cmd_report(args) -> int:
@@ -163,8 +162,10 @@ def _cmd_report(args) -> int:
     else:
         graph = parse_graph_file(args.graph_file)
     report = analyze(graph, early_stop=args.early_stop, emit_sequences=args.emit_sequences)
-    extra = {"verdict": brieskorn_verdict(report.good_initial_count)} if brieskorn else {}
-    _emit(args, {**report.to_obj(), **extra}, lambda: report_to_csv(report, extra))
+    obj = report.to_obj()
+    if brieskorn:
+        obj["verdict"] = brieskorn_verdict(report.good_initial_count)
+    _emit(args, obj, obj.keys(), [obj.values()])  # main refuses sequences with CSV
     return 0
 
 
@@ -178,7 +179,7 @@ def _cmd_survey(args) -> int:
             early_stop=None if args.full else args.early_stop,
             cache=cache,
         )
-        _emit(args, rows, lambda: rows_to_csv(rows, SurveyRow))
+        _emit(args, rows, SurveyRow._fields, map(SurveyRow._key, rows))
         if args.reverify_sample:
             problems = reverify_cache(cache, rows, args.reverify_sample)
             if problems:
@@ -190,13 +191,13 @@ def _cmd_survey(args) -> int:
 
 def _cmd_all_minus_two(args) -> int:
     rows = survey_all_minus_two(max_p=args.max_p, rays=args.rays)
-    _emit(args, rows, lambda: rows_to_csv(rows, SurveyRow))
+    _emit(args, rows, SurveyRow._fields, map(SurveyRow._key, rows))
     return 0
 
 
 def _cmd_s3(args) -> int:
     rows = s3_rows(args.bound)
-    _emit(args, rows, lambda: rows_to_csv(rows, S3Row))
+    _emit(args, rows, S3Row._fields, map(S3Row._key, rows))
     failed = [r for r in rows if r.failures()]
     for r in failed:
         print(f"plumbhf: s3 {r.quadruple} fails {', '.join(r.failures())}", file=sys.stderr)

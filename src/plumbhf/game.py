@@ -149,12 +149,6 @@ class GoodSequence(Frozen):
     def graph(self) -> PlumbingGraph:
         return self.states[0].graph
 
-    def to_jsonable(self) -> dict:
-        return {
-            "states": [list(s.values) for s in self.states],
-            "moved": list(self.moved),
-        }
-
 
 def is_good_sequence(seq: GoodSequence) -> bool:
     """Replay against the definition, independent of the search engine."""

@@ -1,13 +1,15 @@
 """Reports, surveys, and the append-only result cache.
 
-Reports are frozen value classes (:class:`plumbhf.graph.Frozen`) whose
-JSON emissions are their fields in declaration order; the CSV emissions
-carry the same data column by column, with tuple-valued columns joined
-by ';'.  :func:`json_text` writes the JSON.  It gives the bytes of
+Reports are frozen value classes (:class:`plumbhf.graph.Frozen`),
+written from their fields in declaration order by two writers, with no
+dict built per row.  :func:`json_text` gives the bytes of
 ``json.dumps(value, indent=2)``, which CPython 3.10 to 3.12 encode in
 pure Python whenever an indent is set, from the C string encoder and one
-join per container, and it takes rows as they are, with no dict built
-per row.  The survey cache is a JSONL file keyed by the canonical graph
+join per container.  :func:`csv_text` writes a header and one line per
+record of values in header order, each value one cell: None is empty, a
+bool is true or false, a tuple is its items joined by ';', where an item
+that is itself a tuple is its items joined by ' ', and anything else is
+its str().  The survey cache is a JSONL file keyed by the canonical graph
 hash, reused only when the stored early_stop setting matches.  A cache
 keeps one append handle, opened on its first put, and writes each record
 as one whole line; close it, or use it as a context manager.
@@ -22,7 +24,7 @@ import math
 import time
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .contfrac import bumped_sum_check
 from .errors import ParseError, PlumbingError
@@ -37,18 +39,6 @@ from .graph import (
 from .seifert import _brieskorn_star, coprime_tuples, pairing_vector_from_rays, sigma_star
 
 ASSUMPTION_NOTE = "good initial associations are assumed linearly independent in Ker(U)"
-
-
-def _plain(value):
-    """Tuples become lists, recursively; everything else is emitted as is."""
-    if isinstance(value, tuple):
-        return [_plain(v) for v in value]
-    return value
-
-
-def _fields_obj(row) -> dict:
-    """A value object as a JSON object, keys in field order."""
-    return {name: _plain(getattr(row, name)) for name in row._fields}
 
 
 class AnalysisReport(Frozen):
@@ -71,7 +61,8 @@ class AnalysisReport(Frozen):
     sequences: tuple[dict, ...] | None = None
 
     def to_obj(self) -> dict:
-        obj = _fields_obj(self)
+        """The fields in order, as they are; sequences only when emitted."""
+        obj = dict(zip(self._fields, self._key(self)))
         if self.sequences is None:
             del obj["sequences"]
         return obj
@@ -106,7 +97,9 @@ def analyze(
         good_initials=result.initial_values(),
         elapsed_ms=elapsed_ms,
         early_stop=early_stop,
-        sequences=tuple(w.to_jsonable() for w in result.witnesses)
+        sequences=tuple(
+            {"states": [s.values for s in w.states], "moved": w.moved} for w in result.witnesses
+        )
         if emit_sequences
         else None,
     )
@@ -121,9 +114,6 @@ class SurveyRow(Frozen):
     partial: bool = False
     graph_hash: str | None = None
     reason: str | None = None
-
-    def to_obj(self) -> dict:
-        return _fields_obj(self)
 
 
 # one compact, key-sorted encoder for every cache record (json.dumps builds one per call)
@@ -353,9 +343,6 @@ class S3Row(Frozen):
         """The names of the five properties that do not hold."""
         return [name for name in self.PROPERTIES if not getattr(self, name)]
 
-    def to_obj(self) -> dict:
-        return _fields_obj(self)
-
 
 def s3_row(pair: tuple[int, int]) -> S3Row:
     """Check the five structural properties on the star of Sigma(pair) = S^3."""
@@ -457,31 +444,17 @@ def _csv_cell(value) -> str:
         return ""
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, (list, tuple)):
-        return ";".join(str(x) for x in value)
+    if isinstance(value, tuple):
+        return ";".join(" ".join(map(str, v)) if isinstance(v, tuple) else str(v) for v in value)
     return str(value)
 
 
-def _objs_to_csv(header: list[str], objs: Sequence[dict]) -> str:
-    """The header line, then one line per object; no rows give the header alone."""
+def csv_text(header: Iterable[str], records: Iterable[Iterable]) -> str:
+    """The header line, then one line per record of values in header order;
+    no records give the header alone."""
     import csv
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(header)
-    for obj in objs:
-        writer.writerow([_csv_cell(obj[k]) for k in header])
+    writer.writerows([_csv_cell(v) for v in record] for record in records)
     return buf.getvalue()
-
-
-def rows_to_csv(rows: Sequence, row_type: type) -> str:
-    """CSV with one row per survey/s3 row, one column per ``row_type`` field."""
-    return _objs_to_csv(list(row_type._fields), [r.to_obj() for r in rows])
-
-
-def report_to_csv(report: AnalysisReport, extra: dict | None = None) -> str:
-    """One CSV row of the report's fields, then any ``extra`` columns."""
-    obj = report.to_obj()
-    obj.pop("sequences", None)
-    obj["good_initials"] = [" ".join(str(x) for x in v) for v in obj["good_initials"]]
-    obj.update(extra or {})
-    return _objs_to_csv(list(obj), [obj])

@@ -2,6 +2,7 @@ import csv
 import gc
 import io
 import json
+import os
 import re
 import shlex
 import sys
@@ -15,7 +16,7 @@ from plumbhf.game import Association, GoodSequence, is_good_sequence
 from plumbhf.graph import blow_down, build_graph
 from plumbhf.report import S3Row, SurveyRow
 from plumbhf.seifert import sigma_star
-from support import chain, e8, write_graph_file
+from support import chain, e8, star, write_graph_file
 
 
 def run(capsys, *argv):
@@ -290,13 +291,51 @@ def test_survey_csv_matches_json(capsys):
         assert line["verdict"] == obj["verdict"]
 
 
+def _csv_cell(value):
+    """The documented CSV rendering of a JSON value."""
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, list):
+        return ";".join(" ".join(map(str, v)) if isinstance(v, list) else str(v) for v in value)
+    return str(value)
+
+
+@pytest.mark.parametrize(
+    "argv, good",
+    [
+        (["brieskorn", "2", "3", "7"], 2),
+        (["brieskorn", "9", "17", "19"], 64),
+        (["brieskorn", "2", "3"], 1),  # the empty graph: one empty initial
+        (["analyze", "{singular}"], 0),
+    ],
+    ids=["2-3-7", "9-17-19", "2-3", "no-good-initial"],
+)
+def test_every_report_cell_agrees_with_json(tmp_path, capsys, argv, good):
+    argv = [a.format(singular=graph_file(tmp_path, chain(-2, -1, -2))) for a in argv]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # the singular chain is not definite
+        _, json_out, _ = run(capsys, *argv)
+        _, csv_out, _ = run(capsys, *argv, "--format", "csv")
+    obj = json.loads(json_out)
+    [line] = csv.DictReader(io.StringIO(csv_out))
+    assert list(line) == list(obj)
+    assert ("verdict" in line) == (argv[0] == "brieskorn")
+    assert len(obj["good_initials"]) == obj["good_initial_count"] == good
+    assert line["good_initials"] == ";".join(" ".join(map(str, v)) for v in obj["good_initials"])
+    for key, value in obj.items():
+        if key != "elapsed_ms":  # a timing, from two separate runs
+            assert line[key] == _csv_cell(value), key
+
+
 def test_empty_survey_csv_is_the_header_alone(capsys):
     # the one tuple, (2, 3, 4), is not pairwise coprime
     code, out, _ = run(capsys, "survey", "--max-a", "4", "--format", "csv")
     assert code == 0
     lines = out.splitlines()
     assert len(lines) == 1
-    assert next(csv.reader(lines)) == list(SurveyRow(params=(2, 3, 5), verdict="x").to_obj())
+    assert next(csv.reader(lines)) == list(SurveyRow._fields)
     code, out, _ = run(capsys, "survey", "--max-a", "4")
     assert json.loads(out) == []
 
@@ -402,6 +441,31 @@ def test_missing_file_exits_1(capsys):
     code, out, err = run(capsys, "analyze", "/nonexistent/graph.json")
     assert code == 1
     assert err
+
+
+def test_output_is_utf8_whatever_the_locale(tmp_path):
+    """Under a C locale the interpreter's own encoding is ASCII; --output
+    still writes UTF-8, so a name beyond ASCII reaches the CSV file."""
+    import subprocess
+
+    name = "\u03a3 e8 \u2603"
+    path = graph_file(tmp_path, star(-2, [-2] * 4, [-2] * 2, [-2], name=name))
+    out = tmp_path / "report.csv"
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {
+        **os.environ,
+        "LC_ALL": "C",
+        "LANG": "C",
+        "PYTHONUTF8": "0",
+        "PYTHONCOERCECLOCALE": "0",
+        "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
+    }
+    argv = ["analyze", path, "--format", "csv", "--output", str(out)]
+    proc = subprocess.run(
+        [sys.executable, "-m", "plumbhf", *argv], env=env, capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert name in out.read_bytes().decode("utf-8")
 
 
 def test_module_entry_point():

@@ -18,10 +18,9 @@ from plumbhf.report import (
     SurveyRow,
     analyze,
     brieskorn_row,
+    csv_text,
     json_text,
-    report_to_csv,
     reverify_cache,
-    rows_to_csv,
     s3_rows,
     survey_all_minus_two,
     survey_brieskorn,
@@ -60,8 +59,8 @@ def test_analyze_emits_sequences_on_request():
     assert r.sequences is not None
     assert list(r.to_obj())[-3:] == ["early_stop", "assumes_independent_generators", "sequences"]
     seq = r.sequences[0]
-    assert seq["states"][0] == [0] * 8
-    assert seq["moved"] == []
+    assert seq["states"][0] == (0,) * 8
+    assert seq["moved"] == ()
 
 
 def test_analyze_early_stop_sets_partial():
@@ -144,7 +143,7 @@ def test_cache_reuse_and_append(tmp_path):
     # a fresh cache object reads the file back and prevents new appends
     with ResultCache(path) as cache2:
         rows2 = survey_brieskorn(max_a=7, rays=3, cache=cache2)
-        assert [r.to_obj() for r in rows2] == [r.to_obj() for r in rows1]
+        assert rows2 == rows1
         assert path.read_text().splitlines() == lines1
 
         # a different early_stop is a different cache key
@@ -364,8 +363,8 @@ def test_json_text_refuses_what_it_cannot_write_as_json_dumps_would(value):
 
 def test_csv_and_json_rows_carry_identical_data():
     rows = survey_brieskorn(max_a=7, rays=3)
-    objs = [r.to_obj() for r in rows]
-    parsed = list(csv.DictReader(io.StringIO(rows_to_csv(rows, SurveyRow))))
+    objs = json.loads(json_text(rows))
+    parsed = list(csv.DictReader(io.StringIO(csv_text(SurveyRow._fields, map(SurveyRow._key, rows)))))
     assert len(parsed) == len(objs)
     assert list(parsed[0]) == ["params", "verdict", "count", "partial", "graph_hash", "reason"]
     for obj, line in zip(objs, parsed):
@@ -379,7 +378,7 @@ def test_csv_and_json_rows_carry_identical_data():
 def test_report_csv_matches_json_fields():
     r = analyze(e8())
     obj = r.to_obj()
-    parsed = list(csv.DictReader(io.StringIO(report_to_csv(r))))
+    parsed = list(csv.DictReader(io.StringIO(csv_text(obj.keys(), [obj.values()]))))
     assert len(parsed) == 1
     line = parsed[0]
     assert list(line) == [
@@ -403,11 +402,12 @@ def test_report_csv_matches_json_fields():
     assert line["good_initial_count"] == str(obj["good_initial_count"])
     assert line["bad_vertices"] == ";".join(str(v) for v in obj["bad_vertices"])
     assert line["negative_definite"] == "true"
+    assert line["good_initials"] == ";".join(" ".join(map(str, v)) for v in obj["good_initials"])
 
 
 def test_s3_csv_columns_and_values():
     rows = s3_rows(8)
-    parsed = list(csv.DictReader(io.StringIO(rows_to_csv(rows, S3Row))))
+    parsed = list(csv.DictReader(io.StringIO(csv_text(S3Row._fields, map(S3Row._key, rows)))))
     assert list(parsed[0]) == [
         "quadruple",
         "unique_good_initial",
@@ -461,5 +461,5 @@ def test_each_survey_row_builds_sweeps_and_hashes_once(tmp_path, monkeypatch):
     monkeypatch.setattr(plumbhf.report, "AssociationGame", no_game)
     del stars[:], sweeps[:], hashes[:]
     warm = survey_brieskorn(max_a=12, cache=cache)
-    assert [r.to_obj() for r in warm] == [r.to_obj() for r in cold]
+    assert warm == cold
     assert len(stars) == len(sweeps) == len(hashes) == len(warm)

@@ -3,8 +3,9 @@
 Five subcommands: analyze (one graph file), brieskorn (one multiplicity
 tuple), survey (the Brieskorn sweep), all-minus-two (the all-(-2) star
 scan), s3 (two-ray property harness).  Exit codes: 0 all rows computed,
-2 some rows skipped, 1 invocation error, failed computation or an s3
-row that fails one of its properties.
+2 some rows skipped, 1 invocation error, failed computation (a failed
+engine self-check included) or an s3 row that fails one of its
+properties.  Output is UTF-8 whatever the locale.
 """
 
 from __future__ import annotations
@@ -146,12 +147,31 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _emit(args, value, header, records) -> None:
-    """``value`` as JSON, or ``header`` and ``records`` as CSV, to stdout or --output (UTF-8)."""
+    """``value`` as JSON, or ``header`` and ``records`` as CSV, in UTF-8.
+
+    Stdout gets the bytes through its binary layer when it has one (an
+    io.StringIO has not, and takes the text).  --output gets them in a
+    sibling temp file moved over the target, so a failed write leaves
+    the target as it was.
+    """
     text = csv_text(header, records) if args.format == "csv" else json_text(value) + "\n"
+    data = text.encode("utf-8")
     if args.output is None:
-        sys.stdout.write(text)
-    else:
-        Path(args.output).write_text(text, encoding="utf-8")
+        out = sys.stdout
+        if hasattr(out, "buffer"):
+            out.flush()
+            out.buffer.write(data)
+        else:
+            out.write(text)
+        return
+    path = Path(args.output)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "xb") as f:
+            f.write(data)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)  # gone already unless the write failed
 
 
 def _cmd_report(args) -> int:

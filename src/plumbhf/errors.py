@@ -39,3 +39,9 @@ class TooManyBadVerticesError(PlumbingError):
 
 class ParseError(PlumbingError):
     """A graph file does not match the expected schema."""
+
+
+class SelfCheckError(PlumbingError):
+    """A result failed the engine's own check of it: a tau minimum or a
+    kept start that is not a good initial, or a witness that fails its
+    replay.  It is a fault of the engine, not of its input."""

@@ -77,7 +77,7 @@ and Laufer additions (``laufer_steps``) of its tau walks.  A count keeps
 each good initial's offsets, checked to lie in 1..-m(v), and moves; the
 validated associations and witnesses are built when first read, and a
 survey row reads neither.  Every witness returned is replayed by
-``is_good_sequence`` from initial to final, or raises PlumbingError.
+``is_good_sequence`` from initial to final, or raises SelfCheckError.
 
 Everything here is integer vectors on one graph; the S^3 pairing vector
 that :mod:`plumbhf.report` pairs with witness states is built in
@@ -92,7 +92,7 @@ from heapq import heappop, heappush
 from operator import le
 from typing import Iterator, Sequence
 
-from .errors import PlumbingError, TooManyBadVerticesError
+from .errors import SelfCheckError, TooManyBadVerticesError
 from .graph import (
     Frozen,
     PlumbingGraph,
@@ -181,7 +181,7 @@ def reverse_negate(seq: GoodSequence) -> GoodSequence:
 def _witness(graph: PlumbingGraph, offsets: Sequence[int], moves: Sequence[int]) -> GoodSequence:
     """Play ``moves`` from offsets k: a move at v sets k(v) = 0 and adds 1
     at each neighbor, and each state is the Association n = m + 2k.
-    PlumbingError unless is_good_sequence accepts the whole sequence."""
+    SelfCheckError unless is_good_sequence accepts the whole sequence."""
     weights, nbrs, k = graph.weights, graph.neighbors, list(offsets)
     rows = [tuple(k)]
     for v in moves:
@@ -192,7 +192,7 @@ def _witness(graph: PlumbingGraph, offsets: Sequence[int], moves: Sequence[int])
     states = [Association(graph, tuple([m + 2 * x for m, x in zip(weights, r)])) for r in rows]
     seq = GoodSequence(tuple(states), tuple(moves))
     if not is_good_sequence(seq):
-        raise PlumbingError(f"play {list(moves)} from offsets {tuple(offsets)} fails the replay")
+        raise SelfCheckError(f"play {list(moves)} from offsets {tuple(offsets)} fails the replay")
     return seq
 
 
@@ -419,10 +419,10 @@ class AssociationGame:
             moves = self._play(s0)
             if moves is None:
                 if tau:
-                    raise PlumbingError(f"tau minimum with offsets {s0} is not a good initial")
+                    raise SelfCheckError(f"tau minimum with offsets {s0} is not a good initial")
                 continue
             if not self._is_initial(s0):
-                raise PlumbingError(f"good start with offsets {s0} is not an initial state")
+                raise SelfCheckError(f"good start with offsets {s0} is not an initial state")
             goods.append(tuple(s0))
             plays.append(tuple(moves))
             if early_stop is not None and len(goods) >= early_stop:

@@ -12,9 +12,12 @@ Each per-graph fact is computed once per graph object and kept on it.
 The determinant and definiteness come from one leaf-to-root sweep over
 the tree (:attr:`PlumbingGraph.forms`), which also checks that the
 edges form a forest, and connectedness from the component count that
-sweep establishes.  The bad vertices are the tuple
-:attr:`PlumbingGraph.bad`.  The canonical hash, which
-keys the result cache, is the sha256 of a compact JSON serialization
+sweep establishes.  The sweep orients each tree by vertex id when the
+edges number it parent-first (each vertex has at most one lower
+neighbor, as in every star), and otherwise by a breadth-first search
+over :attr:`PlumbingGraph.neighbors`; both orientations feed one fold.
+The bad vertices are the tuple :attr:`PlumbingGraph.bad`.  The
+canonical hash, which keys the result cache, is the sha256 of a compact JSON serialization
 formatted directly.  No matrix is ever built; all arithmetic is exact.
 These facts are :class:`cached_property` attributes: the standard
 descriptor, minus the lock that Python 3.10 and 3.11 take on every
@@ -150,10 +153,12 @@ class PlumbingGraph(Frozen):
         product of D_root over the roots.  Each subtree is a principal
         submatrix and D_v/E_v is its Schur pivot, so the form is
         negative definite iff every such pivot is negative, i.e. every
-        D_v is nonzero with sign (-1)^|subtree(v)|.  The empty graph has
-        det 1 and is vacuously negative definite.  Raises
-        CycleDetectedError if the edges do not form a forest, which only
-        a directly built graph can do.
+        D_v is nonzero with sign (-1)^|subtree(v)|; that holds for any
+        choice of roots, so either orientation of _sweep (by id for a
+        parent-first forest, else breadth-first) gives the same forms.
+        The empty graph has det 1 and is vacuously negative definite.
+        Raises CycleDetectedError if the edges do not form a forest,
+        which only a directly built graph can do.
         """
         d, e, roots = _sweep(self, 0)
         det = 1
@@ -221,25 +226,44 @@ def _sweep(g: PlumbingGraph, first: int) -> tuple[list[int], list[int], list[int
     """(D, E, roots) of the leaf-to-root sweep of PlumbingGraph.forms.
 
     ``first`` roots its own component; every other component is rooted
-    at its lowest vertex.
+    at its lowest vertex.  When the edges number the forest parent-first
+    (every edge (u, v) has 0 <= u < v, and no vertex is the high end of
+    two), as a star's do, and ``first`` has no lower neighbor, each
+    vertex's parent is its one lower neighbor and descending ids put
+    children before parents: no adjacency list is built.  Any other forest, or a
+    ``first`` with a lower neighbor, is oriented by breadth-first search
+    over ``neighbors``.  Both feed the one fold, and either way an edge
+    count other than n - roots raises CycleDetectedError.
     """
     n = g.vertex_count
-    nbrs = g.neighbors
-    parent: list[int | None] = [None] * n  # -1 for a root
-    order: list[int] = []  # breadth-first, so parents precede children
-    roots: list[int] = []
-    for r in [first, *range(n)] if n else []:
-        if parent[r] is not None:
-            continue
-        parent[r] = -1
-        roots.append(r)
-        component = [r]
-        for v in component:  # the list grows as it is walked
-            for u in nbrs[v]:
-                if parent[u] is None:
-                    parent[u] = v
-                    component.append(u)
-        order += component
+    parent: list[int | None] = [-1] * n  # -1 for a root
+    by_id = False
+    for u, v in g.edges:
+        if not 0 <= u < v or parent[v] >= 0:
+            break
+        parent[v] = u
+    else:
+        by_id = not n or parent[first] < 0
+    if by_id:
+        order: Sequence[int] = range(n)  # parents precede children
+        roots = [v for v, p in enumerate(parent) if p < 0]
+    else:
+        nbrs = g.neighbors
+        parent = [None] * n
+        order = []  # breadth-first, so parents precede children
+        roots = []
+        for r in [first, *range(n)] if n else []:
+            if parent[r] is not None:
+                continue
+            parent[r] = -1
+            roots.append(r)
+            component = [r]
+            for v in component:  # the list grows as it is walked
+                for u in nbrs[v]:
+                    if parent[u] is None:
+                        parent[u] = v
+                        component.append(u)
+            order += component
     if len(g.edges) != n - len(roots):
         raise CycleDetectedError(f"{len(g.edges)} edges on {n} vertices close a cycle")
     d = list(g.weights)

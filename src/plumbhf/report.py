@@ -3,10 +3,10 @@
 Reports are frozen value classes (:class:`plumbhf.graph.Frozen`),
 written from their fields in declaration order by two writers, with no
 dict built per row.  :func:`json_text` gives the bytes of
-``json.dumps(value, indent=2)``, which CPython 3.10 to 3.12 encode in
-pure Python whenever an indent is set, from the C string encoder and one
-join per container.  :func:`csv_text` writes a header and one line per
-record of values in header order, each value one cell: None is empty, a
+``json.dumps(value, indent=2)`` on CPython 3.10 to 3.13 (3.10 to 3.12
+encode that in pure Python whenever an indent is set) from the C string
+encoder and one join per container.  :func:`csv_text` writes a header
+and one line per record of values in header order, each value one cell: None is empty, a
 bool is true or false, a tuple is its items joined by ';', where an item
 that is itself a tuple is its items joined by ' ', and anything else is
 its str().  The survey cache is a JSONL file keyed by the canonical graph
@@ -27,7 +27,7 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from .contfrac import bumped_sum_check
-from .errors import ParseError, PlumbingError
+from .errors import ParseError, PlumbingError, SelfCheckError
 from .files import canonical_graph_hash
 from .game import AssociationGame, is_good_sequence, reverse_negate
 from .graph import (
@@ -217,7 +217,11 @@ def brieskorn_row(
     early_stop: int | None = 2,
     cache: ResultCache | None = None,
 ) -> SurveyRow:
-    """Analyze one Brieskorn sphere and classify it."""
+    """Analyze one Brieskorn sphere and classify it.
+
+    A PlumbingError makes the row ``skipped``, except a SelfCheckError,
+    a fault of the engine, which is raised again naming the params.
+    """
     params = tuple(multiplicities)
     try:
         graph = sigma_star(params)
@@ -237,6 +241,8 @@ def brieskorn_row(
             partial=partial,
             graph_hash=graph_hash,
         )
+    except SelfCheckError as exc:
+        raise SelfCheckError(f"Sigma{params}: {exc}") from exc
     except PlumbingError as exc:
         return SurveyRow(
             params=params,

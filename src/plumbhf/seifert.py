@@ -79,16 +79,19 @@ def star_graph(inv: SeifertInvariants, name: str | None = None) -> PlumbingGraph
     ids follow the canonical order used everywhere else (center 0, then
     the rays in the sorted order of the invariants).  A ray is reduced
     with -a < b < 0, so -a/-b is a/b in lowest terms and below -1.  The
-    edges (0, first vertex of each ray) sort before the chains' (v, v + 1).
+    spokes (0, first vertex of each ray) sort before the chains' (v, v + 1),
+    and every vertex but the center has one lower neighbor: the star is
+    numbered parent-first, which the forms sweep orients by id.
     """
     weights: list[int] = [inv.center_weight]
-    firsts: list[int] = []  # the first vertex of each ray
+    spokes: list[tuple[int, int]] = []
+    chains: list[tuple[int, int]] = []
     for a, b in inv.rays:
-        firsts.append(len(weights))
+        first = len(weights)
         weights += expand_ratio(-a, -b)
-    edges = [(0, f) for f in firsts]
-    edges += [(v, v + 1) for v in range(1, len(weights) - 1) if v + 1 not in firsts]
-    return PlumbingGraph(tuple(weights), tuple(edges), name)
+        spokes.append((0, first))
+        chains += zip(range(first, len(weights) - 1), range(first + 1, len(weights)))
+    return PlumbingGraph(tuple(weights), tuple(spokes + chains), name)
 
 
 def coprime_tuples(max_a: int, rays: int) -> list[tuple[int, ...]]:

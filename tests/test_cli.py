@@ -443,29 +443,81 @@ def test_missing_file_exits_1(capsys):
     assert err
 
 
-def test_output_is_utf8_whatever_the_locale(tmp_path):
-    """Under a C locale the interpreter's own encoding is ASCII; --output
-    still writes UTF-8, so a name beyond ASCII reaches the CSV file."""
-    import subprocess
-
-    name = "\u03a3 e8 \u2603"
-    path = graph_file(tmp_path, star(-2, [-2] * 4, [-2] * 2, [-2], name=name))
-    out = tmp_path / "report.csv"
+def _c_locale_env():
+    """A C locale, in which the interpreter's own stdout encoding is ASCII."""
     src = str(Path(__file__).resolve().parents[1] / "src")
-    env = {
+    return {
         **os.environ,
         "LC_ALL": "C",
         "LANG": "C",
         "PYTHONUTF8": "0",
         "PYTHONCOERCECLOCALE": "0",
+        "PYTHONDONTWRITEBYTECODE": "1",
         "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
     }
-    argv = ["analyze", path, "--format", "csv", "--output", str(out)]
-    proc = subprocess.run(
-        [sys.executable, "-m", "plumbhf", *argv], env=env, capture_output=True, text=True
+
+
+def test_output_is_utf8_whatever_the_locale(tmp_path):
+    """Under a C locale the interpreter's own encoding is ASCII; stdout and
+    --output still get UTF-8, so a name beyond ASCII reaches the CSV."""
+    import subprocess
+
+    name = "\u03a3 e8 \u2603"
+    path = graph_file(tmp_path, star(-2, [-2] * 4, [-2] * 2, [-2], name=name))
+    out = tmp_path / "report.csv"
+    argv = [sys.executable, "-m", "plumbhf", "analyze", path, "--format", "csv"]
+    for output in ([], ["--output", str(out)]):
+        proc = subprocess.run(argv + output, env=_c_locale_env(), capture_output=True)
+        assert proc.returncode == 0, proc.stderr
+        text = (out.read_bytes() if output else proc.stdout).decode("utf-8")
+        line = next(csv.DictReader(io.StringIO(text)))
+        assert line["name"] == name and line["good_initial_count"] == "1"
+
+
+def test_stdout_without_a_binary_layer_takes_the_text(monkeypatch):
+    """A caller that redirects stdout to an io.StringIO gets the text."""
+    out = io.StringIO()
+    monkeypatch.setattr(sys, "stdout", out)
+    assert main(["brieskorn", "2", "3", "5", "--format", "csv"]) == 0
+    assert next(csv.DictReader(io.StringIO(out.getvalue())))["verdict"] == "trivial-rank"
+
+
+@pytest.mark.skipif(sys.platform == "win32", reason="needs a POSIX file size limit")
+def test_a_failed_output_write_leaves_the_target_as_it_was(tmp_path):
+    """A file size limit fails the write of --output part way (EFBIG); the
+    old file keeps its bytes and no temp file is left beside it."""
+    import subprocess
+
+    dest = tmp_path / "rows.json"
+    dest.write_bytes(b"old bytes\n")
+    limit = 4096  # survey --max-a 12 writes about 7 kB
+    child = (
+        "import resource, signal, sys\n"
+        "signal.signal(signal.SIGXFSZ, signal.SIG_IGN)\n"
+        f"resource.setrlimit(resource.RLIMIT_FSIZE, ({limit}, {limit}))\n"
+        "from plumbhf.cli import main\n"
+        "sys.exit(main(sys.argv[1:]))\n"
     )
-    assert proc.returncode == 0, proc.stderr
-    assert name in out.read_bytes().decode("utf-8")
+    argv = ["survey", "--max-a", "12", "--output", str(dest)]
+    proc = subprocess.run(
+        [sys.executable, "-c", child, *argv], env=_c_locale_env(), capture_output=True, text=True
+    )
+    assert proc.returncode == 1 and "File too large" in proc.stderr, proc.stderr
+    assert dest.read_bytes() == b"old bytes\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["rows.json"]
+    assert main(argv) == 0 and len(json.loads(dest.read_text(encoding="utf-8"))) == 45
+    assert [p.name for p in tmp_path.iterdir()] == ["rows.json"]
+
+
+def test_a_failed_self_check_exits_1_naming_the_row(capsys, monkeypatch):
+    """A play that the engine itself then refuses is its fault, not the
+    row's: the survey stops with exit 1 instead of skipping the row."""
+    from plumbhf.game import AssociationGame
+
+    monkeypatch.setattr(AssociationGame, "_play", lambda self, offsets: None)
+    code, out, err = run(capsys, "survey", "--full", "--max-a", "7")
+    assert code == 1 and out == ""
+    assert "SelfCheckError: Sigma(2, 3, 5): tau minimum with offsets" in err, err
 
 
 def test_module_entry_point():

@@ -8,7 +8,7 @@ import weakref
 
 import pytest
 
-from plumbhf.errors import PlumbingError, TooManyBadVerticesError
+from plumbhf.errors import SelfCheckError, TooManyBadVerticesError
 from plumbhf.game import (
     Association,
     AssociationGame,
@@ -449,11 +449,11 @@ def test_a_bad_play_raises_instead_of_returning_a_witness(monkeypatch, start, pl
     g = build_graph([-2], [])  # both initials, k = 1 and k = 2, are good
     monkeypatch.setattr(AssociationGame, "_play", lambda self, state: list(play))
     offsets = ((start[0] + 2) // 2,)
-    with pytest.raises(PlumbingError, match=re.escape(f"play {play} from offsets {offsets} fails the replay")):
+    with pytest.raises(SelfCheckError, match=re.escape(f"play {play} from offsets {offsets} fails the replay")):
         AssociationGame(g).completes_to_good(assoc(g, *start))
     result = good_initial_count(g)
     assert result.count == 2
-    with pytest.raises(PlumbingError, match="fails the replay"):
+    with pytest.raises(SelfCheckError, match="fails the replay"):
         result.witnesses
 
 
@@ -541,7 +541,7 @@ def test_a_tau_initial_whose_play_fails_raises(monkeypatch):
         return None if tuple(state) == offsets else play(self, state)
 
     monkeypatch.setattr(AssociationGame, "_play", failing)
-    with pytest.raises(PlumbingError, match="not a good initial"):
+    with pytest.raises(SelfCheckError, match="not a good initial"):
         AssociationGame(g).good_initial_count()
 
 
@@ -555,10 +555,10 @@ def test_a_good_start_out_of_range_raises(monkeypatch, state):
     succeeds: none of these is an initial state of E8."""
     monkeypatch.setattr(AssociationGame, "_initial_states", lambda self: iter([state]))
     monkeypatch.setattr(AssociationGame, "_play", lambda self, state: [])
-    with pytest.raises(PlumbingError, match="is not an initial state"):
+    with pytest.raises(SelfCheckError, match="is not an initial state"):
         good_initial_count(e8(), early_stop=1)
     monkeypatch.setattr(AssociationGame, "_tau_states", lambda self: [tuple(state)])
-    with pytest.raises(PlumbingError, match="is not an initial state"):
+    with pytest.raises(SelfCheckError, match="is not an initial state"):
         good_initial_count(e8())
 
 

@@ -97,23 +97,42 @@ def test_intersection_matrix_entries():
     assert m == ((-2, 1, 0), (1, -3, 1), (0, 1, -5))
 
 
+def _by_bfs(g):
+    """Whether g's sweeps so far oriented a tree by breadth-first search:
+    only that orientation reads the adjacency list, a cached fact."""
+    return "neighbors" in vars(g)
+
+
 def test_determinant_matches_cofactor_oracle():
+    # random_forest numbers parent-first, which the sweep orients by id;
+    # relabeled_forest mostly does not, and takes the breadth-first search
     rng = random.Random(5)
-    for _ in range(200):
-        g = random_forest(rng, max_vertices=6)
-        rows = [list(r) for r in intersection_matrix(g)]
-        assert graph_determinant(g) == cofactor_det(rows)
+    graphs = [random_forest(rng, max_vertices=6) for _ in range(200)]
+    graphs += [relabeled_forest(rng, max_vertices=6) for _ in range(200)]
+    by_bfs = 0
+    for g in graphs:
+        assert graph_determinant(g) == cofactor_det([list(r) for r in intersection_matrix(g)])
+        by_bfs += _by_bfs(g)
+    assert min(by_bfs, len(graphs) - by_bfs) >= 50, by_bfs
 
 
 def test_complement_determinant_matches_cofactor_oracle():
-    """det(G - v) on connected trees, with every vertex as the root."""
+    """det(G - v) on connected trees, with every vertex as the root: by id
+    where v has no lower neighbor in a parent-first tree, else by search."""
     rng = random.Random(6)
-    for _ in range(100):
-        g = random_forest(rng, max_vertices=6, edge_chance=1.0)
+    graphs = [random_forest(rng, max_vertices=6, edge_chance=1.0) for _ in range(100)]
+    relabeled = (relabeled_forest(rng, max_vertices=6) for _ in range(200))
+    graphs += [g for g in relabeled if g.is_connected]
+    by_bfs = calls = 0
+    for g in graphs:
         rows = intersection_matrix(g)
         for v in range(g.vertex_count):
             minor = [r[:v] + r[v + 1 :] for i, r in enumerate(rows) if i != v]
-            assert complement_determinant(g, v) == cofactor_det([list(r) for r in minor])
+            fresh = PlumbingGraph(g.weights, g.edges)
+            assert complement_determinant(fresh, v) == cofactor_det([list(r) for r in minor])
+            by_bfs += _by_bfs(fresh)
+            calls += 1
+    assert min(by_bfs, calls - by_bfs) >= 150, (by_bfs, calls)
 
 
 def _sylvester_negative_definite(g):
@@ -125,21 +144,25 @@ def _sylvester_negative_definite(g):
 
 
 def test_forms_match_cofactor_and_sylvester_on_random_forests():
-    # weights up to +1 reach zero and positive pivots, and edge_chance < 1
-    # leaves some forests disconnected
+    # weights up to +1 reach zero and positive pivots, edge_chance < 1
+    # leaves some forests disconnected, and relabeled forests take the
+    # breadth-first orientation where random_forest's take the one by id
     rng = random.Random(17)
-    seen = {"disconnected": 0, "definite": 0, "singular": 0, "indefinite": 0}
-    for _ in range(400):
-        g = random_forest(rng, max_vertices=9, weight_range=(-5, 1))
+    graphs = [random_forest(rng, max_vertices=9, weight_range=(-5, 1)) for _ in range(400)]
+    graphs += [relabeled_forest(rng, max_vertices=9, weights=range(-5, 2)) for _ in range(400)]
+    seen = {"disconnected": 0, "definite": 0, "singular": 0, "indefinite": 0, "by_bfs": 0}
+    for g in graphs:
         det = cofactor_det([list(r) for r in intersection_matrix(g)])
         definite = _sylvester_negative_definite(g)
         assert graph_determinant(g) == det
         assert is_negative_definite(g) == definite
+        seen["by_bfs"] += _by_bfs(g)
         seen["disconnected"] += not g.is_connected
         seen["definite"] += definite
         seen["singular"] += det == 0
         seen["indefinite"] += det != 0 and not definite
     assert min(seen.values()) >= 20, seen
+    assert min(seen["by_bfs"], len(graphs) - seen["by_bfs"]) >= 150, seen
 
 
 def test_forms_of_singular_and_degenerate_graphs():

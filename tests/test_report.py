@@ -450,6 +450,7 @@ def test_each_survey_row_builds_sweeps_and_hashes_once(tmp_path, monkeypatch):
     stars = _count_calls(monkeypatch, plumbhf.seifert, "star_graph")
     sweeps = _count_calls(monkeypatch, PlumbingGraph, "forms")
     hashes = _count_calls(monkeypatch, PlumbingGraph, "canonical_hash")
+    adjacency = _count_calls(monkeypatch, PlumbingGraph, "neighbors")
     with ResultCache(tmp_path / "cache.jsonl") as cache:
         cold = survey_brieskorn(max_a=12, cache=cache)
     assert len(cold) == 45 and all(r.verdict != "skipped" for r in cold)
@@ -459,7 +460,9 @@ def test_each_survey_row_builds_sweeps_and_hashes_once(tmp_path, monkeypatch):
         raise AssertionError("a warm row ran the game")
 
     monkeypatch.setattr(plumbhf.report, "AssociationGame", no_game)
-    del stars[:], sweeps[:], hashes[:]
+    assert len(adjacency) == len(cold)  # the game reads it; the sweep orients a star by id
+    del stars[:], sweeps[:], hashes[:], adjacency[:]
     warm = survey_brieskorn(max_a=12, cache=cache)
     assert warm == cold
     assert len(stars) == len(sweeps) == len(hashes) == len(warm)
+    assert adjacency == []

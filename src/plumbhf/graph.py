@@ -65,7 +65,13 @@ class Frozen:
     """Base of the package's immutable value classes.
 
     A subclass's fields are its annotations, in order, with defaults as
-    class attributes.  Construction, equality, hashing and a
+    class attributes; no field without a default may follow one with a
+    default.  Each subclass that does not define its own ``__init__`` gets
+    one built once, when the class is made, whose parameters are the
+    fields (the way ``collections.namedtuple`` builds its ``__new__``), so
+    a field binds by position or by name, an omitted defaulted field takes
+    its default, and an unknown, missing, repeated or surplus argument
+    raises TypeError as any Python call does.  Equality, hashing and a
     dataclass-style repr follow from ``_fields``, and
     :func:`plumbhf.report.json_text` writes an instance as the JSON object
     of its fields in that order.  Setting or deleting an attribute raises
@@ -73,17 +79,10 @@ class Frozen:
     """
 
     def __init_subclass__(cls) -> None:
-        cls._fields = tuple(cls.__annotations__)
-        cls._required = frozenset(f for f in cls._fields if f not in vars(cls))
-        cls._known = frozenset(cls._fields)
-        cls._key = attrgetter(*cls._fields)  # not a method: self._key(obj) reads obj's fields
-
-    def __init__(self, *args, **kwargs) -> None:
-        given = len(args) + len(kwargs)
-        kwargs.update(zip(self._fields, args))  # this call's own dict becomes the instance's
-        if len(kwargs) < given or not self._required <= kwargs.keys() <= self._known:
-            raise TypeError(f"{type(self).__name__} takes the fields {', '.join(self._fields)}")
-        object.__setattr__(self, "__dict__", kwargs)
+        cls._fields = fields = tuple(cls.__annotations__)
+        cls._key = attrgetter(*fields)  # not a method: self._key(obj) reads obj's fields
+        if "__init__" not in vars(cls):
+            cls.__init__ = _field_init(cls, fields)
 
     def __eq__(self, other):
         same = other.__class__ is self.__class__
@@ -100,6 +99,22 @@ class Frozen:
         raise AttributeError(f"cannot set or delete {name!r}: {type(self).__name__} is frozen")
 
     __delattr__ = __setattr__
+
+
+def _field_init(cls: type, fields: tuple[str, ...]):
+    """``__init__(self, <fields>)``, storing the fields as the instance dict."""
+    defaults = tuple(vars(cls)[f] for f in fields if f in vars(cls))
+    if any(f not in vars(cls) for f in fields[len(fields) - len(defaults):]):
+        raise TypeError(f"{cls.__name__}: a field without a default follows one with a default")
+    params = ", ".join(fields)
+    items = ", ".join(f"{f!r}: {f}" for f in fields)
+    namespace = {"_set": object.__setattr__, "__builtins__": {}}
+    exec(f"def __init__(self, {params}):\n    _set(self, '__dict__', {{{items}}})", namespace)
+    init = namespace["__init__"]
+    init.__defaults__ = defaults
+    init.__qualname__ = f"{cls.__qualname__}.__init__"
+    init.__module__ = cls.__module__
+    return init
 
 
 class PlumbingGraph(Frozen):
@@ -122,8 +137,13 @@ class PlumbingGraph(Frozen):
 
     @cached_property
     def neighbors(self) -> tuple[tuple[int, ...], ...]:
+        """Each vertex's neighbors.  BadIdError for an edge with an id
+        outside 0..n-1, which only a directly built graph can have."""
+        n = len(self.weights)
         nbrs: list[list[int]] = [[] for _ in self.weights]
         for u, v in self.edges:
+            if not (0 <= u < n and 0 <= v < n):
+                raise BadIdError(f"edge ({u}, {v}) references a vertex outside 0..{n - 1}")
             nbrs[u].append(v)
             nbrs[v].append(u)
         return tuple(map(tuple, nbrs))
@@ -157,8 +177,9 @@ class PlumbingGraph(Frozen):
         choice of roots, so either orientation of _sweep (by id for a
         parent-first forest, else breadth-first) gives the same forms.
         The empty graph has det 1 and is vacuously negative definite.
-        Raises CycleDetectedError if the edges do not form a forest,
-        which only a directly built graph can do.
+        Raises CycleDetectedError if the edges do not form a forest, and
+        BadIdError for an edge id outside 0..n-1, which only a directly
+        built graph can do.
         """
         d, e, roots = _sweep(self, 0)
         det = 1
@@ -232,14 +253,15 @@ def _sweep(g: PlumbingGraph, first: int) -> tuple[list[int], list[int], list[int
     vertex's parent is its one lower neighbor and descending ids put
     children before parents: no adjacency list is built.  Any other forest, or a
     ``first`` with a lower neighbor, is oriented by breadth-first search
-    over ``neighbors``.  Both feed the one fold, and either way an edge
-    count other than n - roots raises CycleDetectedError.
+    over ``neighbors``, which raises BadIdError for an id outside 0..n-1.
+    Both feed the one fold, and either way an edge count other than
+    n - roots raises CycleDetectedError.
     """
     n = g.vertex_count
     parent: list[int | None] = [-1] * n  # -1 for a root
     by_id = False
     for u, v in g.edges:
-        if not 0 <= u < v or parent[v] >= 0:
+        if not 0 <= u < v < n or parent[v] >= 0:
             break
         parent[v] = u
     else:

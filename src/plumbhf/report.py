@@ -1,9 +1,10 @@
 """Reports, surveys, and the append-only result cache.
 
-Reports are frozen value classes (:class:`plumbhf.graph.Frozen`),
-written from their fields in declaration order by two writers, with no
-dict built per row.  :func:`json_text` gives the bytes of
-``json.dumps(value, indent=2)`` on CPython 3.10 to 3.13 (3.10 to 3.12
+Reports are frozen value classes (:class:`plumbhf.graph.Frozen`), each
+built by the constructor its class gets once, when it is made, with the
+fields as parameters, and written from their fields in declaration order
+by two writers, with no dict built per row.  :func:`json_text` gives the
+bytes of ``json.dumps(value, indent=2)`` on CPython 3.10 to 3.13 (3.10 to 3.12
 encode that in pure Python whenever an indent is set) from the C string
 encoder and one join per container.  :func:`csv_text` writes a header
 and one line per record of values in header order, each value one cell: None is empty, a
@@ -12,7 +13,10 @@ that is itself a tuple is its items joined by ' ', and anything else is
 its str().  The survey cache is a JSONL file keyed by the canonical graph
 hash, reused only when the stored early_stop setting matches.  A cache
 keeps one append handle, opened on its first put, and writes each record
-as one whole line; close it, or use it as a context manager.
+as one whole line of compact JSON with the keys det, early_stop,
+good_initial_count, graph_hash, initial_count and partial in that sorted
+order, formatted directly from those six fields with no encoder pass;
+close it, or use it as a context manager.
 """
 
 from __future__ import annotations
@@ -116,10 +120,6 @@ class SurveyRow(Frozen):
     reason: str | None = None
 
 
-# one compact, key-sorted encoder for every cache record (json.dumps builds one per call)
-_encode_record = json.JSONEncoder(separators=(",", ":"), sort_keys=True).encode
-
-
 class ResultCache:
     """Append-only JSONL cache of analyze results keyed by graph hash.
 
@@ -130,7 +130,7 @@ class ResultCache:
     A valid last line without its newline is terminated by the first
     put, which also makes the directory and opens the one append handle
     that ``close`` (or leaving a ``with`` block) closes; each record is
-    one write of a whole line, then a flush.
+    one write of a whole line (:func:`_record_line`), then a flush.
     """
 
     def __init__(self, path: str | Path) -> None:
@@ -175,7 +175,7 @@ class ResultCache:
         if key in self.records:
             return
         self.records[key] = record
-        line = _encode_record(record) + "\n"
+        line = _record_line(record)
         if self._fh is None:
             self.path.parent.mkdir(parents=True, exist_ok=True)
             self._fh = self.path.open("ab")
@@ -184,6 +184,19 @@ class ResultCache:
                 self._pending_newline = False
         self._fh.write(line.encode())
         self._fh.flush()
+
+
+def _record_line(rec: dict) -> str:
+    """The line ``json.dumps(rec, separators=(",", ":"), sort_keys=True)``
+    writes for a record of the six typed fields, newline included,
+    formatted directly as PlumbingGraph.canonical_hash formats its JSON."""
+    stop = rec["early_stop"]
+    return (
+        f'{{"det":{rec["det"]},"early_stop":{"null" if stop is None else stop},'
+        f'"good_initial_count":{rec["good_initial_count"]},'
+        f'"graph_hash":{encode_basestring_ascii(rec["graph_hash"])},'
+        f'"initial_count":{rec["initial_count"]},"partial":{"true" if rec["partial"] else "false"}}}\n'
+    )
 
 
 _RECORD_FIELDS = {

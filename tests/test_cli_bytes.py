@@ -2,10 +2,10 @@
 
 The digests pin the emitters, so a refactor of them must keep every byte.
 ``elapsed_ms`` is the one field that varies between runs; it is masked to
-0 in JSON and CSV before hashing.  The bytes of the cache file that a
-cold ``survey --cache`` writes are pinned the same way.  A digest changes
-only with a deliberate change to the output, together with a CHANGES.md
-line saying why.
+0 in JSON and CSV before hashing.  The bytes of the cache files that a
+cold early-stop ``survey --cache`` and a cold ``survey --full --cache``
+write are pinned the same way.  A digest changes only with a deliberate
+change to the output, together with a CHANGES.md line saying why.
 """
 
 import csv
@@ -36,6 +36,9 @@ COMMANDS = {
 
 # sha256 of the file a cold `survey --max-a 12 --cache PATH` writes (45 records)
 CACHE_SHA = "0e99a60f6c6377f6279a0ec93a42a0eca986764d384fce576f5eb1c0ec699ed7"
+# sha256 of the file a cold `survey --max-a 9 --full --cache PATH` writes
+# (18 records, each with "early_stop":null)
+FULL_CACHE_SHA = "065237da45e773ee34e75aef5d27f7dfce7cbfc5da664560cf110c2e8b00724b"
 
 
 def masked(text: str) -> str:
@@ -80,3 +83,17 @@ def test_cache_bytes_match_recorded_digest_and_a_warm_rerun_keeps_them(tmp_path,
     assert main(argv) == 0  # every row read from the cache, nothing appended
     assert capsys.readouterr().out == cold
     assert hashlib.sha256(path.read_bytes()).hexdigest() == CACHE_SHA
+
+
+def test_full_survey_cache_bytes_match_recorded_digest_and_a_warm_rerun_keeps_them(tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv("PLUMB_HF_CACHE", raising=False)
+    path = tmp_path / "cache.jsonl"
+    argv = ["survey", "--max-a", "9", "--full", "--cache", str(path)]
+    assert main(argv) == 0
+    cold = capsys.readouterr().out
+    lines = path.read_bytes().splitlines()
+    assert len(lines) == 18 and all(b'"early_stop":null,' in line for line in lines)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == FULL_CACHE_SHA
+    assert main(argv) == 0  # every row read from the cache, nothing appended
+    assert capsys.readouterr().out == cold
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == FULL_CACHE_SHA

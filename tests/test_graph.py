@@ -1,6 +1,7 @@
 import functools
 import json
 import random
+import re
 
 import pytest
 
@@ -8,6 +9,7 @@ from plumbhf.errors import BadIdError, CycleCreatedError, CycleDetectedError, Du
 from plumbhf.files import parse_graph_file
 from plumbhf.game import Association, AssociationGame, GoodInitialResult
 from plumbhf.graph import (
+    Frozen,
     PlumbingGraph,
     blow_down,
     build_graph,
@@ -15,7 +17,7 @@ from plumbhf.graph import (
     graph_determinant,
     is_negative_definite,
 )
-from plumbhf.report import analyze
+from plumbhf.report import analyze, brieskorn_row, s3_row
 from plumbhf.seifert import (
     brieskorn,
     coprime_tuples,
@@ -214,6 +216,69 @@ def test_graphs_are_frozen_values():
     ):
         with pytest.raises(TypeError):
             bad()
+
+
+@pytest.mark.parametrize("edges", [((-1, 0),), ((0, 3),), ((3, 0),), ((0, 1), (1, -3)), ((0, 1), (1, 2), (2, 3))])
+@pytest.mark.parametrize("fact", ["forms", "neighbors", "is_connected", "complement_determinant"])
+def test_a_directly_built_edge_outside_the_vertices_is_a_bad_id(edges, fact):
+    """An id past the end once raised IndexError, and a negative one
+    wrapped: (-1, 0) on three vertices had the forms of the edge (0, 2)."""
+    g = PlumbingGraph((-2, -2, -2), edges)
+    read = {
+        "forms": lambda: g.forms,
+        "neighbors": lambda: g.neighbors,
+        "is_connected": lambda: g.is_connected,
+        "complement_determinant": lambda: complement_determinant(g, 0),
+    }[fact]
+    bad = next(e for e in edges if not all(0 <= x < 3 for x in e))
+    with pytest.raises(BadIdError, match=re.escape(f"edge {bad} references a vertex outside 0..2")):
+        read()
+
+
+# one value of every Frozen class that takes the constructor Frozen builds from its fields
+FROZEN_SAMPLES = {
+    "PlumbingGraph": lambda: build_graph([-2, -3], [(0, 1)], name="pair"),
+    "GoodInitialResult": lambda: AssociationGame(sigma_star((2, 3, 7))).good_initial_count(),
+    "AnalysisReport": lambda: analyze(sigma_star((2, 3, 7)), 2),
+    "SurveyRow": lambda: brieskorn_row((2, 3, 7)),
+    "S3Row": lambda: s3_row((2, 3)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FROZEN_SAMPLES))
+def test_the_frozen_constructor_binds_its_fields_as_a_call_does(name):
+    obj = FROZEN_SAMPLES[name]()
+    cls = type(obj)
+    assert cls.__name__ == name
+    values = cls._key(obj)
+    by_name = dict(zip(cls._fields, values))
+    for built in (cls(*values), cls(**by_name)):
+        assert built == obj and repr(built) == repr(obj) and hash(built) == hash(obj)
+    required = [f for f in cls._fields if f not in vars(cls)]
+    for bad in (
+        lambda: cls(*values, nosuch=None),  # no such field
+        lambda: cls(**{f: v for f, v in by_name.items() if f != required[-1]}),  # one missing
+        lambda: cls(*values, **{cls._fields[0]: values[0]}),  # the first given twice
+        lambda: cls(*values, None),  # one value too many
+    ):
+        with pytest.raises(TypeError):
+            bad()
+    defaulted = [f for f in cls._fields if f in vars(cls)]
+    bare = cls(**{f: by_name[f] for f in required})
+    assert [getattr(bare, f) for f in defaulted] == [vars(cls)[f] for f in defaulted]
+    for field in (*cls._fields, "other"):
+        with pytest.raises(AttributeError):
+            setattr(obj, field, None)
+        with pytest.raises(AttributeError):
+            delattr(obj, field)
+
+
+def test_a_frozen_field_without_a_default_may_not_follow_one_with_a_default():
+    with pytest.raises(TypeError, match="without a default follows one with a default"):
+
+        class Misordered(Frozen):
+            first: int = 0
+            second: int
 
 
 def test_forms_are_computed_once_per_graph():

@@ -124,6 +124,16 @@ def test_readme_library_example_runs(capsys):
     assert capsys.readouterr().out
 
 
+def test_the_readme_cache_record_is_the_line_a_full_survey_writes(tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("### Result cache", 1)[1]
+    record = re.search(r"```\n(\{.*?\})\n```", section).group(1)
+    path = tmp_path / "cache.jsonl"
+    with ResultCache(path) as cache:
+        assert survey_brieskorn(max_a=5, early_stop=None, cache=cache)[0].params == (2, 3, 5)
+    assert path.read_text().splitlines()[0] == record
+
+
 def test_s3_rows_all_pass_small():
     rows = s3_rows(8)
     assert rows
@@ -348,6 +358,28 @@ def test_a_fresh_survey_cache_loads_back(tmp_path, max_a, early_stop):
         rows = survey_brieskorn(max_a=max_a, early_stop=early_stop, cache=cache)
     assert ResultCache(path).records == cache.records
     assert len(cache.records) == len(rows) == len(path.read_bytes().splitlines())
+
+
+def test_each_cache_record_is_one_line_of_compact_key_sorted_json(tmp_path):
+    """Each line is what json.dumps writes for its record, for null and
+    int early_stop, negative det, initial counts past 2**63 and a
+    graph_hash that needs escaping, and a survey's cache reads back."""
+    records = [
+        {"graph_hash": "a", "early_stop": None, "good_initial_count": 0, "partial": False, "det": -1, "initial_count": 0},
+        {"graph_hash": "b", "early_stop": 2, "good_initial_count": 2, "partial": True, "det": 1, "initial_count": 10**30},
+        {"graph_hash": 'c\u00e9"\\', "early_stop": 7, "good_initial_count": 3, "partial": False, "det": -123456789, "initial_count": 311_934_222_336},
+    ]
+    path = tmp_path / "cache.jsonl"
+    with ResultCache(path) as cache:
+        for rec in records:
+            cache.put(rec)
+        survey_brieskorn(max_a=9, early_stop=None, cache=cache)
+        survey_brieskorn(max_a=9, cache=cache)
+    lines = path.read_text(encoding="ascii").splitlines()
+    assert len(lines) == len(records) + 2 * 18
+    assert lines[: len(records)] == [json.dumps(r, separators=(",", ":"), sort_keys=True) for r in records]
+    assert lines == [json.dumps(json.loads(line), separators=(",", ":"), sort_keys=True) for line in lines]
+    assert ResultCache(path).records == cache.records
 
 
 @pytest.mark.parametrize(

@@ -150,9 +150,11 @@ def _emit(args, value, header, records) -> None:
     """``value`` as JSON, or ``header`` and ``records`` as CSV, in UTF-8.
 
     Stdout gets the bytes through its binary layer when it has one (an
-    io.StringIO has not, and takes the text).  --output gets them in a
-    sibling temp file moved over the target, so a failed write leaves
-    the target as it was.
+    io.StringIO has not, and takes the text); that layer is the raw
+    file under ``python -u``, whose write may take only some of the
+    bytes, so the rest are written until none is left.  --output gets
+    them in a sibling temp file moved over the target, so a failed write
+    leaves the target as it was.
     """
     text = csv_text(header, records) if args.format == "csv" else json_text(value) + "\n"
     data = text.encode("utf-8")
@@ -160,7 +162,9 @@ def _emit(args, value, header, records) -> None:
         out = sys.stdout
         if hasattr(out, "buffer"):
             out.flush()
-            out.buffer.write(data)
+            rest = memoryview(data)
+            while rest:
+                rest = rest[out.buffer.write(rest):]
         else:
             out.write(text)
         return

@@ -17,10 +17,6 @@ class CycleDetectedError(PlumbingError):
     """The edge set does not form a forest (self-loop or cycle)."""
 
 
-class CycleCreatedError(PlumbingError):
-    """A degree-2 blow-down would create a multi-edge or loop."""
-
-
 class OutOfRangeError(PlumbingError):
     """Continued-fraction expansion requested for a value >= -1."""
 

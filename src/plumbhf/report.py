@@ -125,8 +125,9 @@ class ResultCache:
 
     A line that is not UTF-8, or not a JSON object with a str graph_hash,
     an early_stop that is null or an int >= 1, an int good_initial_count
-    >= 0 and a bool partial (a torn last line, say), or with a count above
-    early_stop or partial below it, raises ParseError naming path:line.
+    >= 0, a bool partial, an int det and an int initial_count >= 0 (a
+    torn last line, say), or with a count above early_stop or partial
+    below it, raises ParseError naming path:line.
     A valid last line without its newline is terminated by the first
     put, which also makes the directory and opens the one append handle
     that ``close`` (or leaving a ``with`` block) closes; each record is
@@ -204,11 +205,13 @@ _RECORD_FIELDS = {
     "early_stop": lambda x: x is None or (type(x) is int and x >= 1),
     "good_initial_count": lambda x: type(x) is int and x >= 0,
     "partial": lambda x: type(x) is bool,
+    "det": lambda x: type(x) is int,
+    "initial_count": lambda x: type(x) is int and x >= 0,
 }
 
 
 def _check_record(rec: dict) -> None:
-    """KeyError or TypeError at the first missing or mistyped field a hit reads;
+    """KeyError or TypeError at the first missing or mistyped field;
     ValueError for a count no scan returns (it stops at early_stop, partial or not)."""
     for name, valid in _RECORD_FIELDS.items():
         if not valid(rec[name]):

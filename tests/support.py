@@ -10,12 +10,15 @@ quadruple reduction and pairing vector on plain (a1, b1, a2, b2)
 tuples, the Delta-descent survey
 verdict, the canonical hash through the json module, graph-file
 writing) are what the tests compare the package's answers with; no
-command runs them.
+command runs them.  ``time_limit`` fails a slow check that runs past
+its bound.
 """
 
 import hashlib
 import json
 import math
+import signal
+from contextlib import contextmanager
 from fractions import Fraction
 from pathlib import Path
 
@@ -367,3 +370,21 @@ def graph_to_obj(g):
 
 def write_graph_file(g, path):
     Path(path).write_text(json.dumps(graph_to_obj(g), indent=2) + "\n")
+
+
+@contextmanager
+def time_limit(seconds):
+    """Fail the enclosed block with AssertionError, which the package never
+    catches, once it has run ``seconds`` of wall time (SIGALRM, so only in
+    the main thread of a POSIX process)."""
+
+    def expire(signum, frame):
+        raise AssertionError(f"still running after the {seconds} s limit")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)

@@ -5,9 +5,11 @@ import json
 import os
 import re
 import shlex
+import subprocess
 import sys
 import warnings
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -16,13 +18,20 @@ from plumbhf.game import Association, GoodSequence, is_good_sequence
 from plumbhf.graph import blow_down, build_graph
 from plumbhf.report import S3Row, SurveyRow
 from plumbhf.seifert import sigma_star
-from support import chain, e8, star, write_graph_file
+from support import chain, e8, star, time_limit, write_graph_file
 
 
 def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def json_value(out):
+    """The value of a CLI JSON output, which is byte for byte json.dumps(value, indent=2)."""
+    value = json.loads(out)
+    assert out == json.dumps(value, indent=2) + "\n"
+    return value
 
 
 def graph_file(tmp_path, graph, name="graph.json"):
@@ -40,18 +49,6 @@ def test_analyze_json(tmp_path, capsys):
     assert obj["good_initial_count"] == 1
     assert obj["negative_definite"] is True
     assert obj["name"] == "e8"
-
-
-def test_analyze_csv_same_data(tmp_path, capsys):
-    path = graph_file(tmp_path, e8())
-    code, out, _ = run(capsys, "analyze", path)
-    obj = json.loads(out)
-    code, out, _ = run(capsys, "analyze", path, "--format", "csv")
-    assert code == 0
-    line = next(csv.DictReader(io.StringIO(out)))
-    for key in ("det", "good_initial_count", "initial_count", "vertex_count"):
-        assert line[key] == str(obj[key])
-    assert line["graph_hash"] == obj["graph_hash"]
 
 
 def test_analyze_output_file(tmp_path, capsys):
@@ -125,9 +122,10 @@ def test_brieskorn_nontrivial(capsys):
 def test_brieskorn_count_beyond_any_scan(capsys):
     """(9, 17, 19) has 3.1e11 initials; the exact count walks tau, and
     every emitted sequence replays against the game's rules."""
-    code, out, _ = run(capsys, "brieskorn", "9", "17", "19", "--emit-sequences")
+    with time_limit(60):
+        code, out, _ = run(capsys, "brieskorn", "9", "17", "19", "--emit-sequences")
     assert code == 0
-    obj = json.loads(out)
+    obj = json_value(out)
     assert obj["good_initial_count"] == 64
     assert obj["partial"] is False
     assert obj["initial_count"] == 309237645312
@@ -137,18 +135,6 @@ def test_brieskorn_count_beyond_any_scan(capsys):
         states = tuple(Association(graph, tuple(s)) for s in seq["states"])
         assert list(states[0].values) == initial
         assert is_good_sequence(GoodSequence(states, tuple(seq["moved"])))
-
-
-def test_brieskorn_csv_carries_the_json_verdict(capsys):
-    for argv in (["2", "3", "5"], ["2", "3", "7", "--early-stop", "2"]):
-        code, out, _ = run(capsys, "brieskorn", *argv)
-        obj = json.loads(out)
-        code, out, _ = run(capsys, "brieskorn", *argv, "--format", "csv")
-        assert code == 0
-        header, line = list(csv.reader(io.StringIO(out)))
-        assert header[-1] == "verdict"
-        assert line[-1] == obj["verdict"]
-        assert header[:-1] == [k for k in obj if k not in ("sequences", "verdict")]
 
 
 def test_brieskorn_not_coprime_exits_1(capsys):
@@ -177,21 +163,27 @@ def test_survey_defaults_match_explicit_flags(capsys, monkeypatch):
     assert rows("survey") == rows("survey", "--max-a", "30", "--early-stop", "2")
 
 
-def test_survey_brieskorn_with_cache(tmp_path, capsys):
+@pytest.mark.parametrize(
+    "argv, sample",
+    [(["--max-a", "20"], "50"), (["--full", "--max-a", "12"], "20")],
+    ids=["max-a-20", "full-max-a-12"],
+)
+def test_survey_brieskorn_with_cache(tmp_path, capsys, argv, sample):
     cache = tmp_path / "cache.jsonl"
-    code, out, _ = run(capsys, "survey", "--max-a", "7", "--cache", str(cache))
+    code, out, _ = run(capsys, "survey", *argv, "--cache", str(cache))
     assert code == 0
     rows = json.loads(out)
     assert {tuple(r["params"]): r["verdict"] for r in rows}[(2, 3, 5)] == "trivial-rank"
-    first = cache.read_text()
-    assert first
+    first = cache.read_text(encoding="ascii")
+    lines = first.splitlines()
+    assert len(lines) == len(rows)
+    for line in lines:
+        assert line == json.dumps(json.loads(line), separators=(",", ":"), sort_keys=True)
 
     # rerun reuses the cache without growing it, and reverify agrees
-    code, out, _ = run(
-        capsys, "survey", "--max-a", "7", "--cache", str(cache), "--reverify-sample", "5"
-    )
+    code, warm, _ = run(capsys, "survey", *argv, "--cache", str(cache), "--reverify-sample", sample)
     assert code == 0
-    assert json.loads(out) == rows
+    assert warm == out
     assert cache.read_text() == first
 
 
@@ -280,17 +272,6 @@ def test_survey_no_cache_by_default(tmp_path, capsys, monkeypatch):
     assert list(tmp_path.iterdir()) == []
 
 
-def test_survey_csv_matches_json(capsys):
-    code, json_out, _ = run(capsys, "all-minus-two", "--max-p", "5")
-    code, csv_out, _ = run(capsys, "all-minus-two", "--max-p", "5", "--format", "csv")
-    rows = json.loads(json_out)
-    lines = list(csv.DictReader(io.StringIO(csv_out)))
-    assert len(rows) == len(lines)
-    for obj, line in zip(rows, lines):
-        assert line["params"] == ";".join(str(x) for x in obj["params"])
-        assert line["verdict"] == obj["verdict"]
-
-
 def _csv_cell(value):
     """The documented CSV rendering of a JSON value."""
     if value is None:
@@ -306,11 +287,18 @@ def _csv_cell(value):
     "argv, good",
     [
         (["brieskorn", "2", "3", "7"], 2),
+        (["brieskorn", "2", "3", "7", "--early-stop", "2"], 2),
         (["brieskorn", "9", "17", "19"], 64),
         (["brieskorn", "2", "3"], 1),  # the empty graph: one empty initial
         (["analyze", "{singular}"], 0),
+        (["survey", "--max-a", "40"], None),  # 2,518 rows
+        (["s3", "--bound", "40"], None),
+        (["all-minus-two", "--max-p", "5"], None),
     ],
-    ids=["2-3-7", "9-17-19", "2-3", "no-good-initial"],
+    ids=[
+        "2-3-7", "2-3-7-stop-2", "9-17-19", "2-3", "no-good-initial",
+        "survey-40", "s3-40", "all-minus-two-5",
+    ],
 )
 def test_every_report_cell_agrees_with_json(tmp_path, capsys, argv, good):
     argv = [a.format(singular=graph_file(tmp_path, chain(-2, -1, -2))) for a in argv]
@@ -318,15 +306,20 @@ def test_every_report_cell_agrees_with_json(tmp_path, capsys, argv, good):
         warnings.simplefilter("ignore", UserWarning)  # the singular chain is not definite
         _, json_out, _ = run(capsys, *argv)
         _, csv_out, _ = run(capsys, *argv, "--format", "csv")
-    obj = json.loads(json_out)
-    [line] = csv.DictReader(io.StringIO(csv_out))
-    assert list(line) == list(obj)
-    assert ("verdict" in line) == (argv[0] == "brieskorn")
-    assert len(obj["good_initials"]) == obj["good_initial_count"] == good
-    assert line["good_initials"] == ";".join(" ".join(map(str, v)) for v in obj["good_initials"])
-    for key, value in obj.items():
-        if key != "elapsed_ms":  # a timing, from two separate runs
-            assert line[key] == _csv_cell(value), key
+    objs = json_value(json_out)
+    objs = objs if isinstance(objs, list) else [objs]
+    lines = list(csv.DictReader(io.StringIO(csv_out)))
+    assert len(lines) == len(objs) > 0
+    if good is not None:
+        [obj], [line] = objs, lines
+        assert ("verdict" in line) == (argv[0] == "brieskorn")
+        assert len(obj["good_initials"]) == obj["good_initial_count"] == good
+        assert line["good_initials"] == ";".join(" ".join(map(str, v)) for v in obj["good_initials"])
+    for obj, line in zip(objs, lines):
+        assert list(line) == list(obj)
+        for key, value in obj.items():
+            if key != "elapsed_ms":  # a timing, from two separate runs
+                assert line[key] == _csv_cell(value), key
 
 
 def test_empty_survey_csv_is_the_header_alone(capsys):
@@ -348,6 +341,10 @@ def test_s3_harness(capsys):
     for row in rows:
         assert row["unique_good_initial"]
         assert row["reversal_is_good"]
+    # the whole harness to bound 40 as a command: exit 1 names a failing row
+    argv = [sys.executable, "-m", "plumbhf", "s3", "--bound", "40"]
+    proc = subprocess.run(argv, env=_child_env(), capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stderr) == (0, "")
 
 
 def test_s3_exits_1_and_names_a_failing_quadruple(capsys, monkeypatch):
@@ -443,25 +440,21 @@ def test_missing_file_exits_1(capsys):
     assert err
 
 
+def _child_env(**env):
+    """This environment plus ``env``, with the package's source importable."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONDONTWRITEBYTECODE": "1", "PYTHONPATH": path, **env}
+
+
 def _c_locale_env():
     """A C locale, in which the interpreter's own stdout encoding is ASCII."""
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    return {
-        **os.environ,
-        "LC_ALL": "C",
-        "LANG": "C",
-        "PYTHONUTF8": "0",
-        "PYTHONCOERCECLOCALE": "0",
-        "PYTHONDONTWRITEBYTECODE": "1",
-        "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
-    }
+    return _child_env(LC_ALL="C", LANG="C", PYTHONUTF8="0", PYTHONCOERCECLOCALE="0")
 
 
 def test_output_is_utf8_whatever_the_locale(tmp_path):
     """Under a C locale the interpreter's own encoding is ASCII; stdout and
     --output still get UTF-8, so a name beyond ASCII reaches the CSV."""
-    import subprocess
-
     name = "\u03a3 e8 \u2603"
     path = graph_file(tmp_path, star(-2, [-2] * 4, [-2] * 2, [-2], name=name))
     out = tmp_path / "report.csv"
@@ -482,12 +475,37 @@ def test_stdout_without_a_binary_layer_takes_the_text(monkeypatch):
     assert next(csv.DictReader(io.StringIO(out.getvalue())))["verdict"] == "trivial-rank"
 
 
+def test_a_binary_layer_that_takes_part_of_each_write_gets_every_byte(capsys, monkeypatch):
+    """A raw file (stdout under python -u) may write fewer bytes than given."""
+    _, out, _ = run(capsys, "survey", "--max-a", "12")
+    got = bytearray()
+
+    def write(data):
+        got.extend(data[:4096])
+        return min(len(data), 4096)
+
+    raw = SimpleNamespace(flush=lambda: None, buffer=SimpleNamespace(write=write))
+    monkeypatch.setattr(sys, "stdout", raw)
+    assert main(["survey", "--max-a", "12"]) == 0
+    assert len(got) > 4096 and got == out.encode()
+
+
+def test_an_unbuffered_stdout_closed_early_exits_1():
+    """The reader takes 10 bytes of about 2 MB and closes the pipe."""
+    argv = [sys.executable, "-m", "plumbhf", "survey", "--max-a", "60"]
+    env = _child_env(PYTHONUNBUFFERED="1")
+    pipe = subprocess.PIPE
+    proc = subprocess.Popen(argv, env=env, stdout=pipe, stderr=pipe, text=True)
+    proc.stdout.read(10)
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert proc.returncode == 1 and "BrokenPipeError" in err, err
+
+
 @pytest.mark.skipif(sys.platform == "win32", reason="needs a POSIX file size limit")
 def test_a_failed_output_write_leaves_the_target_as_it_was(tmp_path):
     """A file size limit fails the write of --output part way (EFBIG); the
     old file keeps its bytes and no temp file is left beside it."""
-    import subprocess
-
     dest = tmp_path / "rows.json"
     dest.write_bytes(b"old bytes\n")
     limit = 4096  # survey --max-a 12 writes about 7 kB
@@ -521,9 +539,6 @@ def test_a_failed_self_check_exits_1_naming_the_row(capsys, monkeypatch):
 
 
 def test_module_entry_point():
-    import subprocess
-    import sys
-
     proc = subprocess.run(
         [sys.executable, "-m", "plumbhf", "brieskorn", "2", "3", "5", "--early-stop", "2"],
         capture_output=True,

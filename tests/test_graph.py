@@ -5,7 +5,7 @@ import re
 
 import pytest
 
-from plumbhf.errors import BadIdError, CycleCreatedError, CycleDetectedError, DuplicateEdgeError
+from plumbhf.errors import BadIdError, CycleDetectedError, DuplicateEdgeError
 from plumbhf.files import parse_graph_file
 from plumbhf.game import Association, AssociationGame, GoodInitialResult
 from plumbhf.graph import (
@@ -448,11 +448,14 @@ def test_blow_down_cascades():
     assert blow_down(g).weights == (-3,)
 
 
-def test_blow_down_double_edge_guard():
+def test_blow_down_refuses_a_directly_built_cycle():
     # unreachable through build_graph (forests only); construct directly
-    g = PlumbingGraph((-2, -1, -2), ((0, 1), (0, 2), (1, 2)))
-    with pytest.raises(CycleCreatedError):
-        blow_down(g)
+    for g in (
+        PlumbingGraph((-2, -1, -2), ((0, 1), (0, 2), (1, 2))),
+        PlumbingGraph((-2,) * 4, ((0, 1), (0, 3), (1, 2), (2, 3))),  # no -1 to blow down
+    ):
+        with pytest.raises(CycleDetectedError):
+            blow_down(g)
 
 
 def test_blow_down_preserves_abs_determinant():

@@ -26,7 +26,7 @@ from plumbhf.report import (
     survey_brieskorn,
 )
 from plumbhf.seifert import star_graph
-from support import coprime_pairs, descent_verdict, e8
+from support import coprime_pairs, descent_verdict, e8, time_limit
 
 
 def test_analyze_report_fields():
@@ -86,12 +86,13 @@ def test_every_survey_verdict_matches_the_delta_descent():
     """A second route to each verdict: Nemethi's Delta from the Seifert
     invariants alone, with no graph, forms or game."""
     sizes = {}
-    for a, rays in ((40, 3), (16, 4), (12, 5)):
-        rows = survey_brieskorn(max_a=a, rays=rays)
-        sizes[rays] = len(rows)
-        for row in rows:
-            assert row.verdict == descent_verdict(row.params), row
-    assert sizes == {3: 2518, 4: 109, 5: 6}
+    with time_limit(120):
+        for a, rays in ((100, 3), (16, 4), (12, 5)):
+            rows = survey_brieskorn(max_a=a, rays=rays)
+            sizes[rays] = len(rows)
+            for row in rows:
+                assert row.verdict == descent_verdict(row.params), row
+    assert sizes == {3: 44142, 4: 109, 5: 6}
     # two fibers give S^3, count 1: no descent
     pairs = coprime_pairs(60)
     assert len(pairs) == 492
@@ -299,6 +300,15 @@ def test_cache_reverify_covers_every_early_stop_of_a_graph(tmp_path):
             "partial has the wrong type",
         ),
         (
+            '{"early_stop":2,"good_initial_count":1,"graph_hash":"ab","initial_count":9,"partial":false}',
+            "KeyError: 'det'",
+        ),
+        (
+            '{"det":1,"early_stop":2,"good_initial_count":1,"graph_hash":"ab",'
+            '"initial_count":"many","partial":false}',
+            "initial_count has the wrong type or value: 'many'",
+        ),
+        (
             '{"early_stop":0,"good_initial_count":1,"graph_hash":"ab","partial":false}',
             "early_stop has the wrong type or value: 0",
         ),
@@ -308,19 +318,19 @@ def test_cache_reverify_covers_every_early_stop_of_a_graph(tmp_path):
         ),
         # well-typed records that no count produces
         (
-            '{"early_stop":null,"good_initial_count":-3,"graph_hash":"ab","partial":false}',
+            '{"det":1,"early_stop":null,"good_initial_count":-3,"graph_hash":"ab","initial_count":9,"partial":false}',
             "good_initial_count has the wrong type or value: -3",
         ),
         (
-            '{"early_stop":null,"good_initial_count":7,"graph_hash":"ab","partial":true}',
+            '{"det":1,"early_stop":null,"good_initial_count":7,"graph_hash":"ab","initial_count":9,"partial":true}',
             "ValueError: a partial count of 7 did not stop at early_stop None",
         ),
         (
-            '{"early_stop":2,"good_initial_count":7,"graph_hash":"ab","partial":false}',
+            '{"det":1,"early_stop":2,"good_initial_count":7,"graph_hash":"ab","initial_count":9,"partial":false}',
             "ValueError: good_initial_count 7 exceeds early_stop 2",
         ),
         (
-            '{"early_stop":3,"good_initial_count":1,"graph_hash":"ab","partial":true}',
+            '{"det":1,"early_stop":3,"good_initial_count":1,"graph_hash":"ab","initial_count":9,"partial":true}',
             "ValueError: a partial count of 1 did not stop at early_stop 3",
         ),
     ],
@@ -341,10 +351,10 @@ def test_consistent_records_at_the_edges_load(tmp_path):
     # a count below early_stop is exact, and one that stops at the last
     # initial reaches early_stop without being partial
     lines = [
-        '{"early_stop":null,"good_initial_count":0,"graph_hash":"a","partial":false}',
-        '{"early_stop":2,"good_initial_count":1,"graph_hash":"b","partial":false}',
-        '{"early_stop":2,"good_initial_count":2,"graph_hash":"c","partial":false}',
-        '{"early_stop":2,"good_initial_count":2,"graph_hash":"d","partial":true}',
+        '{"det":1,"early_stop":null,"good_initial_count":0,"graph_hash":"a","initial_count":9,"partial":false}',
+        '{"det":1,"early_stop":2,"good_initial_count":1,"graph_hash":"b","initial_count":9,"partial":false}',
+        '{"det":1,"early_stop":2,"good_initial_count":2,"graph_hash":"c","initial_count":9,"partial":false}',
+        '{"det":1,"early_stop":2,"good_initial_count":2,"graph_hash":"d","initial_count":9,"partial":true}',
     ]
     path = tmp_path / "cache.jsonl"
     path.write_text("\n".join(lines) + "\n")

@@ -8,12 +8,13 @@ A graph file is JSON of the form
 with "name" optional.  Ids may be arbitrary distinct integers; parsing
 renumbers them densely in ascending order.  A file that is not UTF-8,
 not JSON, nested too deeply to decode, or off the schema raises
-ParseError naming the file.
+ParseError naming the file, and an edge error names the edge's place
+in "edges" and the file's own ids.  ``json`` is imported only when a
+file is parsed.
 """
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 
 from .errors import ParseError, PlumbingError
@@ -33,7 +34,6 @@ def graph_from_obj(obj) -> PlumbingGraph:
     vertices = obj.get("vertices")
     if not isinstance(vertices, list):
         raise ParseError("vertices: expected list")
-    ids: list[int] = []
     weights_by_id: dict[int, int] = {}
     for i, entry in enumerate(vertices):
         if not isinstance(entry, dict) or set(entry) != {"id", "weight"}:
@@ -45,9 +45,9 @@ def graph_from_obj(obj) -> PlumbingGraph:
             raise ParseError(f"vertices[{i}].weight: expected integer, got {w!r}")
         if vid in weights_by_id:
             raise ParseError(f"vertices[{i}].id: duplicate id {vid}")
-        ids.append(vid)
         weights_by_id[vid] = w
-    index = {vid: j for j, vid in enumerate(sorted(ids))}
+    ids = sorted(weights_by_id)
+    index = {vid: j for j, vid in enumerate(ids)}
     edges_obj = obj.get("edges", [])
     if not isinstance(edges_obj, list):
         raise ParseError("edges: expected list")
@@ -63,14 +63,15 @@ def graph_from_obj(obj) -> PlumbingGraph:
             if x not in index:
                 raise ParseError(f"edges[{i}]: unknown vertex id {x}")
         edges.append((index[e[0]], index[e[1]]))
-    weights = [weights_by_id[vid] for vid in sorted(ids)]
+    weights = [weights_by_id[vid] for vid in ids]
     try:
-        return build_graph(weights, edges, name)
-    except PlumbingError as exc:
-        raise ParseError(f"edges: {exc}") from exc
+        return build_graph(weights, edges, name, ids=ids)
+    except PlumbingError as exc:  # it names edges[i] and the file's ids
+        raise ParseError(str(exc)) from exc
 
 
 def parse_graph_file(path: str | Path) -> PlumbingGraph:
+    import json
     try:
         obj = json.loads(Path(path).read_text(encoding="utf-8"))
     except UnicodeDecodeError as exc:

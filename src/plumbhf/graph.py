@@ -17,8 +17,11 @@ edges number it parent-first (each vertex has at most one lower
 neighbor, as in every star), and otherwise by a breadth-first search
 over :attr:`PlumbingGraph.neighbors`; both orientations feed one fold.
 The bad vertices are the tuple :attr:`PlumbingGraph.bad`.  The
-canonical hash, which keys the result cache, is the sha256 of a compact JSON serialization
-formatted directly.  No matrix is ever built; all arithmetic is exact.
+canonical hash, which keys the result cache, is the sha256 of a compact
+JSON serialization formatted directly; sha256 comes from CPython's
+builtin module (``_sha2``, or ``_sha256`` before 3.12), since
+``hashlib`` would load OpenSSL at start-up, and from ``hashlib`` only
+where neither is built.  No matrix is ever built; all arithmetic is exact.
 These facts are :class:`cached_property` attributes: the standard
 descriptor, minus the lock that Python 3.10 and 3.11 take on every
 first read, which costs more than reading a small fact does.
@@ -33,9 +36,16 @@ ones, both ascending, without a sort.
 from __future__ import annotations
 
 import functools
-import hashlib
 from operator import attrgetter
 from typing import Iterable, Sequence
+
+try:  # CPython's builtin sha256, as random.py takes sha512: hashlib loads OpenSSL
+    from _sha2 import sha256  # 3.12 on
+except ImportError:
+    try:
+        from _sha256 import sha256  # 3.10 and 3.11
+    except ImportError:
+        from hashlib import sha256
 
 from .errors import BadIdError, CycleDetectedError, DuplicateEdgeError
 
@@ -193,23 +203,28 @@ class PlumbingGraph(Frozen):
         edges = ",".join(f"[{u},{v}]" for u, v in self.edges)
         vertices = ",".join(f"[{v},{w}]" for v, w in enumerate(self.weights))
         blob = f'{{"edges":[{edges}],"vertices":[{vertices}]}}'
-        return hashlib.sha256(blob.encode()).hexdigest()
+        return sha256(blob.encode()).hexdigest()
 
 
 def build_graph(
     weights: Sequence[int],
     edges: Iterable[Sequence[int]] = (),
     name: str | None = None,
+    ids: Sequence[int] | None = None,
 ) -> PlumbingGraph:
     """Validate weights/edges and return a canonical PlumbingGraph.
 
     Vertex ids are the positions 0..n-1 of ``weights``.  Raises BadIdError
     for an endpoint outside that range, DuplicateEdgeError for a repeated
     unordered pair, and CycleDetectedError for a self-loop or any edge
-    that would close a cycle (the graph must be a forest).
+    that would close a cycle (the graph must be a forest).  Each error
+    names the edge by its place, ``edges[i]``; a self-loop, a repeat or a
+    cycle names its vertices as ``ids`` numbers them (a graph file's own
+    ids, say), by default by their positions.
     """
     ws = tuple(weights)
     n = len(ws)
+    label = range(n) if ids is None else ids
     parent = list(range(n))
 
     def find(x: int) -> int:
@@ -218,24 +233,23 @@ def build_graph(
             x = parent[x]
         return x
 
-    canon: list[tuple[int, int]] = []
-    seen: set[tuple[int, int]] = set()
-    for e in edges:
-        u, v = e
+    seen: dict[tuple[int, int], int] = {}  # canonical edge -> its place in edges
+    for i, (u, v) in enumerate(edges):
         if not (0 <= u < n) or not (0 <= v < n):
-            raise BadIdError(f"edge ({u}, {v}) references a vertex outside 0..{n - 1}")
+            raise BadIdError(f"edges[{i}]: edge ({u}, {v}) references a vertex outside 0..{n - 1}")
         if u == v:
-            raise CycleDetectedError(f"self-loop at vertex {u}")
+            raise CycleDetectedError(f"edges[{i}]: self-loop at vertex {label[u]}")
         key = (min(u, v), max(u, v))
         if key in seen:
-            raise DuplicateEdgeError(f"edge {key} appears twice")
-        seen.add(key)
+            raise DuplicateEdgeError(
+                f"edges[{i}]: edge [{label[u]}, {label[v]}] repeats edges[{seen[key]}]"
+            )
+        seen[key] = i
         ru, rv = find(u), find(v)
         if ru == rv:
-            raise CycleDetectedError(f"edge {key} closes a cycle")
+            raise CycleDetectedError(f"edges[{i}]: edge [{label[u]}, {label[v]}] closes a cycle")
         parent[ru] = rv
-        canon.append(key)
-    return PlumbingGraph(ws, tuple(sorted(canon)), name)
+    return PlumbingGraph(ws, tuple(sorted(seen)), name)
 
 
 def _sweep(g: PlumbingGraph, first: int) -> tuple[list[int], list[int], list[int]]:

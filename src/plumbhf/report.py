@@ -6,41 +6,48 @@ fields as parameters, and written from their fields in declaration order
 by two writers, with no dict built per row.  :func:`json_text` gives the
 bytes of ``json.dumps(value, indent=2)`` on CPython 3.10 to 3.13 (3.10 to 3.12
 encode that in pure Python whenever an indent is set) from the C string
-encoder and one join per container.  :func:`csv_text` writes a header
-and one line per record of values in header order, each value one cell: None is empty, a
-bool is true or false, a tuple is its items joined by ';', where an item
-that is itself a tuple is its items joined by ' ', and anything else is
-its str().  The survey cache is a JSONL file keyed by the canonical graph
+encoder and one join per container; that encoder is taken from ``_json``
+(``json.encoder`` where it is missing), so writing loads no JSON decoder.
+:func:`csv_text` writes a header and one line per record of values in
+header order, each value one cell: None is empty, a bool is true or
+false, a tuple is its items joined by ';', where an item that is itself
+a tuple is its items joined by ' ', and anything else is its str().
+The survey cache is a JSONL file keyed by the canonical graph
 hash, reused only when the stored early_stop setting matches.  A cache
 keeps one append handle, opened on its first put, and writes each record
 as one whole line of compact JSON with the keys det, early_stop,
 good_initial_count, graph_hash, initial_count and partial in that sorted
 order, formatted directly from those six fields with no encoder pass;
-close it, or use it as a context manager.
+close it, or use it as a context manager.  ``json`` is imported at the
+first cache line there is to decode, so a cold survey into an empty or
+new cache file never loads it.  The S^3 harness rows are in
+:mod:`plumbhf.s3`.
 """
 
 from __future__ import annotations
 
 import io
 import itertools
-import json
 import math
 import time
-from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .contfrac import bumped_sum_check
+try:  # the C encoder json.encoder itself uses; importing json would load its decoder too
+    from _json import encode_basestring_ascii
+except ImportError:
+    from json.encoder import encode_basestring_ascii
+
 from .errors import ParseError, PlumbingError, SelfCheckError
 from .files import canonical_graph_hash
-from .game import AssociationGame, is_good_sequence, reverse_negate
+from .game import AssociationGame
 from .graph import (
     Frozen,
     PlumbingGraph,
     graph_determinant,
     is_negative_definite,
 )
-from .seifert import _brieskorn_star, coprime_tuples, pairing_vector_from_rays, sigma_star
+from .seifert import coprime_tuples, sigma_star
 
 ASSUMPTION_NOTE = "good initial associations are assumed linearly independent in Ker(U)"
 
@@ -142,12 +149,15 @@ class ResultCache:
         if self.path.exists():
             with self.path.open("rb") as fh:
                 raw = b""
+                loads = None
                 for lineno, raw in enumerate(fh, 1):
                     try:
                         line = raw.decode("utf-8").strip()
                         if not line:
                             continue
-                        rec = json.loads(line)
+                        if loads is None:  # json loads at the first line to decode
+                            from json import loads
+                        rec = loads(line)
                         _check_record(rec)
                         key = (rec["graph_hash"], rec["early_stop"])
                     except (ValueError, KeyError, TypeError, RecursionError) as exc:
@@ -339,88 +349,6 @@ def reverify_cache(
                 f"cache mismatch for {rec['graph_hash'][:12]}: {rec} != {fresh}"
             )
     return problems
-
-
-class S3Row(Frozen):
-    """Per-quadruple verification outcomes for the two-ray S^3 family."""
-
-    quadruple: tuple[int, int, int, int]
-    unique_good_initial: bool
-    bumped_sums_hold: bool
-    central_count_matches: bool
-    pairing_jumps_match: bool
-    reversal_is_good: bool
-    count: int
-    central_moves: int
-
-    PROPERTIES = (
-        "unique_good_initial",
-        "bumped_sums_hold",
-        "central_count_matches",
-        "pairing_jumps_match",
-        "reversal_is_good",
-    )
-
-    def failures(self) -> list[str]:
-        """The names of the five properties that do not hold."""
-        return [name for name in self.PROPERTIES if not getattr(self, name)]
-
-
-def s3_row(pair: tuple[int, int]) -> S3Row:
-    """Check the five structural properties on the star of Sigma(pair) = S^3."""
-    inv, graph = _brieskorn_star(pair)
-    (a1, b1), (a2, b2) = inv.rays
-    result = AssociationGame(graph).good_initial_count()
-    expected_minimum = tuple(m + 2 for m in graph.weights)
-    unique = result.count == 1 and result.initials[0].values == expected_minimum
-    witness = result.witnesses[0] if result.witnesses else None
-
-    # the star lists the center, then the first ray, then the second
-    split = graph.neighbors[0][1]
-    t, s = graph.weights[1:split], graph.weights[split:]
-    bumped = bumped_sum_check(t, s) == (True, True)
-
-    central = witness.moved.count(0) if witness else -1
-    central_ok = central == a1 + a2 - 1
-
-    jumps_ok = False
-    reversal_ok = False
-    if witness is not None:
-        pv = pairing_vector_from_rays(t, s)
-        values = [  # strict: a length mismatch raises ValueError
-            sum(x * y for x, y in zip(pv, state.values, strict=True)) for state in witness.states
-        ]
-        jumps_ok = all(
-            after - before == (2 if moved == 0 else 0)
-            for before, after, moved in zip(values, values[1:], witness.moved)
-        )
-        reversal_ok = is_good_sequence(reverse_negate(witness))
-
-    return S3Row(
-        quadruple=(a1, b1, a2, b2),
-        unique_good_initial=unique,
-        bumped_sums_hold=bumped,
-        central_count_matches=central_ok,
-        pairing_jumps_match=jumps_ok,
-        reversal_is_good=reversal_ok,
-        count=result.count,
-        central_moves=central,
-    )
-
-
-def s3_rows(bound: int = 20) -> list[S3Row]:
-    """One row per sphere quadruple with a1 + a2 <= bound, sorted by
-    a1 + a2, then by the quadruple.
-
-    The sphere equation a1*a2 + a2*b1 + a1*b2 = 1 forces gcd(a1, a2) = 1.
-    Mod a1 it fixes b1 = (a2^-1 mod a1) - a1, and then
-    b2 = (1 - a1*a2 - a2*b1)/a1 falls in (-a2, 0).  So each coprime pair
-    x < y has exactly one quadruple: the rays of Sigma(x, y), whose center
-    is -1 and whose rays come ratio >= -2 first.
-    """
-    pairs = (t for t in coprime_tuples(bound - 2, 2) if sum(t) <= bound)
-    rows = [s3_row(t) for t in pairs]
-    return sorted(rows, key=lambda r: (r.quadruple[0] + r.quadruple[2],) + r.quadruple)
 
 
 # -- emission ---------------------------------------------------------------

@@ -18,9 +18,10 @@ forms sweep still checks that its edges form a forest.
 Two-ray data with m = -1 describe S^3 = Sigma(x, y); those quadruples
 (a1, b1, a2, b2) satisfy a1*a2 + a2*b1 + a1*b2 = 1 and carry exactly one
 ray ratio >= -2, which the invariants' order puts first.  The S^3
-harness (``report.s3_rows``) reads each quadruple off the rays of
-Sigma(x, y) for the coprime pairs that :func:`coprime_tuples`, the
-survey's tuple generator, lists, and plays on that same star.
+harness (:mod:`plumbhf.s3`, with the pairing vector of those two rays)
+reads each quadruple off the rays of Sigma(x, y) for the coprime pairs
+that :func:`coprime_tuples`, the survey's tuple generator, lists, and
+plays on that same star.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ import math
 from itertools import combinations
 from typing import Sequence
 
-from .contfrac import convergents, expand_ratio
+from .contfrac import expand_ratio
 from .errors import NonNegDefiniteError, NotCoprimeError
 from .graph import Frozen, PlumbingGraph, is_negative_definite
 
@@ -145,24 +146,3 @@ def _brieskorn_star(
     if not is_negative_definite(star):
         raise NonNegDefiniteError(f"star of {a} is not negative definite")
     return inv, star
-
-
-def pairing_vector_from_rays(first: Sequence[int], second: Sequence[int]) -> tuple[int, ...]:
-    """The pairing vector from the weight chains of the two rays.
-
-    ``first`` is the ray whose ratio is >= -2.  Entries (in canonical
-    vertex order: center, first ray, second ray) are -A1*C1 at the
-    center, C1*B_i along the first ray and A1*D_j along the second,
-    where (A_i, B_i) and (C_j, D_j) are the convergent pairs of the two
-    chains.  Along any good sequence its pairing with the states jumps
-    by exactly 2 at center moves and 0 otherwise.
-    """
-    first_cv = convergents(first)
-    second_cv = convergents(second)
-    a1 = first_cv[0][0]
-    c1 = second_cv[0][0]
-    return (
-        (-a1 * c1,)
-        + tuple(c1 * b for _, b in first_cv[:-1])
-        + tuple(a1 * d for _, d in second_cv[:-1])
-    )

@@ -24,7 +24,8 @@ from pathlib import Path
 
 from plumbhf.contfrac import expand_ratio
 from plumbhf.graph import build_graph
-from plumbhf.seifert import coprime_tuples, pairing_vector_from_rays
+from plumbhf.s3 import pairing_vector_from_rays
+from plumbhf.seifert import coprime_tuples
 
 
 def star(center, *rays, name=None):

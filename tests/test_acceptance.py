@@ -14,7 +14,8 @@ from plumbhf.contfrac import expand_cf
 from plumbhf.files import canonical_graph_hash
 from plumbhf.game import AssociationGame
 from plumbhf.graph import blow_down, graph_determinant, is_negative_definite
-from plumbhf.report import s3_rows, survey_all_minus_two, survey_brieskorn
+from plumbhf.report import survey_all_minus_two, survey_brieskorn
+from plumbhf.s3 import s3_rows
 from plumbhf.seifert import brieskorn, sigma_star, star_graph
 from support import (
     blow_up_edge,

@@ -16,7 +16,8 @@ import pytest
 from plumbhf.cli import build_parser, main
 from plumbhf.game import Association, GoodSequence, is_good_sequence
 from plumbhf.graph import blow_down, build_graph
-from plumbhf.report import S3Row, SurveyRow
+from plumbhf.report import SurveyRow
+from plumbhf.s3 import S3Row
 from plumbhf.seifert import sigma_star
 from support import chain, e8, star, time_limit, write_graph_file
 
@@ -348,11 +349,11 @@ def test_s3_harness(capsys):
 
 
 def test_s3_exits_1_and_names_a_failing_quadruple(capsys, monkeypatch):
-    import plumbhf.cli
+    import plumbhf.s3
 
-    rows = plumbhf.cli.s3_rows(8)
+    rows = plumbhf.s3.s3_rows(8)
     rows[1] = S3Row(**{**vars(rows[1]), "bumped_sums_hold": False, "reversal_is_good": False})
-    monkeypatch.setattr(plumbhf.cli, "s3_rows", lambda bound: rows)
+    monkeypatch.setattr(plumbhf.s3, "s3_rows", lambda bound: rows)
     code, out, err = run(capsys, "s3", "--bound", "8")
     assert code == 1
     assert len(json.loads(out)) == 4  # the rows are still emitted

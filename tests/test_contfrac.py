@@ -4,8 +4,9 @@ from fractions import Fraction
 
 import pytest
 
-from plumbhf.contfrac import bumped_sum_check, convergents, expand_cf
+from plumbhf.contfrac import expand_cf
 from plumbhf.errors import OutOfRangeError
+from plumbhf.s3 import bumped_sum_check, convergents
 from support import eval_cf, reduced_fractions
 
 

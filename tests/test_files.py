@@ -63,6 +63,7 @@ def test_hash_ignores_name_only():
 
 
 def test_parse_errors_name_the_problem(tmp_path):
+    sparse = [{"id": vid, "weight": -2} for vid in (10, 20, 30)]
     cases = [
         ({"vertices": [{"id": 0, "weight": "two"}], "edges": []}, "weight"),
         ({"vertices": [{"id": 0}], "edges": []}, "id and weight"),
@@ -74,6 +75,12 @@ def test_parse_errors_name_the_problem(tmp_path):
         ({"edges": []}, "vertices"),
         ({"vertices": [], "edges": [], "extra": 1}, "unknown keys"),
         ([], "object"),
+        # structural edge errors name the edge's place and the file's own ids
+        ({"vertices": sparse, "edges": [[10, 20], [20, 30], [30, 10]]},
+         "edges[2]: edge [30, 10] closes a cycle"),
+        ({"vertices": sparse, "edges": [[10, 20], [20, 10]]},
+         "edges[1]: edge [20, 10] repeats edges[0]"),
+        ({"vertices": sparse, "edges": [[20, 30], [10, 10]]}, "edges[1]: self-loop at vertex 10"),
     ]
     for obj, needle in cases:
         with pytest.raises(ParseError) as err:

@@ -17,7 +17,8 @@ from plumbhf.graph import (
     graph_determinant,
     is_negative_definite,
 )
-from plumbhf.report import analyze, brieskorn_row, s3_row
+from plumbhf.report import analyze, brieskorn_row
+from plumbhf.s3 import s3_row
 from plumbhf.seifert import (
     brieskorn,
     coprime_tuples,

@@ -1,8 +1,9 @@
 """Property tests on random forests: the graph-file object round trip,
-the canonical hash, the game's count against the BFS oracle, and blow-up
+the canonical hash and its sha256, the game's count against the BFS oracle, and blow-up
 invariance of counts; and the CLI's JSON writer against json.dumps.
 Skipped when hypothesis is not installed."""
 
+import hashlib
 import json
 import warnings
 
@@ -13,8 +14,9 @@ from hypothesis import example, given, settings, strategies as st
 
 from plumbhf.files import canonical_graph_hash, graph_from_obj
 from plumbhf.game import good_initial_count, is_good_sequence
-from plumbhf.graph import blow_down, build_graph, is_negative_definite
-from plumbhf.report import S3Row, SurveyRow, analyze, brieskorn_row, json_text
+from plumbhf.graph import blow_down, build_graph, is_negative_definite, sha256 as graph_sha256
+from plumbhf.report import SurveyRow, analyze, brieskorn_row, json_text
+from plumbhf.s3 import S3Row
 from plumbhf.seifert import sigma_star
 from support import blow_up_edge, blow_up_leaf, graph_to_obj, oracle_count
 
@@ -63,6 +65,14 @@ def test_hash_survives_relabeling_and_reordering(g, data):
     h = graph_from_obj(obj)
     assert (h.weights, h.edges) == (g.weights, g.edges)
     assert canonical_graph_hash(h) == canonical_graph_hash(g)
+
+
+@PROPERTY
+@given(st.binary(max_size=4096))
+@example(b"")
+def test_graph_sha256_is_hashlib_sha256(data):
+    # the canonical hash takes sha256 from CPython's builtin module, not hashlib
+    assert graph_sha256(data).hexdigest() == hashlib.sha256(data).hexdigest()
 
 
 @st.composite

@@ -8,23 +8,23 @@ from pathlib import Path
 import pytest
 
 import plumbhf.report
+import plumbhf.s3
 import plumbhf.seifert
 from plumbhf.errors import ParseError
 from plumbhf.game import AssociationGame
 from plumbhf.graph import PlumbingGraph, build_graph
 from plumbhf.report import (
     ResultCache,
-    S3Row,
     SurveyRow,
     analyze,
     brieskorn_row,
     csv_text,
     json_text,
     reverify_cache,
-    s3_rows,
     survey_all_minus_two,
     survey_brieskorn,
 )
+from plumbhf.s3 import S3Row, s3_rows
 from plumbhf.seifert import star_graph
 from support import coprime_pairs, descent_verdict, e8, time_limit
 
@@ -249,7 +249,7 @@ def test_s3_rows_build_one_star_per_row(monkeypatch):
 
 
 def test_s3_pairing_needs_equal_lengths(monkeypatch):
-    monkeypatch.setattr(plumbhf.report, "pairing_vector_from_rays", lambda t, s: (1, 2))
+    monkeypatch.setattr(plumbhf.s3, "pairing_vector_from_rays", lambda t, s: (1, 2))
     with pytest.raises(ValueError, match="zip"):
         s3_rows(5)
 

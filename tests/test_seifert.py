@@ -9,7 +9,8 @@ import pytest
 from plumbhf.contfrac import expand_cf, expand_ratio
 from plumbhf.errors import NotCoprimeError
 from plumbhf.graph import build_graph, graph_determinant, is_negative_definite
-from plumbhf.report import analyze, s3_rows
+from plumbhf.report import analyze
+from plumbhf.s3 import s3_rows
 from plumbhf.seifert import (
     SeifertInvariants,
     _sort_rays,

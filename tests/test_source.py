@@ -1,4 +1,5 @@
 import ast
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -43,15 +44,75 @@ def test_every_error_type_is_raised_in_the_package():
     assert sorted(bases.keys() - raised) == []
 
 
-def test_cli_imports_only_what_a_run_executes():
-    # every run pays the CLI's import time, so modules that only some
-    # paths use (or none) are imported where they are used
-    unwanted = ("dataclasses", "inspect", "logging", "fractions", "decimal", "csv", "random")
-    code = (
-        f"import sys; sys.path.insert(0, {str(SOURCE.parent)!r}); import plumbhf.cli; "
-        f"print(' '.join(m for m in {unwanted!r} if m in sys.modules))"
-    )
-    # -S: no site hooks, so only the package's own imports count
-    run = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True)
+# a child's CLI run: stdout captured, so the child prints only what a test reads
+RUN_CLI = """
+import io
+def run_cli(argv):
+    sys.stdout = io.StringIO()
+    code = plumbhf.cli.main(argv)
+    out, sys.stdout = sys.stdout.getvalue(), sys.__stdout__
+    assert code == 0, code
+    return out
+"""
+
+
+def _child(code: str, *flags: str) -> str:
+    """stdout of a child that runs ``code`` with src/ first on its path."""
+    prelude = f"import sys\nsys.path.insert(0, {str(SOURCE.parent)!r})\n"
+    run = subprocess.run([sys.executable, *flags, "-c", prelude + code],
+                         capture_output=True, text=True)
     assert run.returncode == 0, run.stderr
-    assert run.stdout.split() == []
+    return run.stdout
+
+
+def _loaded_after(argv: list[str] | None, watched: tuple[str, ...]) -> list[str]:
+    """The ``watched`` modules a -S child has loaded after ``import plumbhf.cli``
+    and, given ``argv``, one CLI run."""
+    run = "" if argv is None else f"{RUN_CLI}run_cli({argv!r})\n"
+    # -S: no site hooks, so only the package's own imports count
+    out = _child(f"import plumbhf.cli\n{run}"
+                 f"print(' '.join(m for m in {watched!r} if m in sys.modules))\n", "-S")
+    return out.split()
+
+
+def test_cli_imports_only_what_a_run_executes(tmp_path):
+    # every run pays the CLI's import time, so modules that only some
+    # paths use (or none) are imported where they are used: sha256 comes
+    # without OpenSSL, JSON is decoded only where there is JSON to read,
+    # and the S^3 harness loads only for s3
+    unwanted = ("dataclasses", "inspect", "logging", "fractions", "decimal", "csv", "random",
+                "hashlib", "_hashlib", "json", "plumbhf.s3")
+    assert _loaded_after(None, unwanted) == []
+    cache = tmp_path / "cache.jsonl"
+    cache.write_bytes(b"")
+    survey = ["survey", "--max-a", "7", "--cache", str(cache)]
+    assert _loaded_after(["brieskorn", "3", "4", "11"], unwanted) == []
+    assert _loaded_after(survey, unwanted) == []  # cold: nothing to decode
+    assert cache.read_bytes().count(b"\n") == 8  # one line per coprime triple
+    # positive controls: the same check sees a decode and the harness
+    graph_file = tmp_path / "g.json"
+    graph_file.write_text('{"vertices": [{"id": 0, "weight": -1}], "edges": []}')
+    assert _loaded_after(survey, ("json",)) == ["json"]  # warm: eight lines decoded
+    assert _loaded_after(["analyze", str(graph_file)], ("json",)) == ["json"]
+    assert _loaded_after(["s3", "--bound", "8"], ("plumbhf.s3",)) == ["plumbhf.s3"]
+
+
+def test_builtin_sha256_and_string_encoder_fall_back_to_the_stdlib():
+    # without CPython's builtin _sha2/_sha256 and _json, the hash comes from
+    # hashlib and the string encoder from json.encoder, with the same bytes
+    code = "import plumbhf.cli\n" + RUN_CLI + """
+import plumbhf.graph, plumbhf.report
+from plumbhf.seifert import coprime_tuples, sigma_star
+print(plumbhf.graph.sha256.__module__, plumbhf.report.encode_basestring_ascii.__module__)
+print([sigma_star(t).canonical_hash for rays in (2, 3, 4) for t in coprime_tuples(12, rays)])
+print(run_cli(["brieskorn", "9", "17", "19"]))
+print(run_cli(["survey", "--max-a", "12"]))
+"""
+    default, fallback = (
+        re.sub(r'"elapsed_ms": \d+', "", _child(block + code)).split("\n", 1)
+        for block in ("", "sys.modules.update(_sha2=None, _sha256=None, _json=None)\n")
+    )
+    assert default[0].split() in (["_sha2", "_json"], ["_sha256", "_json"])
+    assert fallback[0].split() == ["_hashlib", "json.encoder"]
+    assert len(default[1]) > 30_000  # the hashes and both outputs
+    assert fallback[1] == default[1]

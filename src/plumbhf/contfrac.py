@@ -9,19 +9,14 @@ Every rational x < -1 has a unique expansion with all coefficients
 star-shaped plumbing.  The work is done on integer numerators and
 denominators: :func:`expand_ratio` is a Euclid loop.
 :class:`fractions.Fraction` appears only at the API boundary, as the
-input of :func:`expand_cf`, and is imported only when it runs.  The
-chains' convergents, which only the S^3 harness reads, are in
-:mod:`plumbhf.s3`.
+input of :func:`expand_cf`, and is imported only when it runs (an
+annotation is never evaluated).  The chains' convergents, which only
+the S^3 harness reads, are in :mod:`plumbhf.s3`.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
-
 from .errors import OutOfRangeError
-
-if TYPE_CHECKING:
-    from fractions import Fraction
 
 
 def expand_cf(x: Fraction | int) -> list[int]:

@@ -79,18 +79,17 @@ validated associations and witnesses are built when first read, and a
 survey row reads neither.  Every witness returned is replayed by
 ``is_good_sequence`` from initial to final, or raises SelfCheckError.
 
-Everything here is integer vectors on one graph; the S^3 pairing vector
-that :mod:`plumbhf.report` pairs with witness states is built in
-:mod:`plumbhf.seifert`.
+Everything here is integer vectors on one graph; the S^3 pairing vector,
+and its pairing with witness states, are in :mod:`plumbhf.s3`.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
+from collections.abc import Iterator, Sequence
 from heapq import heappop, heappush
 from operator import le
-from typing import Iterator, Sequence
 
 from .errors import SelfCheckError, TooManyBadVerticesError
 from .graph import (

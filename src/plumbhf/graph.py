@@ -36,8 +36,8 @@ ones, both ascending, without a sort.
 from __future__ import annotations
 
 import functools
+from collections.abc import Iterable, Sequence
 from operator import attrgetter
-from typing import Iterable, Sequence
 
 try:  # CPython's builtin sha256, as random.py takes sha512: hashlib loads OpenSSL
     from _sha2 import sha256  # 3.12 on

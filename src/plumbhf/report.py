@@ -30,8 +30,8 @@ import io
 import itertools
 import math
 import time
+from collections.abc import Iterable, Sequence
 from pathlib import Path
-from typing import Iterable, Sequence
 
 try:  # the C encoder json.encoder itself uses; importing json would load its decoder too
     from _json import encode_basestring_ascii
@@ -133,8 +133,8 @@ class ResultCache:
     A line that is not UTF-8, or not a JSON object with a str graph_hash,
     an early_stop that is null or an int >= 1, an int good_initial_count
     >= 0, a bool partial, an int det and an int initial_count >= 0 (a
-    torn last line, say), or with a count above early_stop or partial
-    below it, raises ParseError naming path:line.
+    torn last line, say), with any other key, or with a count above
+    early_stop or partial below it, raises ParseError naming path:line.
     A valid last line without its newline is terminated by the first
     put, which also makes the directory and opens the one append handle
     that ``close`` (or leaving a ``with`` block) closes; each record is
@@ -221,11 +221,14 @@ _RECORD_FIELDS = {
 
 
 def _check_record(rec: dict) -> None:
-    """KeyError or TypeError at the first missing or mistyped field;
-    ValueError for a count no scan returns (it stops at early_stop, partial or not)."""
+    """KeyError or TypeError at the first missing or mistyped field, and
+    TypeError for a key that is no field; ValueError for a count no scan
+    returns (it stops at early_stop, partial or not)."""
     for name, valid in _RECORD_FIELDS.items():
         if not valid(rec[name]):
             raise TypeError(f"{name} has the wrong type or value: {rec[name]!r}")
+    if len(rec) > len(_RECORD_FIELDS):  # every field is there, so rec is a dict
+        raise TypeError(f"unknown fields {sorted(rec.keys() - _RECORD_FIELDS.keys())}")
     count, stop = rec["good_initial_count"], rec["early_stop"]
     if stop is not None and count > stop:
         raise ValueError(f"good_initial_count {count} exceeds early_stop {stop}")
@@ -251,21 +254,18 @@ def brieskorn_row(
     params = tuple(multiplicities)
     try:
         graph = sigma_star(params)
-        graph_hash = canonical_graph_hash(graph)
-        cached = cache.get(graph_hash, early_stop) if cache is not None else None
-        if cached is not None:
-            count, partial = cached["good_initial_count"], cached["partial"]
-        else:
-            report = analyze(graph, early_stop=early_stop)
-            count, partial = report.good_initial_count, report.partial
+        rec = cache.get(canonical_graph_hash(graph), early_stop) if cache is not None else None
+        if rec is None:
+            rec = _cache_record(analyze(graph, early_stop=early_stop))
             if cache is not None:
-                cache.put(_cache_record(report))
+                cache.put(rec)
+        count = rec["good_initial_count"]
         return SurveyRow(
             params=params,
             verdict=brieskorn_verdict(count),
             count=count,
-            partial=partial,
-            graph_hash=graph_hash,
+            partial=rec["partial"],
+            graph_hash=rec["graph_hash"],
         )
     except SelfCheckError as exc:
         raise SelfCheckError(f"Sigma{params}: {exc}") from exc
@@ -278,14 +278,8 @@ def brieskorn_row(
 
 
 def _cache_record(report: AnalysisReport) -> dict:
-    return {
-        "graph_hash": report.graph_hash,
-        "early_stop": report.early_stop,
-        "good_initial_count": report.good_initial_count,
-        "partial": report.partial,
-        "det": report.det,
-        "initial_count": report.initial_count,
-    }
+    """The report's attributes that :data:`_RECORD_FIELDS` names."""
+    return {name: getattr(report, name) for name in _RECORD_FIELDS}
 
 
 def survey_brieskorn(

@@ -17,11 +17,11 @@ imports this module only when ``s3`` runs.
 
 from __future__ import annotations
 
-from typing import Sequence
+from collections.abc import Sequence
 
 from .game import AssociationGame, is_good_sequence, reverse_negate
 from .graph import Frozen
-from .seifert import _brieskorn_star, coprime_tuples
+from .seifert import brieskorn, coprime_tuples, star_graph
 
 
 def convergents(coeffs: Sequence[int]) -> list[tuple[int, int]]:
@@ -120,8 +120,9 @@ class S3Row(Frozen):
 
 def s3_row(pair: tuple[int, int]) -> S3Row:
     """Check the five structural properties on the star of Sigma(pair) = S^3."""
-    inv, graph = _brieskorn_star(pair)
+    inv = brieskorn(pair)
     (a1, b1), (a2, b2) = inv.rays
+    graph = star_graph(inv)
     result = AssociationGame(graph).good_initial_count()
     expected_minimum = tuple(m + 2 for m in graph.weights)
     unique = result.count == 1 and result.initials[0].values == expected_minimum

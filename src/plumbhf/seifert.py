@@ -9,8 +9,10 @@ which forces pairwise coprime a_i and |det| = 1 for the associated star.
 Each ray plumbs as the weight chain of the expansion of a_i/b_i.  For
 pairwise coprime multiplicities the data is recovered by solving
 b_i * (prod a / a_i) = 1 (mod a_i) with -a_i < b_i < 0.  Construction
-is integer-only, and a Brieskorn row builds one star: :func:`sigma_star`
-returns the very graph whose definiteness :func:`brieskorn` checks.
+is integer-only and runs one way, tuple to invariants to star:
+:func:`brieskorn` gives the invariants and builds no graph,
+:func:`star_graph` plumbs them, and :func:`sigma_star` is the two steps
+followed by the one definiteness check of a Brieskorn row's star.
 :func:`star_graph` builds a star directly in canonical form, with no
 ``build_graph`` validation pass: it is a tree by construction, and the
 forms sweep still checks that its edges form a forest.
@@ -27,8 +29,8 @@ plays on that same star.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from itertools import combinations
-from typing import Sequence
 
 from .contfrac import expand_ratio
 from .errors import NonNegDefiniteError, NotCoprimeError
@@ -111,24 +113,9 @@ def brieskorn(multiplicities: Sequence[int]) -> SeifertInvariants:
     otherwise).  Each b_i is the mod-a_i inverse of prod(a)/a_i shifted
     into (-a_i, 0); the center weight then comes out of the defining
     equation, which SeifertInvariants checks exactly along with m < 0
-    (ValueError otherwise).  The resulting star is verified negative
-    definite (NonNegDefiniteError otherwise).
+    (ValueError otherwise).  No graph is built: :func:`sigma_star`
+    builds and checks the star.
     """
-    return _brieskorn_star(multiplicities)[0]
-
-
-def sigma_star(params: tuple[int, ...]) -> PlumbingGraph:
-    """The unreduced star of the Brieskorn sphere Sigma(params).
-
-    It is the very graph :func:`brieskorn` checks for definiteness, so
-    its forms, and later its hash, are computed once.
-    """
-    return _brieskorn_star(params, name="sigma" + str(params))[1]
-
-
-def _brieskorn_star(
-    multiplicities: Sequence[int], name: str | None = None
-) -> tuple[SeifertInvariants, PlumbingGraph]:
     a = tuple(map(int, multiplicities))
     if not a:
         raise ValueError("at least one multiplicity is required")
@@ -141,8 +128,18 @@ def _brieskorn_star(
     product = math.prod(a)
     rays = tuple((ai, pow(product // ai, -1, ai) - ai) for ai in a)  # -a_i < b_i < 0
     m = (sum(bi * (product // ai) for ai, bi in rays) - 1) // product
-    inv = SeifertInvariants(m, rays)
-    star = star_graph(inv, name)
+    return SeifertInvariants(m, rays)
+
+
+def sigma_star(params: tuple[int, ...]) -> PlumbingGraph:
+    """The unreduced star of the Brieskorn sphere Sigma(params), named
+    ``sigma`` + str(params): :func:`star_graph` of :func:`brieskorn`'s
+    invariants, verified negative definite (NonNegDefiniteError otherwise).
+
+    The check's forms sweep stays on the graph, so the analysis that
+    follows does not repeat it.
+    """
+    star = star_graph(brieskorn(params), "sigma" + str(params))
     if not is_negative_definite(star):
-        raise NonNegDefiniteError(f"star of {a} is not negative definite")
-    return inv, star
+        raise NonNegDefiniteError(f"star of {params} is not negative definite")
+    return star

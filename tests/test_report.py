@@ -242,7 +242,7 @@ def test_s3_rows_build_one_star_per_row(monkeypatch):
         built.append(sum(inv.rays, ()))
         return star_graph(inv, name)
 
-    monkeypatch.setattr(plumbhf.seifert, "star_graph", counted)
+    monkeypatch.setattr(plumbhf.s3, "star_graph", counted)
     rows = s3_rows(20)
     assert len(rows) == 45
     assert sorted(built) == sorted(r.quadruple for r in rows)
@@ -315,6 +315,11 @@ def test_cache_reverify_covers_every_early_stop_of_a_graph(tmp_path):
         (
             '{"early_stop":true,"good_initial_count":1,"graph_hash":"ab","partial":false}',
             "early_stop has the wrong type",
+        ),
+        (  # a field no count writes, which would fail a reverify of a right count
+            '{"det":1,"early_stop":2,"good_initial_count":1,"graph_hash":"ab","initial_count":9,'
+            '"note":"x","partial":false}',
+            "TypeError: unknown fields ['note']",
         ),
         # well-typed records that no count produces
         (
@@ -489,6 +494,7 @@ def _count_calls(monkeypatch, owner, name):
 
 
 def test_each_survey_row_builds_sweeps_and_hashes_once(tmp_path, monkeypatch):
+    invariants = _count_calls(monkeypatch, plumbhf.seifert, "brieskorn")
     stars = _count_calls(monkeypatch, plumbhf.seifert, "star_graph")
     sweeps = _count_calls(monkeypatch, PlumbingGraph, "forms")
     hashes = _count_calls(monkeypatch, PlumbingGraph, "canonical_hash")
@@ -496,15 +502,15 @@ def test_each_survey_row_builds_sweeps_and_hashes_once(tmp_path, monkeypatch):
     with ResultCache(tmp_path / "cache.jsonl") as cache:
         cold = survey_brieskorn(max_a=12, cache=cache)
     assert len(cold) == 45 and all(r.verdict != "skipped" for r in cold)
-    assert len(stars) == len(sweeps) == len(hashes) == len(cold)
+    assert len(invariants) == len(stars) == len(sweeps) == len(hashes) == len(cold)
 
     def no_game(graph):
         raise AssertionError("a warm row ran the game")
 
     monkeypatch.setattr(plumbhf.report, "AssociationGame", no_game)
     assert len(adjacency) == len(cold)  # the game reads it; the sweep orients a star by id
-    del stars[:], sweeps[:], hashes[:], adjacency[:]
+    del invariants[:], stars[:], sweeps[:], hashes[:], adjacency[:]
     warm = survey_brieskorn(max_a=12, cache=cache)
     assert warm == cold
-    assert len(stars) == len(sweeps) == len(hashes) == len(warm)
+    assert len(invariants) == len(stars) == len(sweeps) == len(hashes) == len(warm)
     assert adjacency == []

@@ -6,10 +6,11 @@ from functools import cmp_to_key
 
 import pytest
 
+import plumbhf.seifert
 from plumbhf.contfrac import expand_cf, expand_ratio
-from plumbhf.errors import NotCoprimeError
+from plumbhf.errors import NonNegDefiniteError, NotCoprimeError
 from plumbhf.graph import build_graph, graph_determinant, is_negative_definite
-from plumbhf.report import analyze
+from plumbhf.report import analyze, brieskorn_row
 from plumbhf.s3 import s3_rows
 from plumbhf.seifert import (
     SeifertInvariants,
@@ -77,6 +78,23 @@ def test_brieskorn_single_multiplicity_is_a_sphere_chain():
 
 def test_brieskorn_order_insensitive():
     assert brieskorn((7, 2, 3)) == brieskorn((2, 3, 7))
+
+
+def test_brieskorn_builds_no_graph(monkeypatch):
+    def no_star(inv, name=None):
+        raise AssertionError("brieskorn built a star")
+
+    monkeypatch.setattr(plumbhf.seifert, "star_graph", no_star)
+    assert brieskorn((2, 3, 5)).rays == ((5, -4), (3, -2), (2, -1))
+
+
+def test_sigma_star_alone_checks_definiteness(monkeypatch):
+    monkeypatch.setattr(plumbhf.seifert, "is_negative_definite", lambda graph: False)
+    with pytest.raises(NonNegDefiniteError, match=r"star of \(2, 3, 5\) is not negative definite"):
+        sigma_star((2, 3, 5))
+    assert brieskorn((2, 3, 5)).center_weight == -2  # the invariants need no star
+    row = brieskorn_row((2, 3, 5))
+    assert row.verdict == "skipped" and row.reason.startswith("NonNegDefiniteError")
 
 
 def test_star_graph_poincare_is_e8():

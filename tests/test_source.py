@@ -81,7 +81,7 @@ def test_cli_imports_only_what_a_run_executes(tmp_path):
     # without OpenSSL, JSON is decoded only where there is JSON to read,
     # and the S^3 harness loads only for s3
     unwanted = ("dataclasses", "inspect", "logging", "fractions", "decimal", "csv", "random",
-                "hashlib", "_hashlib", "json", "plumbhf.s3")
+                "hashlib", "_hashlib", "json", "plumbhf.s3", "typing")
     assert _loaded_after(None, unwanted) == []
     cache = tmp_path / "cache.jsonl"
     cache.write_bytes(b"")

@@ -195,6 +195,9 @@ def _cmd_survey(args) -> int:
     if args.reverify_sample and not args.cache:
         args.subparser.error(f"--reverify-sample needs --cache or ${CACHE_ENV}")
     with ResultCache(args.cache) if args.cache else nullcontext() as cache:
+        if cache is not None and cache.torn_line is not None:
+            print(f"plumbhf: {cache.path}:{cache.torn_line}: skipped a torn last cache record",
+                  file=sys.stderr)
         rows = survey_brieskorn(
             max_a=args.max_a,
             rays=args.rays,

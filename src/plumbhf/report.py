@@ -12,16 +12,12 @@ encoder and one join per container; that encoder is taken from ``_json``
 header order, each value one cell: None is empty, a bool is true or
 false, a tuple is its items joined by ';', where an item that is itself
 a tuple is its items joined by ' ', and anything else is its str().
-The survey cache is a JSONL file keyed by the canonical graph
-hash, reused only when the stored early_stop setting matches.  A cache
-keeps one append handle, opened on its first put, and writes each record
-as one whole line of compact JSON with the keys det, early_stop,
-good_initial_count, graph_hash, initial_count and partial in that sorted
-order, formatted directly from those six fields with no encoder pass;
-close it, or use it as a context manager.  ``json`` is imported at the
-first cache line there is to decode, so a cold survey into an empty or
-new cache file never loads it.  The S^3 harness rows are in
-:mod:`plumbhf.s3`.
+The survey cache is a JSONL file of :class:`CountRecord` lines, one per
+graph hash and early_stop setting.  A cache keeps one append handle,
+opened on its first put; close it, or use it as a context manager.
+``json`` is imported at the first cache line there is to decode, so a
+cold survey into an empty or new cache file never loads it.  The S^3
+harness rows are in :mod:`plumbhf.s3`.
 """
 
 from __future__ import annotations
@@ -78,6 +74,10 @@ class AnalysisReport(Frozen):
             del obj["sequences"]
         return obj
 
+    def record(self) -> CountRecord:
+        """The six facts of this count that a survey row and the cache keep."""
+        return CountRecord(**{name: getattr(self, name) for name in CountRecord._fields})
+
 
 def analyze(
     graph: PlumbingGraph,
@@ -116,6 +116,55 @@ def analyze(
     )
 
 
+class CountRecord(Frozen):
+    """The six facts of one count, which a survey row and a cache line hold.
+
+    Built by keyword only, checking the fields in order: KeyError for the
+    first one missing, TypeError for a wrong type or value or a key that
+    is no field, then ValueError for a count no scan returns.
+    """
+
+    graph_hash: str
+    early_stop: int | None
+    good_initial_count: int
+    partial: bool
+    det: int
+    initial_count: int
+
+    def __init__(self, /, **fields) -> None:
+        for name in self._fields:
+            x = fields[name]
+            if name == "graph_hash":
+                valid = type(x) is str
+            elif name == "early_stop":
+                valid = x is None or (type(x) is int and x >= 1)
+            elif name == "partial":
+                valid = type(x) is bool
+            else:  # det is any int, and a count is at least 0
+                valid = type(x) is int and (x >= 0 or name == "det")
+            if not valid:
+                raise TypeError(f"{name} has the wrong type or value: {x!r}")
+        if len(fields) > len(self._fields):
+            raise TypeError(f"unknown fields {sorted(fields.keys() - self._fields)}")
+        count, stop = fields["good_initial_count"], fields["early_stop"]
+        if stop is not None and count > stop:
+            raise ValueError(f"good_initial_count {count} exceeds early_stop {stop}")
+        if fields["partial"] and count != stop:
+            raise ValueError(f"a partial count of {count} did not stop at early_stop {stop}")
+        vars(self).update(fields)
+
+    @property
+    def key(self) -> tuple[str, int | None]:  # a cache holds one record per key
+        return self.graph_hash, self.early_stop
+
+    def line(self) -> str:
+        """The cache line: ``json.dumps`` of the fields with ``separators=(",", ":")``
+        and ``sort_keys=True``, and a newline."""
+        return (f'{{"det":{self.det},"early_stop":{json_text(self.early_stop)},'
+                f'"good_initial_count":{self.good_initial_count},"graph_hash":{json_text(self.graph_hash)},'
+                f'"initial_count":{self.initial_count},"partial":{json_text(self.partial)}}}\n')
+
+
 class SurveyRow(Frozen):
     """One family member in a survey emission."""
 
@@ -128,43 +177,49 @@ class SurveyRow(Frozen):
 
 
 class ResultCache:
-    """Append-only JSONL cache of analyze results keyed by graph hash.
+    """Append-only JSONL cache of :class:`CountRecord` lines.
 
-    A line that is not UTF-8, or not a JSON object with a str graph_hash,
-    an early_stop that is null or an int >= 1, an int good_initial_count
-    >= 0, a bool partial, an int det and an int initial_count >= 0 (a
-    torn last line, say), with any other key, or with a count above
-    early_stop or partial below it, raises ParseError naming path:line.
-    A valid last line without its newline is terminated by the first
-    put, which also makes the directory and opens the one append handle
-    that ``close`` (or leaving a ``with`` block) closes; each record is
-    one write of a whole line (:func:`_record_line`), then a flush.
+    A line that is not UTF-8 or not JSON, or whose object ``CountRecord``
+    refuses, raises ParseError naming path:line, save one: a last line
+    without its newline that does not decode is a killed run's torn
+    write, so it is skipped, its number kept as ``torn_line``, and the
+    first put truncates the file at its start.  A valid last line
+    without its newline is terminated by the first put, which also makes
+    the directory and opens the one append handle that ``close`` (or
+    leaving a ``with`` block) closes; each record is one write of a whole
+    line (:meth:`CountRecord.line`), then a flush.
     """
 
     def __init__(self, path: str | Path) -> None:
         self.path = Path(path)
-        self.records: dict[tuple[str, int | None], dict] = {}
+        self.records: dict[tuple[str, int | None], CountRecord] = {}
+        self.torn_line: int | None = None  # the number of a torn last line, skipped
         self._fh = None
         self._pending_newline = False  # the file ends in a record without its newline
+        self._torn_at: int | None = None  # the offset of the torn line's first byte
         if self.path.exists():
             with self.path.open("rb") as fh:
                 raw = b""
                 loads = None
                 for lineno, raw in enumerate(fh, 1):
+                    decoded = False
                     try:
                         line = raw.decode("utf-8").strip()
                         if not line:
                             continue
                         if loads is None:  # json loads at the first line to decode
                             from json import loads
-                        rec = loads(line)
-                        _check_record(rec)
-                        key = (rec["graph_hash"], rec["early_stop"])
+                        fields = loads(line)
+                        decoded = True
+                        rec = CountRecord(**fields)
                     except (ValueError, KeyError, TypeError, RecursionError) as exc:
+                        if not decoded and not raw.endswith(b"\n"):  # a torn last line
+                            self.torn_line, self._torn_at = lineno, fh.tell() - len(raw)
+                            return
                         raise ParseError(
                             f"{self.path}:{lineno}: bad cache record ({type(exc).__name__}: {exc})"
                         ) from exc
-                    self.records[key] = rec
+                    self.records[rec.key] = rec
                 self._pending_newline = bool(raw) and not raw.endswith(b"\n")
 
     def __enter__(self) -> "ResultCache":
@@ -178,62 +233,25 @@ class ResultCache:
             self._fh.close()
             self._fh = None
 
-    def get(self, graph_hash: str, early_stop: int | None) -> dict | None:
+    def get(self, graph_hash: str, early_stop: int | None) -> CountRecord | None:
         return self.records.get((graph_hash, early_stop))
 
-    def put(self, record: dict) -> None:
-        key = (record["graph_hash"], record["early_stop"])
-        if key in self.records:
+    def put(self, record: CountRecord) -> None:
+        if record.key in self.records:
             return
-        self.records[key] = record
-        line = _record_line(record)
+        self.records[record.key] = record
+        line = record.line()
         if self._fh is None:
             self.path.parent.mkdir(parents=True, exist_ok=True)
             self._fh = self.path.open("ab")
+            if self._torn_at is not None:  # so the fragment never becomes a middle line
+                self._fh.truncate(self._torn_at)
+                self._torn_at = None
             if self._pending_newline:
                 line = "\n" + line
                 self._pending_newline = False
         self._fh.write(line.encode())
         self._fh.flush()
-
-
-def _record_line(rec: dict) -> str:
-    """The line ``json.dumps(rec, separators=(",", ":"), sort_keys=True)``
-    writes for a record of the six typed fields, newline included,
-    formatted directly as PlumbingGraph.canonical_hash formats its JSON."""
-    stop = rec["early_stop"]
-    return (
-        f'{{"det":{rec["det"]},"early_stop":{"null" if stop is None else stop},'
-        f'"good_initial_count":{rec["good_initial_count"]},'
-        f'"graph_hash":{encode_basestring_ascii(rec["graph_hash"])},'
-        f'"initial_count":{rec["initial_count"]},"partial":{"true" if rec["partial"] else "false"}}}\n'
-    )
-
-
-_RECORD_FIELDS = {
-    "graph_hash": lambda x: isinstance(x, str),
-    "early_stop": lambda x: x is None or (type(x) is int and x >= 1),
-    "good_initial_count": lambda x: type(x) is int and x >= 0,
-    "partial": lambda x: type(x) is bool,
-    "det": lambda x: type(x) is int,
-    "initial_count": lambda x: type(x) is int and x >= 0,
-}
-
-
-def _check_record(rec: dict) -> None:
-    """KeyError or TypeError at the first missing or mistyped field, and
-    TypeError for a key that is no field; ValueError for a count no scan
-    returns (it stops at early_stop, partial or not)."""
-    for name, valid in _RECORD_FIELDS.items():
-        if not valid(rec[name]):
-            raise TypeError(f"{name} has the wrong type or value: {rec[name]!r}")
-    if len(rec) > len(_RECORD_FIELDS):  # every field is there, so rec is a dict
-        raise TypeError(f"unknown fields {sorted(rec.keys() - _RECORD_FIELDS.keys())}")
-    count, stop = rec["good_initial_count"], rec["early_stop"]
-    if stop is not None and count > stop:
-        raise ValueError(f"good_initial_count {count} exceeds early_stop {stop}")
-    if rec["partial"] and count != stop:
-        raise ValueError(f"a partial count of {count} did not stop at early_stop {stop}")
 
 
 def brieskorn_verdict(count: int) -> str:
@@ -256,16 +274,15 @@ def brieskorn_row(
         graph = sigma_star(params)
         rec = cache.get(canonical_graph_hash(graph), early_stop) if cache is not None else None
         if rec is None:
-            rec = _cache_record(analyze(graph, early_stop=early_stop))
+            rec = analyze(graph, early_stop=early_stop).record()
             if cache is not None:
                 cache.put(rec)
-        count = rec["good_initial_count"]
         return SurveyRow(
             params=params,
-            verdict=brieskorn_verdict(count),
-            count=count,
-            partial=rec["partial"],
-            graph_hash=rec["graph_hash"],
+            verdict=brieskorn_verdict(rec.good_initial_count),
+            count=rec.good_initial_count,
+            partial=rec.partial,
+            graph_hash=rec.graph_hash,
         )
     except SelfCheckError as exc:
         raise SelfCheckError(f"Sigma{params}: {exc}") from exc
@@ -275,11 +292,6 @@ def brieskorn_row(
             verdict="skipped",
             reason=f"{type(exc).__name__}: {exc}",
         )
-
-
-def _cache_record(report: AnalysisReport) -> dict:
-    """The report's attributes that :data:`_RECORD_FIELDS` names."""
-    return {name: getattr(report, name) for name in _RECORD_FIELDS}
 
 
 def survey_brieskorn(
@@ -328,20 +340,20 @@ def reverify_cache(
     """
     import random
     params_by_hash = {r.graph_hash: r.params for r in rows if r.graph_hash}
-    keys = sorted(
-        (k for k in cache.records if k[0] in params_by_hash),
-        key=lambda k: (k[0], k[1] is None, k[1] or 0),  # None sorts after every K
+    eligible = sorted(
+        (rec for rec in cache.records.values() if rec.graph_hash in params_by_hash),
+        key=lambda r: (r.graph_hash, r.early_stop is None, r.early_stop or 0),  # None sorts after every K
     )
     rng = random.Random(0)  # a fixed seed, so a rerun checks the same records
-    picked = rng.sample([cache.records[k] for k in keys], min(sample, len(keys)))
     problems = []
-    for rec in picked:
-        graph = sigma_star(params_by_hash[rec["graph_hash"]])
-        fresh = _cache_record(analyze(graph, early_stop=rec["early_stop"]))
-        if fresh != rec:
-            problems.append(
-                f"cache mismatch for {rec['graph_hash'][:12]}: {rec} != {fresh}"
-            )
+    for rec in rng.sample(eligible, min(sample, len(eligible))):
+        graph = sigma_star(params_by_hash[rec.graph_hash])
+        fresh = analyze(graph, early_stop=rec.early_stop).record()
+        wrong = [f"{name}: cached {getattr(rec, name)}, recomputed {getattr(fresh, name)}"
+                 for name in rec._fields if getattr(rec, name) != getattr(fresh, name)]
+        if wrong:
+            problems.append(f"cache mismatch for {rec.graph_hash[:12]} (early_stop {rec.early_stop}): "
+                            + "; ".join(wrong))
     return problems
 
 

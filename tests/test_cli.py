@@ -189,6 +189,7 @@ def test_survey_brieskorn_with_cache(tmp_path, capsys, argv, sample):
 
 
 def test_survey_torn_cache_exits_1(tmp_path, capsys):
+    # a torn line that a newline terminated is refused: only a last line is skipped as torn
     cache = tmp_path / "cache.jsonl"
     run(capsys, "survey", "--max-a", "6", "--cache", str(cache))
     lines = cache.read_text().splitlines()
@@ -197,6 +198,25 @@ def test_survey_torn_cache_exits_1(tmp_path, capsys):
     assert code == 1
     assert out == ""
     assert f"ParseError: {cache}:{len(lines)}:" in err
+
+
+def test_survey_skips_a_torn_last_cache_line_and_cuts_it(tmp_path, capsys):
+    """A killed survey leaves a last line without its newline; a rerun says
+    so on stderr, keeps its exit code, and leaves the bytes of a run that
+    was never killed."""
+    clean, torn = tmp_path / "clean.jsonl", tmp_path / "torn.jsonl"
+    for path in (clean, torn):
+        code, out, err = run(capsys, "survey", "--max-a", "9", "--cache", str(path))
+        assert (code, err) == (0, "")
+    data = torn.read_bytes()
+    start = data.rindex(b"\n", 0, -1) + 1
+    torn.write_bytes(data[: start + (len(data) - start) // 2])  # torn mid-line
+    code, rerun, err = run(capsys, "survey", "--max-a", "9", "--cache", str(torn))
+    assert (code, rerun) == (0, out)
+    assert err == f"plumbhf: {torn}:{len(data.splitlines())}: skipped a torn last cache record\n"
+    assert torn.read_bytes() == clean.read_bytes() == data
+    assert run(capsys, "survey", "--max-a", "9", "--cache", str(torn)) == (0, out, "")
+    assert torn.read_bytes() == data
 
 
 def test_survey_non_utf8_cache_line_exits_1(tmp_path, capsys):

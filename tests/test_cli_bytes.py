@@ -1,60 +1,17 @@
-"""Exact CLI bytes: each command's stdout and exit code against a recorded digest.
+"""Exact CLI bytes under pytest: the recorded digests of ``cli_bytes.py``,
+and its stdlib-only runner, which a child runs as ``python tests/cli_bytes.py``."""
 
-The digests pin the emitters, so a refactor of them must keep every byte.
-``elapsed_ms`` is the one field that varies between runs; it is masked to
-0 in JSON and CSV before hashing.  The bytes of the cache files that a
-cold early-stop ``survey --cache`` and a cold ``survey --full --cache``
-write are pinned the same way.  A digest changes only with a deliberate
-change to the output, together with a CHANGES.md line saying why.
-"""
-
-import csv
 import hashlib
-import io
-import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import cli_bytes
+from cli_bytes import CACHE_SHA, COMMANDS, FULL_CACHE_SHA, masked
 from plumbhf.cli import main
 from support import e8, write_graph_file
-
-COMMANDS = {
-    "analyze e8": (["analyze", "{e8}"], 0, "243a0e8e5e344a89e16a33bf25d09eace179d263da34e2b38a1bd2dc13c334f0"),
-    "analyze e8 csv": (["analyze", "{e8}", "--format", "csv"], 0, "91601f3d2b5b5048e187dc3dff5426fd86853c58092eba8097ce8f352ed8ef40"),
-    "analyze e8 sequences": (["analyze", "{e8}", "--emit-sequences"], 0, "ba3bdff028850fa7a4cd9adec9afbf1f14e2bf3a3c1c224d81fd810eb9f6f3b4"),
-    "brieskorn 2 3 7": (["brieskorn", "2", "3", "7"], 0, "23ed9e7964c648dcf5137803b9bd812e33ab56b057680c55dfb8019b74ccecbc"),
-    "brieskorn 2 3 7 csv": (["brieskorn", "2", "3", "7", "--format", "csv"], 0, "e9fcafcded78d3c2401654228eca8dda96f546610c044dfdf549b71fe485bf83"),
-    "brieskorn 2 3 7 sequences": (["brieskorn", "2", "3", "7", "--emit-sequences"], 0, "17c539783ea3c9febe84d4c2fd7581eb132d8c555272f019d4e17e2231df1554"),
-    "survey 12": (["survey", "--max-a", "12"], 0, "9887a5156d572964e5d029679394b9088f3345db13bcfd8870138f756c437f4c"),
-    "survey 12 csv": (["survey", "--max-a", "12", "--format", "csv"], 0, "805c29ee703502409e9b13da560946a16a628099d1b05b0052f909fbbe6d3017"),
-    "survey 9 rays 4 full csv": (["survey", "--max-a", "9", "--rays", "4", "--full", "--format", "csv"], 0, "72244a71478552a7e00ba71bc056e20589a96f659321946215cf37aee259433f"),
-    "all-minus-two 6": (["all-minus-two", "--max-p", "6"], 0, "5d0311bdfeff58bf063f674492ae2c8bd3c71229928ca7859e09cdda9d0107bf"),
-    "all-minus-two 6 csv": (["all-minus-two", "--max-p", "6", "--format", "csv"], 0, "56471f29c2435df55e2e7c340efa1ab686f16d78d635e27e19e819fbaeac6c7f"),
-    "s3 14": (["s3", "--bound", "14"], 0, "cb843aa7e24a6449b17cceeec8572ffeb9a54e13658bcdd5de2770692fb68012"),
-    "s3 14 csv": (["s3", "--bound", "14", "--format", "csv"], 0, "8f1433589fc516348f7449feaab17d00eef84a0bf8e954e879214c814c95278a"),
-}
-
-# sha256 of the file a cold `survey --max-a 12 --cache PATH` writes (45 records)
-CACHE_SHA = "0e99a60f6c6377f6279a0ec93a42a0eca986764d384fce576f5eb1c0ec699ed7"
-# sha256 of the file a cold `survey --max-a 9 --full --cache PATH` writes
-# (18 records, each with "early_stop":null)
-FULL_CACHE_SHA = "065237da45e773ee34e75aef5d27f7dfce7cbfc5da664560cf110c2e8b00724b"
-
-
-def masked(text: str) -> str:
-    """``text`` with every elapsed_ms value set to 0 (a JSON key or a CSV column)."""
-    if "elapsed_ms" not in text or text.lstrip().startswith(("{", "[")):
-        return re.sub(r'("elapsed_ms": )\d+', r"\g<1>0", text)
-    lines = text.splitlines(keepends=True)
-    header = next(csv.reader(io.StringIO(lines[0])))
-    after = len(header) - 1 - header.index("elapsed_ms")  # cells right of it: none quoted
-    out = [lines[0]]
-    for line in lines[1:]:
-        body = line.rstrip("\r\n")
-        head, cell, *tail = body.rsplit(",", after + 1)
-        assert cell == next(csv.reader(io.StringIO(line)))[-after - 1] and cell.isdigit()
-        out.append(",".join([head, "0", *tail]) + line[len(body):])
-    return "".join(out)
 
 
 def digest(argv, capsys) -> tuple[int, str]:
@@ -97,3 +54,28 @@ def test_full_survey_cache_bytes_match_recorded_digest_and_a_warm_rerun_keeps_th
     assert main(argv) == 0  # every row read from the cache, nothing appended
     assert capsys.readouterr().out == cold
     assert hashlib.sha256(path.read_bytes()).hexdigest() == FULL_CACHE_SHA
+
+
+def test_the_stdlib_runner_passes_every_check_in_a_child():
+    script = Path(__file__).with_name("cli_bytes.py")
+    run = subprocess.run([sys.executable, str(script)], capture_output=True, text=True, timeout=300)
+    assert (run.returncode, run.stderr) == (0, "")
+    assert run.stdout.count("ok: ") == len(COMMANDS) + 2 and "FAIL" not in run.stdout
+    assert run.stdout.endswith(f"{len(COMMANDS) + 2} of {len(COMMANDS) + 2} byte checks pass\n")
+
+
+def test_the_stdlib_runner_fails_on_a_wrong_digest(monkeypatch, capsys):
+    name = "all-minus-two 6"
+    argv, code, sha = COMMANDS[name]
+    monkeypatch.setattr(cli_bytes, "COMMANDS", {name: (argv, code, "0" * 64)})
+    monkeypatch.setattr(cli_bytes, "FULL_CACHE_SHA", "1" * 64)
+    monkeypatch.setenv("PLUMB_HF_CACHE", "")  # main drops it; monkeypatch restores it
+    assert cli_bytes.main() == 1
+    out, err = capsys.readouterr()
+    assert out.splitlines() == [f"FAIL: {name}", "ok: cache survey 12", "FAIL: cache survey 9 full",
+                                "1 of 3 byte checks pass"]
+    assert err.splitlines() == [
+        f"{name}: exit 0, sha256 {sha}; recorded exit 0, sha256 {'0' * 64}",
+        f"cache survey 9 full: cache sha256 {FULL_CACHE_SHA} cold, {FULL_CACHE_SHA} warm (recorded {'1' * 64}), "
+        "exit 0 then 0, warm stdout equal to cold",
+    ]

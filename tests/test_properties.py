@@ -1,6 +1,7 @@
 """Property tests on random forests: the graph-file object round trip,
 the canonical hash and its sha256, the game's count against the BFS oracle, and blow-up
-invariance of counts; and the CLI's JSON writer against json.dumps.
+invariance of counts; and the CLI's JSON writer and the cache's record
+lines against json.dumps.
 Skipped when hypothesis is not installed."""
 
 import hashlib
@@ -15,7 +16,7 @@ from hypothesis import example, given, settings, strategies as st
 from plumbhf.files import canonical_graph_hash, graph_from_obj
 from plumbhf.game import good_initial_count, is_good_sequence
 from plumbhf.graph import blow_down, build_graph, is_negative_definite, sha256 as graph_sha256
-from plumbhf.report import SurveyRow, analyze, brieskorn_row, json_text
+from plumbhf.report import CountRecord, SurveyRow, analyze, brieskorn_row, json_text
 from plumbhf.s3 import S3Row
 from plumbhf.seifert import sigma_star
 from support import blow_up_edge, blow_up_leaf, graph_to_obj, oracle_count
@@ -179,3 +180,29 @@ def test_json_text_writes_a_report_with_sequences_as_json_dumps(params, early_st
     obj = analyze(blow_down(sigma_star(params)), early_stop, emit_sequences=True).to_obj()
     assert obj["sequences"]
     assert json_text(obj) == json.dumps(obj, indent=2)
+
+
+@st.composite
+def count_record_fields(draw):
+    """Fields no record refuses: any graph_hash, ints far past 2**63, and
+    partial only where the count stopped at early_stop."""
+    stop = draw(st.none() | st.integers(1, 2**70))
+    count = draw(st.integers(0, 2**70 if stop is None else stop))
+    return {
+        "graph_hash": draw(st.text()),
+        "early_stop": stop,
+        "good_initial_count": count,
+        "partial": count == stop and draw(st.booleans()),
+        "det": draw(st.integers(-(2**70), 2**70)),
+        "initial_count": draw(st.integers(0, 2**70)),
+    }
+
+
+@PROPERTY
+@given(count_record_fields())
+@example({"graph_hash": "\ud800 \"\\\n\x00é😀", "early_stop": 3, "good_initial_count": 3, "partial": True,
+          "det": -(2**70), "initial_count": 2**64})
+def test_a_record_line_is_the_json_dumps_line_and_reads_back(obj):
+    rec = CountRecord(**obj)
+    assert rec.line() == json.dumps(obj, separators=(",", ":"), sort_keys=True) + "\n"
+    assert CountRecord(**json.loads(rec.line())) == rec

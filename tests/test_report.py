@@ -14,6 +14,7 @@ from plumbhf.errors import ParseError
 from plumbhf.game import AssociationGame
 from plumbhf.graph import PlumbingGraph, build_graph
 from plumbhf.report import (
+    CountRecord,
     ResultCache,
     SurveyRow,
     analyze,
@@ -27,6 +28,72 @@ from plumbhf.report import (
 from plumbhf.s3 import S3Row, s3_rows
 from plumbhf.seifert import star_graph
 from support import coprime_pairs, descent_verdict, e8, time_limit
+
+
+# (last line of a cache, what its ParseError says): lines no count writes
+MALFORMED_RECORDS = [
+    ('{"det":1,"early_stop":2,"good_initial_count', "JSONDecodeError"),
+    ('{"det":1,"good_initial_count":1,"graph_hash":"ab","partial":false}', "KeyError: 'early_stop'"),
+    ("[1, 2]", "TypeError"),
+    ('{"early_stop":2,"graph_hash":[1]}', "graph_hash has the wrong type"),
+    ('{"early_stop":2,"graph_hash":"ab"}', "KeyError: 'good_initial_count'"),
+    ('{"early_stop":2,"good_initial_count":1,"graph_hash":"ab"}', "KeyError: 'partial'"),
+    (
+        '{"early_stop":2,"good_initial_count":"7","graph_hash":"ab","partial":false}',
+        "good_initial_count has the wrong type",
+    ),
+    (
+        '{"early_stop":2,"good_initial_count":1,"graph_hash":"ab","partial":0}',
+        "partial has the wrong type",
+    ),
+    (
+        '{"early_stop":2,"good_initial_count":1,"graph_hash":"ab","initial_count":9,"partial":false}',
+        "KeyError: 'det'",
+    ),
+    (
+        '{"det":1,"early_stop":2,"good_initial_count":1,"graph_hash":"ab",'
+        '"initial_count":"many","partial":false}',
+        "initial_count has the wrong type or value: 'many'",
+    ),
+    (
+        '{"early_stop":0,"good_initial_count":1,"graph_hash":"ab","partial":false}',
+        "early_stop has the wrong type or value: 0",
+    ),
+    (
+        '{"early_stop":true,"good_initial_count":1,"graph_hash":"ab","partial":false}',
+        "early_stop has the wrong type",
+    ),
+    (  # a field no count writes, which would fail a reverify of a right count
+        '{"det":1,"early_stop":2,"good_initial_count":1,"graph_hash":"ab","initial_count":9,'
+        '"note":"x","partial":false}',
+        "TypeError: unknown fields ['note']",
+    ),
+    # well-typed records that no count produces
+    (
+        '{"det":1,"early_stop":null,"good_initial_count":-3,"graph_hash":"ab","initial_count":9,"partial":false}',
+        "good_initial_count has the wrong type or value: -3",
+    ),
+    (
+        '{"det":1,"early_stop":null,"good_initial_count":7,"graph_hash":"ab","initial_count":9,"partial":true}',
+        "ValueError: a partial count of 7 did not stop at early_stop None",
+    ),
+    (
+        '{"det":1,"early_stop":2,"good_initial_count":7,"graph_hash":"ab","initial_count":9,"partial":false}',
+        "ValueError: good_initial_count 7 exceeds early_stop 2",
+    ),
+    (
+        '{"det":1,"early_stop":3,"good_initial_count":1,"graph_hash":"ab","initial_count":9,"partial":true}',
+        "ValueError: a partial count of 1 did not stop at early_stop 3",
+    ),
+]
+
+
+def _decodes(line: str) -> bool:
+    try:
+        json.loads(line)
+    except ValueError:
+        return False
+    return True
 
 
 def test_analyze_report_fields():
@@ -197,6 +264,23 @@ def test_a_record_without_its_newline_is_terminated_before_the_next(tmp_path):
     assert len(ResultCache(cut).records) == len(rows) == len(cut.read_bytes().splitlines())
 
 
+@pytest.mark.parametrize("last_line, message", MALFORMED_RECORDS)
+def test_only_a_last_line_that_is_torn_is_skipped(tmp_path, last_line, message):
+    """Without its newline, a last line that does not decode is a torn
+    write and is skipped; one that decodes is refused as with it."""
+    path = tmp_path / "cache.jsonl"
+    with ResultCache(path) as cache:
+        survey_brieskorn(max_a=6, cache=cache)
+    good = path.read_text().splitlines()
+    path.write_text("\n".join(good + [last_line]))
+    if _decodes(last_line):
+        with pytest.raises(ParseError, match=f"{re.escape(str(path))}:{len(good) + 1}:.*{re.escape(message)}"):
+            ResultCache(path)
+    else:
+        torn = ResultCache(path)
+        assert torn.torn_line == len(good) + 1 and torn.records == cache.records
+
+
 def test_a_second_cache_sees_every_record_the_first_has_put(tmp_path):
     path = tmp_path / "cache.jsonl"
     with ResultCache(path) as first:
@@ -269,7 +353,8 @@ def test_cache_reverify_flags_tampering(tmp_path):
     tampered = ResultCache(path)
     problems = reverify_cache(tampered, rows, sample=len(rows))
     assert len(problems) == 1
-    assert "mismatch" in problems[0]
+    assert problems[0].startswith(f"cache mismatch for {records[0]['graph_hash'][:12]} (early_stop 2): ")
+    assert problems[0].endswith(": good_initial_count: cached 0, recomputed 1")
 
 
 def test_cache_reverify_covers_every_early_stop_of_a_graph(tmp_path):
@@ -282,64 +367,7 @@ def test_cache_reverify_covers_every_early_stop_of_a_graph(tmp_path):
     assert reverify_cache(cache, survey_brieskorn(max_a=7, rays=4), sample=5) == []
 
 
-@pytest.mark.parametrize(
-    "last_line, message",
-    [
-        ('{"det":1,"early_stop":2,"good_initial_count', "JSONDecodeError"),
-        ('{"det":1,"good_initial_count":1,"graph_hash":"ab","partial":false}', "KeyError: 'early_stop'"),
-        ("[1, 2]", "TypeError"),
-        ('{"early_stop":2,"graph_hash":[1]}', "graph_hash has the wrong type"),
-        ('{"early_stop":2,"graph_hash":"ab"}', "KeyError: 'good_initial_count'"),
-        ('{"early_stop":2,"good_initial_count":1,"graph_hash":"ab"}', "KeyError: 'partial'"),
-        (
-            '{"early_stop":2,"good_initial_count":"7","graph_hash":"ab","partial":false}',
-            "good_initial_count has the wrong type",
-        ),
-        (
-            '{"early_stop":2,"good_initial_count":1,"graph_hash":"ab","partial":0}',
-            "partial has the wrong type",
-        ),
-        (
-            '{"early_stop":2,"good_initial_count":1,"graph_hash":"ab","initial_count":9,"partial":false}',
-            "KeyError: 'det'",
-        ),
-        (
-            '{"det":1,"early_stop":2,"good_initial_count":1,"graph_hash":"ab",'
-            '"initial_count":"many","partial":false}',
-            "initial_count has the wrong type or value: 'many'",
-        ),
-        (
-            '{"early_stop":0,"good_initial_count":1,"graph_hash":"ab","partial":false}',
-            "early_stop has the wrong type or value: 0",
-        ),
-        (
-            '{"early_stop":true,"good_initial_count":1,"graph_hash":"ab","partial":false}',
-            "early_stop has the wrong type",
-        ),
-        (  # a field no count writes, which would fail a reverify of a right count
-            '{"det":1,"early_stop":2,"good_initial_count":1,"graph_hash":"ab","initial_count":9,'
-            '"note":"x","partial":false}',
-            "TypeError: unknown fields ['note']",
-        ),
-        # well-typed records that no count produces
-        (
-            '{"det":1,"early_stop":null,"good_initial_count":-3,"graph_hash":"ab","initial_count":9,"partial":false}',
-            "good_initial_count has the wrong type or value: -3",
-        ),
-        (
-            '{"det":1,"early_stop":null,"good_initial_count":7,"graph_hash":"ab","initial_count":9,"partial":true}',
-            "ValueError: a partial count of 7 did not stop at early_stop None",
-        ),
-        (
-            '{"det":1,"early_stop":2,"good_initial_count":7,"graph_hash":"ab","initial_count":9,"partial":false}',
-            "ValueError: good_initial_count 7 exceeds early_stop 2",
-        ),
-        (
-            '{"det":1,"early_stop":3,"good_initial_count":1,"graph_hash":"ab","initial_count":9,"partial":true}',
-            "ValueError: a partial count of 1 did not stop at early_stop 3",
-        ),
-    ],
-)
+@pytest.mark.parametrize("last_line, message", MALFORMED_RECORDS)
 def test_cache_malformed_record_names_path_and_line(tmp_path, last_line, message):
     path = tmp_path / "cache.jsonl"
     with ResultCache(path) as cache:
@@ -350,6 +378,39 @@ def test_cache_malformed_record_names_path_and_line(tmp_path, last_line, message
         ResultCache(path)
     assert f"{path}:{len(good) + 2}:" in str(exc.value)
     assert message in str(exc.value)
+
+
+@pytest.mark.parametrize(
+    "last_line, message", [(line, m) for line, m in MALFORMED_RECORDS if line.startswith("{") and _decodes(line)]
+)
+def test_a_record_is_refused_when_built_as_when_loaded(tmp_path, last_line, message):
+    """One rule: each JSON object of the table, built directly, raises the
+    exception that the loader reports for its line."""
+    with pytest.raises((KeyError, TypeError, ValueError)) as built:
+        CountRecord(**json.loads(last_line))
+    path = tmp_path / "cache.jsonl"
+    path.write_text(last_line + "\n")
+    with pytest.raises(ParseError) as loaded:
+        ResultCache(path)
+    assert type(loaded.value.__cause__) is built.type
+    assert str(loaded.value) == f"{path}:1: bad cache record ({built.type.__name__}: {built.value})"
+    assert message in str(loaded.value)
+
+
+def test_a_record_is_built_by_keyword_from_exact_types():
+    fields = {"graph_hash": "ab", "early_stop": 2, "good_initial_count": 2, "partial": True,
+              "det": -1, "initial_count": 9}
+    rec = CountRecord(**fields)
+    assert [getattr(rec, name) for name in CountRecord._fields] == list(fields.values())
+    assert rec.key == ("ab", 2) and rec == CountRecord(**dict(reversed(fields.items())))
+    with pytest.raises(TypeError):
+        CountRecord(*fields.values())
+    with pytest.raises(TypeError, match="graph_hash has the wrong type"):
+        CountRecord(**{**fields, "graph_hash": type("S", (str,), {})("ab")})
+    with pytest.raises(TypeError, match=r"unknown fields \['self'\]"):
+        CountRecord(**fields, self=1)
+    with pytest.raises(AttributeError):
+        rec.det = 1
 
 
 def test_consistent_records_at_the_edges_load(tmp_path):
@@ -387,7 +448,7 @@ def test_each_cache_record_is_one_line_of_compact_key_sorted_json(tmp_path):
     path = tmp_path / "cache.jsonl"
     with ResultCache(path) as cache:
         for rec in records:
-            cache.put(rec)
+            cache.put(CountRecord(**rec))
         survey_brieskorn(max_a=9, early_stop=None, cache=cache)
         survey_brieskorn(max_a=9, cache=cache)
     lines = path.read_text(encoding="ascii").splitlines()

@@ -27,11 +27,11 @@ from .report import (
     csv_text,
     json_text,
     reverify_cache,
-    sigma_star,
     survey_all_minus_two,
     survey_brieskorn,
 )
 from .files import parse_graph_file
+from .seifert import sigma_star
 
 CACHE_ENV = "PLUMB_HF_CACHE"
 

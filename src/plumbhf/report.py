@@ -184,10 +184,12 @@ class ResultCache:
     without its newline that does not decode is a killed run's torn
     write, so it is skipped, its number kept as ``torn_line``, and the
     first put truncates the file at its start.  A valid last line
-    without its newline is terminated by the first put, which also makes
-    the directory and opens the one append handle that ``close`` (or
-    leaving a ``with`` block) closes; each record is one write of a whole
-    line (:meth:`CountRecord.line`), then a flush.
+    without its newline is terminated by the first put.  Either mends
+    only the file as loaded: if it has grown since, another run has
+    mended it.  The first put also makes the directory and opens the one
+    append handle that ``close`` (or leaving a ``with`` block) closes;
+    each record is one write of a whole line (:meth:`CountRecord.line`),
+    then a flush.
     """
 
     def __init__(self, path: str | Path) -> None:
@@ -197,6 +199,7 @@ class ResultCache:
         self._fh = None
         self._pending_newline = False  # the file ends in a record without its newline
         self._torn_at: int | None = None  # the offset of the torn line's first byte
+        self._size = 0  # the size of the file as loaded
         if self.path.exists():
             with self.path.open("rb") as fh:
                 raw = b""
@@ -215,12 +218,14 @@ class ResultCache:
                     except (ValueError, KeyError, TypeError, RecursionError) as exc:
                         if not decoded and not raw.endswith(b"\n"):  # a torn last line
                             self.torn_line, self._torn_at = lineno, fh.tell() - len(raw)
-                            return
+                            break
                         raise ParseError(
                             f"{self.path}:{lineno}: bad cache record ({type(exc).__name__}: {exc})"
                         ) from exc
                     self.records[rec.key] = rec
-                self._pending_newline = bool(raw) and not raw.endswith(b"\n")
+                else:
+                    self._pending_newline = bool(raw) and not raw.endswith(b"\n")
+                self._size = fh.tell()
 
     def __enter__(self) -> "ResultCache":
         return self
@@ -244,12 +249,12 @@ class ResultCache:
         if self._fh is None:
             self.path.parent.mkdir(parents=True, exist_ok=True)
             self._fh = self.path.open("ab")
-            if self._torn_at is not None:  # so the fragment never becomes a middle line
-                self._fh.truncate(self._torn_at)
-                self._torn_at = None
-            if self._pending_newline:
-                line = "\n" + line
-                self._pending_newline = False
+            if self._fh.tell() == self._size:  # no other run has appended since the load
+                if self._torn_at is not None:  # so the fragment never becomes a middle line
+                    self._fh.truncate(self._torn_at)
+                if self._pending_newline:
+                    line = "\n" + line
+            self._torn_at, self._pending_newline = None, False
         self._fh.write(line.encode())
         self._fh.flush()
 

@@ -105,17 +105,10 @@ class S3Row(Frozen):
     count: int
     central_moves: int
 
-    PROPERTIES = (
-        "unique_good_initial",
-        "bumped_sums_hold",
-        "central_count_matches",
-        "pairing_jumps_match",
-        "reversal_is_good",
-    )
-
     def failures(self) -> list[str]:
-        """The names of the five properties that do not hold."""
-        return [name for name in self.PROPERTIES if not getattr(self, name)]
+        """The names of the properties that do not hold: the bool fields
+        that are False, in field order."""
+        return [name for name in self._fields if getattr(self, name) is False]
 
 
 def s3_row(pair: tuple[int, int]) -> S3Row:

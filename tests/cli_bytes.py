@@ -7,14 +7,16 @@ cold early-stop ``survey --cache`` and a cold ``survey --full --cache``
 write are pinned the same way.  A digest changes only with a deliberate
 change to the output, together with a CHANGES.md line saying why.
 
+Each of the 15 checks in ``CHECKS`` is written once, here: it takes a
+temporary directory and returns None, or a message saying what differs.
 This module needs only the standard library, so any interpreter can run
-the checks without pytest::
+them without pytest::
 
     python tests/cli_bytes.py
 
 It runs the package under ``src/`` next to it, prints one line per
-check, and exits 1 if any digest differs.  ``test_cli_bytes.py`` runs the
-same tables under pytest.
+check, and exits 1 if any check fails.  ``test_cli_bytes.py`` runs the
+same functions as one pytest case each.
 """
 
 import csv
@@ -24,7 +26,16 @@ import os
 import re
 import sys
 import tempfile
+from contextlib import redirect_stdout
+from functools import partial
 from pathlib import Path
+
+if __name__ == "__main__":  # this checkout's package, and support next to this file
+    _here = Path(__file__).resolve().parent
+    sys.path[:0] = [str(_here.parent / "src"), str(_here)]
+
+from plumbhf import cli
+from support import e8, write_graph_file
 
 COMMANDS = {
     "analyze e8": (["analyze", "{e8}"], 0, "243a0e8e5e344a89e16a33bf25d09eace179d263da34e2b38a1bd2dc13c334f0"),
@@ -69,59 +80,79 @@ def sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def _failures(tmp) -> list[str]:
-    """Run every command and both cold-then-warm cached surveys in the
-    directory ``tmp``; one message per digest, exit code or warm rerun
-    that differs from its record."""
-    from contextlib import redirect_stdout
+def run(argv: list[str]) -> tuple[int, str]:
+    """The exit code and stdout of ``plumbhf argv``."""
+    with redirect_stdout(io.StringIO()) as out:
+        code = cli.main(argv)
+    return code, out.getvalue()
 
-    from plumbhf.cli import main
-    from support import e8, write_graph_file
 
-    def run(argv):
-        with redirect_stdout(io.StringIO()) as out:
-            code = main(argv)
-        return code, out.getvalue()
-
-    failures = []
+def check_command(name: str, tmp: Path) -> str | None:
+    """``COMMANDS[name]``, with its graph file in ``tmp``: its exit code and
+    the digest of its masked stdout against the recorded ones."""
+    argv, code, sha = COMMANDS[name]
     e8_path = tmp / "e8.json"
     write_graph_file(e8(), e8_path)
-    for name, (argv, code, sha) in sorted(COMMANDS.items()):
-        got_code, out = run([a.format(e8=e8_path) for a in argv])
-        got = (got_code, sha256(masked(out).encode()))
-        print(f"{'ok' if got == (code, sha) else 'FAIL'}: {name}")
-        if got != (code, sha):
-            failures.append(f"{name}: exit {got[0]}, sha256 {got[1]}; recorded exit {code}, sha256 {sha}")
-    for name, argv, sha in (("cache survey 12", ["survey", "--max-a", "12"], CACHE_SHA),
-                            ("cache survey 9 full", ["survey", "--max-a", "9", "--full"], FULL_CACHE_SHA)):
-        path = tmp / f"{name.replace(' ', '-')}.jsonl"
-        argv = [*argv, "--cache", str(path)]
-        cold = run(argv)
-        cold_sha = sha256(path.read_bytes())
-        warm = run(argv)  # reads every row from the cache and appends nothing
-        got = sha256(path.read_bytes())
-        ok = got == cold_sha == sha and cold == warm and cold[0] == 0
-        print(f"{'ok' if ok else 'FAIL'}: {name}")
-        if not ok:
-            failures.append(f"{name}: cache sha256 {cold_sha} cold, {got} warm (recorded {sha}), "
-                            f"exit {cold[0]} then {warm[0]}, "
-                            f"warm stdout {'equal to' if cold[1] == warm[1] else 'differs from'} cold")
-    return failures
+    got_code, out = run([a.format(e8=e8_path) for a in argv])
+    got = sha256(masked(out).encode())
+    if (got_code, got) != (code, sha):
+        return f"exit {got_code}, sha256 {got}; recorded exit {code}, sha256 {sha}"
+    return None
 
 
-def main() -> int:
-    """Every check, in a temporary directory; 1 if any fails."""
+def check_cached_survey(argv: list[str], cache_sha: str, stdout_sha: str | None, tmp: Path) -> str | None:
+    """``argv`` with a new cache file in ``tmp``, run cold, then warm.
+
+    The cold run exits 0, writes the recorded cache bytes and, when
+    ``stdout_sha`` is given, prints the recorded stdout of the same survey
+    without a cache.  The warm run reads every row from the cache, so it
+    exits and prints as the cold run did and appends nothing.
+    """
+    path = tmp / "cache.jsonl"
+    argv = [*argv, "--cache", str(path)]
+    cold = run(argv)
+    cold_sha = sha256(path.read_bytes())
+    warm = run(argv)
+    warm_sha = sha256(path.read_bytes())
+    out_sha = sha256(cold[1].encode())
+    if warm_sha == cold_sha == cache_sha and cold == warm and cold[0] == 0 and stdout_sha in (None, out_sha):
+        return None
+    return (f"cache sha256 {cold_sha} cold, {warm_sha} warm (recorded {cache_sha}), "
+            f"exit {cold[0]} then {warm[0]}, stdout sha256 {out_sha} cold (recorded {stdout_sha}), "
+            f"warm stdout {'equal to' if cold[1] == warm[1] else 'differs from'} cold")
+
+
+def check_cache_survey_12(tmp: Path) -> str | None:
+    return check_cached_survey(["survey", "--max-a", "12"], CACHE_SHA, COMMANDS["survey 12"][2], tmp)
+
+
+def check_cache_survey_9_full(tmp: Path) -> str | None:
+    return check_cached_survey(["survey", "--max-a", "9", "--full"], FULL_CACHE_SHA, None, tmp)
+
+
+CHECKS = {
+    **{name: partial(check_command, name) for name in COMMANDS},
+    "cache survey 12": check_cache_survey_12,
+    "cache survey 9 full": check_cache_survey_9_full,
+}
+
+
+def main(checks: dict = CHECKS) -> int:
+    """Run each check in a temporary directory of its own, and print
+    ``ok`` or ``FAIL`` per check, then the total; 1 if any fails."""
     os.environ.pop("PLUMB_HF_CACHE", None)  # the cache flag's default
-    with tempfile.TemporaryDirectory() as tmp:
-        failures = _failures(Path(tmp))
+    failures = []
+    for name in sorted(checks):
+        with tempfile.TemporaryDirectory() as tmp:
+            problem = checks[name](Path(tmp))
+        print(f"{'FAIL' if problem else 'ok'}: {name}")
+        if problem:
+            failures.append(f"{name}: {problem}")
     for line in failures:
         print(line, file=sys.stderr)
-    total = len(COMMANDS) + 2
-    print(f"{total - len(failures)} of {total} byte checks pass")
+    print(f"{len(checks) - len(failures)} of {len(checks)} byte checks pass")
     return 1 if failures else 0
 
 
 if __name__ == "__main__":
-    here = Path(__file__).resolve().parent
-    sys.path[:0] = [str(here.parent / "src"), str(here)]  # this checkout's package, and support
     raise SystemExit(main())

@@ -188,6 +188,27 @@ def test_survey_brieskorn_with_cache(tmp_path, capsys, argv, sample):
     assert cache.read_text() == first
 
 
+def test_survey_reverify_names_each_tampered_record_and_exits_1(tmp_path, capsys):
+    cache = tmp_path / "cache.jsonl"
+    code, out, _ = run(capsys, "survey", "--max-a", "7", "--cache", str(cache))
+    records = [json.loads(line) for line in cache.read_text().splitlines()]
+    assert code == 0 and len(records) == len(json.loads(out)) == 8
+    # two records that still load, each with a fact that a recount contradicts
+    assert (records[0]["good_initial_count"], records[0]["partial"]) == (1, False)
+    records[0]["good_initial_count"] = 0
+    initials = records[1]["initial_count"]
+    records[1]["initial_count"] += 1
+    cache.write_text("".join(json.dumps(r, separators=(",", ":"), sort_keys=True) + "\n" for r in records))
+    code, rerun, err = run(capsys, "survey", "--max-a", "7", "--cache", str(cache), "--reverify-sample", "8")
+    assert code == 1
+    assert [r["params"] for r in json.loads(rerun)] == [r["params"] for r in json.loads(out)]
+    assert sorted(err.splitlines()) == sorted([
+        f"cache mismatch for {records[0]['graph_hash'][:12]} (early_stop 2): good_initial_count: cached 0, recomputed 1",
+        f"cache mismatch for {records[1]['graph_hash'][:12]} (early_stop 2): "
+        f"initial_count: cached {initials + 1}, recomputed {initials}",
+    ])
+
+
 def test_survey_torn_cache_exits_1(tmp_path, capsys):
     # a torn line that a newline terminated is refused: only a last line is skipped as torn
     cache = tmp_path / "cache.jsonl"
@@ -412,6 +433,7 @@ def test_usage_errors_exit_1(tmp_path, capsys, monkeypatch):
         ["survey", "--full", "--early-stop", "2"],
         # integer flags below 1 would sweep nothing or fail late
         ["survey", "--max-a", "0"],
+        ["survey", "--max-a", "x"],  # not an integer at all
         ["all-minus-two", "--max-p", "-3"],
         ["all-minus-two", "--rays", "0"],
         ["survey", "--rays", "-1"],

@@ -75,6 +75,8 @@ def test_parse_errors_name_the_problem(tmp_path):
         ({"edges": []}, "vertices"),
         ({"vertices": [], "edges": [], "extra": 1}, "unknown keys"),
         ([], "object"),
+        ({"name": 5, "vertices": [{"id": 0, "weight": -2}], "edges": []}, "name: expected string, got int"),
+        ({"vertices": [{"id": 0, "weight": -2}], "edges": {}}, "edges: expected list"),
         # structural edge errors name the edge's place and the file's own ids
         ({"vertices": sparse, "edges": [[10, 20], [20, 30], [30, 10]]},
          "edges[2]: edge [30, 10] closes a cycle"),

@@ -85,6 +85,14 @@ def test_replay_of_hand_built_sequences():
     single = build_graph([-2], [])
     assert is_good_sequence(sequence(single, (0,), (2,), (-2,)))
     assert not is_good_sequence(sequence(single, (0,), (0,), (-2,)))
+    # vertex 1 is no neighbor of vertex 0, so moving 0 must leave it as it is
+    apart = build_graph([-2, -2], [])
+    assert is_good_sequence(sequence(apart, (0, 1), (2, 2), (-2, 2), (-2, -2)))
+    assert not is_good_sequence(sequence(apart, (0,), (2, 2), (-2, -2)))
+    with pytest.raises(ValueError, match="at least one state"):
+        GoodSequence((), ())
+    with pytest.raises(ValueError, match="exactly one moved vertex per step"):
+        sequence(g, (0, 1), *states)
     with pytest.raises(ValueError):  # moving 0 at (1, 2) would push 1 to 4 > 2
         assoc(g, -1, 4)
 

@@ -209,6 +209,11 @@ def test_s3_rows_all_pass_small():
         assert row.failures() == []
         assert row.count == 1
         assert row.central_moves == row.quadruple[0] + row.quadruple[2] - 1
+    # the properties are the bool fields; a count or a move count of 0 is none
+    five = ["unique_good_initial", "bumped_sums_hold", "central_count_matches", "pairing_jumps_match",
+            "reversal_is_good"]
+    failing = S3Row(**{**vars(rows[0]), **dict.fromkeys(five, False), "count": 0, "central_moves": 0})
+    assert failing.failures() == five
 
 
 def test_cache_reuse_and_append(tmp_path):
@@ -222,6 +227,12 @@ def test_cache_reuse_and_append(tmp_path):
     with ResultCache(path) as cache2:
         rows2 = survey_brieskorn(max_a=7, rays=3, cache=cache2)
         assert rows2 == rows1
+        assert path.read_text().splitlines() == lines1
+
+        # a key the cache holds keeps its record and writes no second line
+        held = next(iter(cache2.records.values()))
+        cache2.put(CountRecord(**{**vars(held), "det": held.det + 1}))
+        assert cache2.get(*held.key) is held
         assert path.read_text().splitlines() == lines1
 
         # a different early_stop is a different cache key
@@ -279,6 +290,28 @@ def test_only_a_last_line_that_is_torn_is_skipped(tmp_path, last_line, message):
     else:
         torn = ResultCache(path)
         assert torn.torn_line == len(good) + 1 and torn.records == cache.records
+
+
+@pytest.mark.parametrize("tail", ["torn", "unterminated"])
+def test_a_cache_tail_is_mended_only_by_the_first_run_that_extends_it(tmp_path, tail):
+    """Two runs load one cache whose last line is torn, or a record without
+    its newline: the first to put mends that line, and the later run's
+    first put keeps every record appended since and adds no newline."""
+    path = tmp_path / "cache.jsonl"
+    with ResultCache(path) as cache:
+        survey_brieskorn(max_a=6, cache=cache)
+    good = path.read_bytes()
+    path.write_bytes(good + b'{"det":1,"early_st' if tail == "torn" else good[:-1])
+    early, late = ResultCache(path), ResultCache(path)
+    assert early.torn_line == late.torn_line == (len(good.splitlines()) + 1 if tail == "torn" else None)
+    with early:
+        survey_brieskorn(max_a=9, early_stop=None, cache=early)
+    with late:
+        survey_brieskorn(max_a=7, cache=late)
+    merged = {**early.records, **late.records}
+    assert len(merged) > len(early.records) > len(cache.records)
+    assert ResultCache(path).records == merged
+    assert path.read_bytes().startswith(good) and len(path.read_bytes().splitlines()) == len(merged)
 
 
 def test_a_second_cache_sees_every_record_the_first_has_put(tmp_path):

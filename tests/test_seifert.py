@@ -123,6 +123,10 @@ def test_seifert_invariants_sorted_and_validated():
         SeifertInvariants(-2, ((2, -3), (3, -2), (5, -4)))  # b out of range
     with pytest.raises(ValueError):
         SeifertInvariants(2, ((2, -1),))  # center must be negative
+    with pytest.raises(ValueError, match="at least one ray"):
+        SeifertInvariants(-1, ())
+    with pytest.raises(ValueError, match=r"ray \(4, -2\) is not reduced"):
+        SeifertInvariants(-1, ((4, -2),))
 
 
 def test_the_integer_ray_key_orders_every_pair_of_reduced_rays_by_ratio():

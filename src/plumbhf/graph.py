@@ -12,10 +12,8 @@ Each per-graph fact is computed once per graph object and kept on it.
 The determinant and definiteness come from one leaf-to-root sweep over
 the tree (:attr:`PlumbingGraph.forms`), which also checks that the
 edges form a forest, and connectedness from the component count that
-sweep establishes.  The sweep orients each tree by vertex id when the
-edges number it parent-first (each vertex has at most one lower
-neighbor, as in every star), and otherwise by a breadth-first search
-over :attr:`PlumbingGraph.neighbors`; both orientations feed one fold.
+sweep establishes.  The sweep is one fold of leaves straight off the
+edge list, for every forest and every root: it reads no adjacency list.
 The bad vertices are the tuple :attr:`PlumbingGraph.bad`.  The
 canonical hash, which keys the result cache, is the sha256 of a compact
 JSON serialization formatted directly; sha256 comes from CPython's
@@ -179,8 +177,8 @@ class PlumbingGraph(Frozen):
         submatrix and D_v/E_v is its Schur pivot, so the form is
         negative definite iff every such pivot is negative, i.e. every
         D_v is nonzero with sign (-1)^|subtree(v)|; that holds for any
-        choice of roots, so either orientation of _sweep (by id for a
-        parent-first forest, else breadth-first) gives the same forms.
+        choice of roots, so the roots _sweep's one fold leaves do not
+        change the forms.
         The empty graph has det 1 and is vacuously negative definite.
         Raises CycleDetectedError if the edges do not form a forest, and
         BadIdError for an edge id outside 0..n-1, which only a directly
@@ -255,54 +253,47 @@ def build_graph(
 def _sweep(g: PlumbingGraph, first: int) -> tuple[list[int], list[int], list[int]]:
     """(D, E, roots) of the leaf-to-root sweep of PlumbingGraph.forms.
 
-    ``first`` roots its own component; every other component is rooted
-    at its lowest vertex.  When the edges number the forest parent-first
-    (every edge (u, v) has 0 <= u < v, and no vertex is the high end of
-    two), as a star's do, and ``first`` has no lower neighbor, each
-    vertex's parent is its one lower neighbor and descending ids put
-    children before parents: no adjacency list is built.  Any other forest, or a
-    ``first`` with a lower neighbor, is oriented by breadth-first search
-    over ``neighbors``, which raises BadIdError for an id outside 0..n-1.
-    Both feed the one fold, and either way an edge count other than
-    n - roots raises CycleDetectedError.
+    Leaves are folded straight off the edge list; no adjacency list is
+    built.  One pass gives each vertex its degree and the XOR of its
+    neighbors, which for a leaf is its one unfolded neighbor.  The scan
+    runs down the ids, folds each leaf into that neighbor, and follows
+    the chain while the neighbor has become a leaf above the scan, so
+    each vertex is folded after all its children.  ``first`` gets a
+    degree that never reaches 1, so it roots its component; the roots
+    are the vertices left unfolded (on a star, the center, and each
+    vertex's parent is its lower neighbor).  Each fold removes one edge,
+    and a cycle, a doubled edge or a self-loop is never folded away, so
+    an edge count other than the number of folds raises
+    CycleDetectedError.  An id outside 0..n-1 raises BadIdError.
     """
     n = g.vertex_count
-    parent: list[int | None] = [-1] * n  # -1 for a root
-    by_id = False
+    deg = [0] * n
+    xor = [0] * n
     for u, v in g.edges:
-        if not 0 <= u < v < n or parent[v] >= 0:
-            break
-        parent[v] = u
-    else:
-        by_id = not n or parent[first] < 0
-    if by_id:
-        order: Sequence[int] = range(n)  # parents precede children
-        roots = [v for v, p in enumerate(parent) if p < 0]
-    else:
-        nbrs = g.neighbors
-        parent = [None] * n
-        order = []  # breadth-first, so parents precede children
-        roots = []
-        for r in [first, *range(n)] if n else []:
-            if parent[r] is not None:
-                continue
-            parent[r] = -1
-            roots.append(r)
-            component = [r]
-            for v in component:  # the list grows as it is walked
-                for u in nbrs[v]:
-                    if parent[u] is None:
-                        parent[u] = v
-                        component.append(u)
-            order += component
-    if len(g.edges) != n - len(roots):
-        raise CycleDetectedError(f"{len(g.edges)} edges on {n} vertices close a cycle")
+        if not (0 <= u < n and 0 <= v < n):
+            raise BadIdError(f"edge ({u}, {v}) references a vertex outside 0..{n - 1}")
+        deg[u] += 1
+        deg[v] += 1
+        xor[u] ^= v
+        xor[v] ^= u
+    if n:
+        deg[first] = 0  # folds only lower it, so it never reaches 1
     d = list(g.weights)
     e = [1] * n
-    for v in reversed(order):  # children before parents
-        p = parent[v]
-        if p >= 0:
+    for scan in range(n - 1, -1, -1):
+        v = scan
+        while deg[v] == 1:  # a leaf: fold it into its one unfolded neighbor p
+            p = xor[v]
             d[p], e[p] = d[p] * d[v] - e[p] * e[v], e[p] * d[v]
+            deg[p] -= 1
+            xor[p] ^= v
+            if p < scan:  # the scan reaches p later
+                break
+            v = p
+    folded = deg.count(1)  # a folded vertex keeps degree 1, and no root has it
+    if len(g.edges) != folded:
+        raise CycleDetectedError(f"{len(g.edges)} edges on {n} vertices close a cycle")
+    roots = [first] if folded == n - 1 else [v for v, k in enumerate(deg) if k != 1]
     return d, e, roots
 
 

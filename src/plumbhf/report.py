@@ -185,9 +185,10 @@ class ResultCache:
     write, so it is skipped, its number kept as ``torn_line``, and the
     first put truncates the file at its start.  A valid last line
     without its newline is terminated by the first put.  Either mends
-    only the file as loaded: if it has grown since, another run has
-    mended it.  The first put also makes the directory and opens the one
-    append handle that ``close`` (or leaving a ``with`` block) closes;
+    only a file that still has its loaded size and still ends without a
+    newline: every put ends the file in one, so otherwise another run
+    has mended it.  The first put also makes the directory and opens the
+    one append handle that ``close`` (or leaving a ``with`` block) closes;
     each record is one write of a whole line (:meth:`CountRecord.line`),
     then a flush.
     """
@@ -248,12 +249,15 @@ class ResultCache:
         line = record.line()
         if self._fh is None:
             self.path.parent.mkdir(parents=True, exist_ok=True)
-            self._fh = self.path.open("ab")
-            if self._fh.tell() == self._size:  # no other run has appended since the load
-                if self._torn_at is not None:  # so the fragment never becomes a middle line
-                    self._fh.truncate(self._torn_at)
-                if self._pending_newline:
-                    line = "\n" + line
+            fh = self._fh = self.path.open("a+b")
+            if self._torn_at is not None or self._pending_newline:
+                fh.seek(self._size - 1)
+                tail = fh.read(2)  # the loaded last byte, and one more if the file grew
+                if len(tail) == 1 and tail != b"\n":  # still as loaded: no other run mended it
+                    if self._torn_at is not None:  # so the fragment never becomes a middle line
+                        fh.truncate(self._torn_at)
+                    if self._pending_newline:
+                        line = "\n" + line
             self._torn_at, self._pending_newline = None, False
         self._fh.write(line.encode())
         self._fh.flush()

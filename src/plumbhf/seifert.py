@@ -84,7 +84,8 @@ def star_graph(inv: SeifertInvariants, name: str | None = None) -> PlumbingGraph
     with -a < b < 0, so -a/-b is a/b in lowest terms and below -1.  The
     spokes (0, first vertex of each ray) sort before the chains' (v, v + 1),
     and every vertex but the center has one lower neighbor: the star is
-    numbered parent-first, which the forms sweep orients by id.
+    numbered parent-first, so the forms sweep folds each vertex into its
+    lower neighbor and roots the star at the center.
     """
     weights: list[int] = [inv.center_weight]
     spokes: list[tuple[int, int]] = []

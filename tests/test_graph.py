@@ -100,42 +100,47 @@ def test_intersection_matrix_entries():
     assert m == ((-2, 1, 0), (1, -3, 1), (0, 1, -5))
 
 
-def _by_bfs(g):
-    """Whether g's sweeps so far oriented a tree by breadth-first search:
-    only that orientation reads the adjacency list, a cached fact."""
-    return "neighbors" in vars(g)
-
-
 def test_determinant_matches_cofactor_oracle():
-    # random_forest numbers parent-first, which the sweep orients by id;
-    # relabeled_forest mostly does not, and takes the breadth-first search
     rng = random.Random(5)
     graphs = [random_forest(rng, max_vertices=6) for _ in range(200)]
     graphs += [relabeled_forest(rng, max_vertices=6) for _ in range(200)]
-    by_bfs = 0
     for g in graphs:
         assert graph_determinant(g) == cofactor_det([list(r) for r in intersection_matrix(g)])
-        by_bfs += _by_bfs(g)
-    assert min(by_bfs, len(graphs) - by_bfs) >= 50, by_bfs
 
 
 def test_complement_determinant_matches_cofactor_oracle():
-    """det(G - v) on connected trees, with every vertex as the root: by id
-    where v has no lower neighbor in a parent-first tree, else by search."""
+    """det(G - v) on connected trees, with every vertex as the root."""
     rng = random.Random(6)
     graphs = [random_forest(rng, max_vertices=6, edge_chance=1.0) for _ in range(100)]
     relabeled = (relabeled_forest(rng, max_vertices=6) for _ in range(200))
     graphs += [g for g in relabeled if g.is_connected]
-    by_bfs = calls = 0
     for g in graphs:
         rows = intersection_matrix(g)
         for v in range(g.vertex_count):
             minor = [r[:v] + r[v + 1 :] for i, r in enumerate(rows) if i != v]
             fresh = PlumbingGraph(g.weights, g.edges)
             assert complement_determinant(fresh, v) == cofactor_det([list(r) for r in minor])
-            by_bfs += _by_bfs(fresh)
-            calls += 1
-    assert min(by_bfs, calls - by_bfs) >= 150, (by_bfs, calls)
+
+
+def test_no_sweep_reads_the_adjacency_list():
+    """The forms sweep folds leaves straight off the edge list, for every
+    forest and every root: neither forms nor complement_determinant at
+    any vertex builds neighbors, a cached fact.  The relabeled forests
+    give some vertex two lower neighbors, which no parent-first
+    numbering has."""
+    rng = random.Random(29)
+    graphs = [random_forest(rng, max_vertices=9, weight_range=(-5, 1)) for _ in range(300)]
+    graphs += [relabeled_forest(rng, max_vertices=9, weights=range(-5, 2)) for _ in range(300)]
+    two_lower = 0
+    for g in graphs:
+        g.forms
+        assert "neighbors" not in vars(g), g
+        for v in range(g.vertex_count):
+            complement_determinant(g, v)
+            assert "neighbors" not in vars(g), (g, v)
+        highs = [v for _, v in g.edges]  # canonical edges: each names v's lower neighbor
+        two_lower += len(highs) != len(set(highs))
+    assert two_lower >= 100, two_lower
 
 
 def _sylvester_negative_definite(g):
@@ -148,24 +153,22 @@ def _sylvester_negative_definite(g):
 
 def test_forms_match_cofactor_and_sylvester_on_random_forests():
     # weights up to +1 reach zero and positive pivots, edge_chance < 1
-    # leaves some forests disconnected, and relabeled forests take the
-    # breadth-first orientation where random_forest's take the one by id
+    # leaves some forests disconnected, and relabeled forests give some
+    # vertex two lower neighbors
     rng = random.Random(17)
     graphs = [random_forest(rng, max_vertices=9, weight_range=(-5, 1)) for _ in range(400)]
     graphs += [relabeled_forest(rng, max_vertices=9, weights=range(-5, 2)) for _ in range(400)]
-    seen = {"disconnected": 0, "definite": 0, "singular": 0, "indefinite": 0, "by_bfs": 0}
+    seen = {"disconnected": 0, "definite": 0, "singular": 0, "indefinite": 0}
     for g in graphs:
         det = cofactor_det([list(r) for r in intersection_matrix(g)])
         definite = _sylvester_negative_definite(g)
         assert graph_determinant(g) == det
         assert is_negative_definite(g) == definite
-        seen["by_bfs"] += _by_bfs(g)
         seen["disconnected"] += not g.is_connected
         seen["definite"] += definite
         seen["singular"] += det == 0
         seen["indefinite"] += det != 0 and not definite
     assert min(seen.values()) >= 20, seen
-    assert min(seen["by_bfs"], len(graphs) - seen["by_bfs"]) >= 150, seen
 
 
 def test_forms_of_singular_and_degenerate_graphs():
@@ -183,15 +186,26 @@ def test_forms_of_singular_and_degenerate_graphs():
         assert not is_negative_definite(g), name
 
 
-def test_forms_refuse_a_directly_built_cycle():
-    for edges in (((0, 1), (0, 2), (1, 2)), ((0, 1), (0, 1)), ((0, 0),)):
-        g = PlumbingGraph((-2, -2, -2), edges)
+@pytest.mark.parametrize(
+    "edges",
+    [
+        ((0, 1), (0, 2), (1, 2)),
+        ((0, 1), (0, 1)),
+        ((0, 0),),
+        ((0, 1), (1, 2), (2, 3), (3, 1), (3, 4)),  # a triangle with a tail at each end
+        ((4, 3), (3, 2), (2, 0), (0, 3), (1, 0)),  # the same shape, ids reversed
+        ((0, 1), (1, 2), (2, 1), (2, 3), (3, 4)),  # a doubled edge inside a path
+        ((0, 1), (1, 2), (2, 3), (3, 4), (4, 4)),  # a self-loop at a path's end
+        ((0, 1), (2, 3), (3, 4), (4, 2)),  # a triangle beside a tree
+    ],
+)
+def test_forms_refuse_a_directly_built_cycle(edges):
+    """The leaves of a tail fold away; the cycle's edges never do, at any root."""
+    g = PlumbingGraph((-2,) * 5, edges)
+    reads = [lambda: graph_determinant(g), lambda: is_negative_definite(g), lambda: g.is_connected]
+    for read in reads + [lambda v=v: complement_determinant(g, v) for v in range(5)]:
         with pytest.raises(CycleDetectedError):
-            graph_determinant(g)
-        with pytest.raises(CycleDetectedError):
-            is_negative_definite(g)
-        with pytest.raises(CycleDetectedError):
-            g.is_connected
+            read()
 
 
 def test_graphs_are_frozen_values():

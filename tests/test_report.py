@@ -314,6 +314,26 @@ def test_a_cache_tail_is_mended_only_by_the_first_run_that_extends_it(tmp_path, 
     assert path.read_bytes().startswith(good) and len(path.read_bytes().splitlines()) == len(merged)
 
 
+def test_a_run_that_restores_the_loaded_size_keeps_its_record(tmp_path):
+    """A torn fragment exactly as long as another run's record: when that
+    run has cut the fragment and appended its record, the file has its
+    loaded size again, but ends in a newline, so a later run cuts nothing."""
+    a, b, c = (
+        CountRecord(graph_hash=h, early_stop=2, good_initial_count=2, partial=True, det=1, initial_count=8)
+        for h in ("a" * 64, "b" * 64, "c" * 64)
+    )
+    path = tmp_path / "cache.jsonl"
+    path.write_text(a.line() + "x" * len(b.line()))
+    early, late = ResultCache(path), ResultCache(path)
+    assert early.torn_line == late.torn_line == 2
+    with early:
+        early.put(b)
+    assert path.read_text() == a.line() + b.line()  # the loaded size again
+    with late:
+        late.put(c)
+    assert path.read_text() == a.line() + b.line() + c.line()
+
+
 def test_a_second_cache_sees_every_record_the_first_has_put(tmp_path):
     path = tmp_path / "cache.jsonl"
     with ResultCache(path) as first:

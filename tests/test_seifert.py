@@ -320,3 +320,37 @@ def test_direct_stars_equal_the_validated_construction():
             assert built.canonical_hash == g.canonical_hash
             assert built.forms == g.forms
     assert len(stars) > 1037 + 100
+
+
+def _delta(inv, i):
+    """Nemethi's Delta(i) = 1 - m*i + sum floor(i*b_j/a_j) of the invariants."""
+    return 1 - inv.center_weight * i + sum(i * b // a for a, b in inv.rays)
+
+
+def test_only_the_poincare_sphere_lacks_a_delta_witness():
+    """The paper's theorem on the invariants alone: Delta(i) < 0 at some i
+    gives a second good initial, and i = N0 mod P, with P = prod(a) and
+    N0 = (n - 2)*P - sum P/a_j, is such an i for every pairwise-coprime
+    tuple of three to five multiplicities checked, but (2, 3, 5).  There
+    N0 = -1, and Delta never falls below 0: HF+ is trivial."""
+    missing = []
+    for max_a, rays in ((100, 3), (20, 4), (14, 5)):
+        for t in coprime_tuples(max_a, rays):
+            product = math.prod(t)
+            n0 = (rays - 2) * product - sum(product // a for a in t)
+            if _delta(brieskorn(t), n0 % product) >= 0:
+                missing.append((t, n0))
+    assert missing == [((2, 3, 5), -1)]
+    poincare = brieskorn((2, 3, 5))
+    assert min(_delta(poincare, i) for i in range(30)) == 0
+
+
+def test_every_three_ray_star_to_40_is_negative_definite_and_unimodular():
+    """A second route to the definiteness check in sigma_star: the forms
+    sweep, on each star as star_graph builds it, reads |det| = 1 and a
+    negative definite form."""
+    tuples = coprime_tuples(40, 3)
+    assert len(tuples) == 2518
+    for t in tuples:
+        det, negative_definite = star_graph(brieskorn(t)).forms
+        assert abs(det) == 1 and negative_definite, t

@@ -168,15 +168,6 @@ def is_good_sequence(seq: GoodSequence) -> bool:
     return True
 
 
-def reverse_negate(seq: GoodSequence) -> GoodSequence:
-    """The reversed, negated sequence; good whenever seq is good."""
-    g = seq.graph
-    states = tuple(
-        Association(g, tuple(-x for x in s.values)) for s in reversed(seq.states)
-    )
-    return GoodSequence(states, tuple(reversed(seq.moved)))
-
-
 def _witness(graph: PlumbingGraph, offsets: Sequence[int], moves: Sequence[int]) -> GoodSequence:
     """Play ``moves`` from offsets k: a move at v sets k(v) = 0 and adds 1
     at each neighbor, and each state is the Association n = m + 2k.

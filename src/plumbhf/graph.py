@@ -10,11 +10,13 @@ m(v) > -degree(v)).
 
 Each per-graph fact is computed once per graph object and kept on it.
 The determinant and definiteness come from one leaf-to-root sweep over
-the tree (:attr:`PlumbingGraph.forms`), which also checks that the
-edges form a forest, and connectedness from the component count that
-sweep establishes.  The sweep is one fold of leaves straight off the
-edge list, for every forest and every root: it reads no adjacency list.
-The bad vertices are the tuple :attr:`PlumbingGraph.bad`.  The
+the tree (:attr:`PlumbingGraph.forms`), a graph's one structural check:
+it refuses edges that are not a forest on 0..n-1, and every fact that
+reads adjacency (``neighbors``, so ``bad``, the game and
+:func:`blow_down`) reads the forms first.  Connectedness comes from the
+component count that sweep establishes.  The sweep is one fold of leaves
+straight off the edge list, for every forest and every root: it reads no
+adjacency list.  The bad vertices are :attr:`PlumbingGraph.bad`.  The
 canonical hash, which keys the result cache, is the sha256 of a compact
 JSON serialization formatted directly; sha256 comes from CPython's
 builtin module (``_sha2``, or ``_sha256`` before 3.12), since
@@ -140,13 +142,11 @@ class PlumbingGraph(Frozen):
 
     @cached_property
     def neighbors(self) -> tuple[tuple[int, ...], ...]:
-        """Each vertex's neighbors.  BadIdError for an edge with an id
-        outside 0..n-1, which only a directly built graph can have."""
-        n = len(self.weights)
+        """Each vertex's neighbors.  The forms are read first: their sweep
+        refuses edges that are not a forest on 0..n-1."""
+        self.forms  # CycleDetectedError or BadIdError unless the edges form a forest
         nbrs: list[list[int]] = [[] for _ in self.weights]
         for u, v in self.edges:
-            if not (0 <= u < n and 0 <= v < n):
-                raise BadIdError(f"edge ({u}, {v}) references a vertex outside 0..{n - 1}")
             nbrs[u].append(v)
             nbrs[v].append(u)
         return tuple(map(tuple, nbrs))
@@ -322,11 +322,11 @@ def blow_down(g: PlumbingGraph) -> PlumbingGraph:
     and |det| are unchanged.  Candidates are consumed smallest id first,
     so the fixed point is deterministic.  Surviving vertices are
     renumbered densely, preserving relative order.  Each step keeps a
-    forest a forest, so no step can double an edge.
+    forest a forest, so no step can double an edge; reading
+    ``g.neighbors`` checks that ``g`` is one.
     """
-    g.forms  # CycleDetectedError or BadIdError unless g is a forest
     weights = dict(enumerate(g.weights))
-    adj: dict[int, set[int]] = {v: set(g.neighbors[v]) for v in range(g.vertex_count)}
+    adj: dict[int, set[int]] = {v: set(ns) for v, ns in enumerate(g.neighbors)}
     while True:
         v = min((u for u in weights if weights[u] == -1 and len(adj[u]) <= 2), default=None)
         if v is None:

@@ -8,18 +8,19 @@ star: a unique good initial, the bumped reciprocal sums of the two
 weight chains, the number of center moves, the pairing vector's jumps
 along the witness, and the goodness of the reversed witness.
 
-The chain arithmetic the checks need lives here too: :func:`convergents`
-gives the tail values of a weight chain as integer pairs, and
-:func:`bumped_sum_check` and :func:`pairing_vector_from_rays` are built
-on it.  No count, survey or graph file reads any of it, so the CLI
-imports this module only when ``s3`` runs.
+What the checks need lives here too: :func:`reverse_negate`, and one
+backward loop over a weight chain (:func:`_tails`), which gives
+:func:`convergents`, :func:`bumped_sum_check` and
+:func:`pairing_vector_from_rays` their integer pairs.  No count, survey
+or graph file reads any of it, so the CLI imports this module only when
+``s3`` runs.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
 
-from .game import AssociationGame, is_good_sequence, reverse_negate
+from .game import Association, AssociationGame, GoodSequence, is_good_sequence
 from .graph import Frozen
 from .seifert import brieskorn, coprime_tuples, star_graph
 
@@ -37,21 +38,17 @@ def convergents(coeffs: Sequence[int]) -> list[tuple[int, int]]:
         raise ValueError("empty coefficient list")
     if any(t > -2 for t in coeffs):
         raise ValueError(f"coefficients must all be <= -2, got {list(coeffs)}")
+    return _tails(coeffs)
+
+
+def _tails(coeffs: Sequence[int]) -> list[tuple[int, int]]:
+    """The pairs of :func:`convergents` for any coefficients, unchecked:
+    a bumped chain may end in -1."""
     pairs = [(1, 0)]
-    a, b = 1, 0
     for t in reversed(coeffs):
-        a, b = -t * a + b, -a
-        pairs.append((a, b))
-    pairs.reverse()
-    return pairs
-
-
-def _head(coeffs: Sequence[int]) -> tuple[int, int]:
-    """(A, B) with A/B the value of coeffs, by the convergents recurrence."""
-    a, b = 1, 0
-    for t in reversed(coeffs):
-        a, b = -t * a + b, -a
-    return a, b
+        a, b = pairs[-1]
+        pairs.append((-t * a + b, -a))
+    return pairs[::-1]
 
 
 def bumped_sum_check(t: Sequence[int], s: Sequence[int]) -> tuple[bool, bool]:
@@ -67,8 +64,8 @@ def bumped_sum_check(t: Sequence[int], s: Sequence[int]) -> tuple[bool, bool]:
     is A/B with A > 0 > B, and B/A + D/C <= -1 is B*C + D*A <= -A*C.
     """
     (a, b), (c, d) = convergents(t)[0], convergents(s)[0]
-    ab, bb = _head([*t[:-1], t[-1] + 1])
-    cb, db = _head([*s[:-1], s[-1] + 1])
+    ab, bb = _tails([*t[:-1], t[-1] + 1])[0]
+    cb, db = _tails([*s[:-1], s[-1] + 1])[0]
     return (bb * c + d * ab <= -ab * c, b * cb + db * a <= -a * cb)
 
 
@@ -82,15 +79,15 @@ def pairing_vector_from_rays(first: Sequence[int], second: Sequence[int]) -> tup
     chains.  Along any good sequence its pairing with the states jumps
     by exactly 2 at center moves and 0 otherwise.
     """
-    first_cv = convergents(first)
-    second_cv = convergents(second)
-    a1 = first_cv[0][0]
-    c1 = second_cv[0][0]
-    return (
-        (-a1 * c1,)
-        + tuple(c1 * b for _, b in first_cv[:-1])
-        + tuple(a1 * d for _, d in second_cv[:-1])
-    )
+    first_cv, second_cv = convergents(first), convergents(second)
+    a1, c1 = first_cv[0][0], second_cv[0][0]
+    return (-a1 * c1, *(c1 * b for _, b in first_cv[:-1]), *(a1 * d for _, d in second_cv[:-1]))
+
+
+def reverse_negate(seq: GoodSequence) -> GoodSequence:
+    """The reversed, negated sequence; good whenever seq is good."""
+    states = tuple(Association(seq.graph, tuple(-x for x in s.values)) for s in seq.states[::-1])
+    return GoodSequence(states, tuple(reversed(seq.moved)))
 
 
 class S3Row(Frozen):

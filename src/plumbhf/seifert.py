@@ -24,6 +24,17 @@ harness (:mod:`plumbhf.s3`, with the pairing vector of those two rays)
 reads each quadruple off the rays of Sigma(x, y) for the coprime pairs
 that :func:`coprime_tuples`, the survey's tuple generator, lists, and
 plays on that same star.
+
+The paper's theorem (arXiv:0909.3975) on the invariants: for pairwise
+coprime a_1..a_n with P = prod a_j, N0 = (n-2)*P - sum P/a_j is negative
+only for (2, 3, 5).  For every other tuple Delta(N0 mod P) < 0, with
+Nemethi's Delta(i) = 1 - m*i + sum floor(i*b_j/a_j) (Geom. Topol. 9,
+2005), so tau has a second minimum and the sphere a second good
+initial.  Three fibers p, q, r: S = <qr, pr, pq> is symmetric with
+Frobenius number N0 + pqr, so N0 is not in S (pqr is) but is in N0 - S,
+and Delta(N0) = -1.  For n >= 4 it is a tested proposition, which
+``tests/test_seifert.py::test_only_the_poincare_sphere_lacks_a_delta_witness``
+checks to a <= 20 (four fibers) and a <= 14 (five).
 """
 
 from __future__ import annotations

@@ -17,7 +17,6 @@ from plumbhf.game import (
     is_final,
     is_good_sequence,
     is_initial,
-    reverse_negate,
 )
 from plumbhf.graph import (
     blow_down,
@@ -26,6 +25,7 @@ from plumbhf.graph import (
     is_negative_definite,
 )
 from plumbhf.report import analyze
+from plumbhf.s3 import reverse_negate
 from plumbhf.seifert import brieskorn, sigma_star, star_graph
 from support import (
     brute_initial_states,

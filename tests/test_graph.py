@@ -186,19 +186,20 @@ def test_forms_of_singular_and_degenerate_graphs():
         assert not is_negative_definite(g), name
 
 
-@pytest.mark.parametrize(
-    "edges",
-    [
-        ((0, 1), (0, 2), (1, 2)),
-        ((0, 1), (0, 1)),
-        ((0, 0),),
-        ((0, 1), (1, 2), (2, 3), (3, 1), (3, 4)),  # a triangle with a tail at each end
-        ((4, 3), (3, 2), (2, 0), (0, 3), (1, 0)),  # the same shape, ids reversed
-        ((0, 1), (1, 2), (2, 1), (2, 3), (3, 4)),  # a doubled edge inside a path
-        ((0, 1), (1, 2), (2, 3), (3, 4), (4, 4)),  # a self-loop at a path's end
-        ((0, 1), (2, 3), (3, 4), (4, 2)),  # a triangle beside a tree
-    ],
-)
+# edge lists on five vertices that are not a forest; only a directly built graph has one
+DIRECT_CYCLES = [
+    ((0, 1), (0, 2), (1, 2)),
+    ((0, 1), (0, 1)),
+    ((0, 0),),
+    ((0, 1), (1, 2), (2, 3), (3, 1), (3, 4)),  # a triangle with a tail at each end
+    ((4, 3), (3, 2), (2, 0), (0, 3), (1, 0)),  # the same shape, ids reversed
+    ((0, 1), (1, 2), (2, 1), (2, 3), (3, 4)),  # a doubled edge inside a path
+    ((0, 1), (1, 2), (2, 3), (3, 4), (4, 4)),  # a self-loop at a path's end
+    ((0, 1), (2, 3), (3, 4), (4, 2)),  # a triangle beside a tree
+]
+
+
+@pytest.mark.parametrize("edges", DIRECT_CYCLES)
 def test_forms_refuse_a_directly_built_cycle(edges):
     """The leaves of a tail fold away; the cycle's edges never do, at any root."""
     g = PlumbingGraph((-2,) * 5, edges)
@@ -206,6 +207,18 @@ def test_forms_refuse_a_directly_built_cycle(edges):
     for read in reads + [lambda v=v: complement_determinant(g, v) for v in range(5)]:
         with pytest.raises(CycleDetectedError):
             read()
+
+
+@pytest.mark.parametrize("edges", DIRECT_CYCLES)
+def test_every_adjacency_fact_refuses_a_directly_built_cycle(edges):
+    """The forms sweep is the one forest check: neighbors reads it first,
+    so bad, the game and blow_down refuse a cycle through it too."""
+    for weights in ((-2,) * 5, (-1,) * 5):  # -1s: blow_down has candidates
+        g = PlumbingGraph(weights, edges)
+        for read in (lambda: g.neighbors, lambda: g.bad, lambda: AssociationGame(g),
+                     lambda: blow_down(g)):
+            with pytest.raises(CycleDetectedError):
+                read()
 
 
 def test_graphs_are_frozen_values():
@@ -234,7 +247,9 @@ def test_graphs_are_frozen_values():
 
 
 @pytest.mark.parametrize("edges", [((-1, 0),), ((0, 3),), ((3, 0),), ((0, 1), (1, -3)), ((0, 1), (1, 2), (2, 3))])
-@pytest.mark.parametrize("fact", ["forms", "neighbors", "is_connected", "complement_determinant"])
+@pytest.mark.parametrize(
+    "fact", ["forms", "neighbors", "is_connected", "complement_determinant", "bad", "blow_down"]
+)
 def test_a_directly_built_edge_outside_the_vertices_is_a_bad_id(edges, fact):
     """An id past the end once raised IndexError, and a negative one
     wrapped: (-1, 0) on three vertices had the forms of the edge (0, 2)."""
@@ -244,6 +259,8 @@ def test_a_directly_built_edge_outside_the_vertices_is_a_bad_id(edges, fact):
         "neighbors": lambda: g.neighbors,
         "is_connected": lambda: g.is_connected,
         "complement_determinant": lambda: complement_determinant(g, 0),
+        "bad": lambda: g.bad,
+        "blow_down": lambda: blow_down(g),
     }[fact]
     bad = next(e for e in edges if not all(0 <= x < 3 for x in e))
     with pytest.raises(BadIdError, match=re.escape(f"edge {bad} references a vertex outside 0..2")):

@@ -5,7 +5,8 @@ tuple), survey (the Brieskorn sweep), all-minus-two (the all-(-2) star
 scan), s3 (two-ray property harness).  Exit codes: 0 all rows computed,
 2 some rows skipped, 1 invocation error, failed computation (a failed
 engine self-check included) or an s3 row that fails one of its
-properties.  Output is UTF-8 whatever the locale.
+properties.  Output is UTF-8 whatever the locale; a warning is one
+``plumbhf: warning:`` line on stderr.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+import warnings
 from contextlib import nullcontext
 from functools import partial
 from pathlib import Path
@@ -237,11 +239,14 @@ def main(argv: list[str] | None = None) -> int:
         parser.error(f"unrecognized arguments: {' '.join(unknown)}")
     if args.command in ("analyze", "brieskorn") and args.emit_sequences and args.format == "csv":
         parser.error("--emit-sequences needs --format json (CSV carries no sequences)")
-    try:
-        return args.handler(args)
-    except (PlumbingError, ValueError, OSError) as exc:
-        print(f"plumbhf: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 1
+    with warnings.catch_warnings():  # restores showwarning on the way out
+        # one line: the frame a warning names is main's caller, runpy's under -m
+        warnings.showwarning = lambda message, *_: print(f"plumbhf: warning: {message}", file=sys.stderr)
+        try:
+            return args.handler(args)
+        except (PlumbingError, ValueError, OSError) as exc:
+            print(f"plumbhf: {type(exc).__name__}: {exc}", file=sys.stderr)
+            return 1
 
 
 if __name__ == "__main__":

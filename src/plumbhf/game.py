@@ -86,6 +86,8 @@ and its pairing with witness states, are in :mod:`plumbhf.s3`.
 from __future__ import annotations
 
 import math
+import os
+import sys
 import warnings
 from collections.abc import Iterator, Sequence
 from heapq import heappop, heappush
@@ -100,6 +102,8 @@ from .graph import (
     graph_determinant,
     is_negative_definite,
 )
+
+_PACKAGE_DIR = os.path.dirname(__file__) + os.sep  # a warning names the first frame outside it
 
 
 class Association(Frozen):
@@ -240,11 +244,18 @@ class AssociationGame:
     # -- search ---------------------------------------------------------
 
     def _warn_if_outside_domain(self) -> None:
+        """Warn, at the first caller outside this package, when the graph
+        is outside the domain where a count is an HF+ rank."""
         if len(self._bad) > 1 or not self._negative_definite:
+            frame, level = sys._getframe(), 1
+            while frame is not None and frame.f_code.co_filename.startswith(_PACKAGE_DIR):
+                frame, level = frame.f_back, level + 1
+            g = self.graph
+            name = repr(g.name) if g.name is not None else f"with hash {g.canonical_hash}"
             warnings.warn(
-                "graph is outside the validity domain (negative definite, "
+                f"graph {name} is outside the validity domain (negative definite, "
                 "at most one bad vertex); game counts are not HF+ ranks here",
-                stacklevel=3,
+                stacklevel=level,
             )
 
     def _play(self, state: Sequence[int]) -> list[int] | None:

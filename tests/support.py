@@ -5,10 +5,9 @@ definitions (cofactor expansion, uncached breadth-first search over the
 raw move rules, a brute scan of the sphere equation) so the production
 code is checked against something it does not share internals with.
 The reference helpers (continued-fraction values, intersection
-matrices, the interior-association bound, the S^3 sphere equation,
-quadruple reduction and pairing vector on plain (a1, b1, a2, b2)
-tuples, the Delta-descent survey
-verdict, the canonical hash through the json module, graph-file
+matrices, the interior-association bound, the S^3 sphere equation
+and pairing vector on plain (a1, b1, a2, b2) tuples, the Delta-descent
+survey verdict, the canonical hash through the json module, graph-file
 writing) are what the tests compare the package's answers with; no
 command runs them.  ``time_limit`` fails a slow check that runs past
 its bound.
@@ -320,22 +319,6 @@ def interior_association_count(graph):
             raise ValueError(f"vertex {v} has weight {m} > -2")
         out *= -1 - m
     return out
-
-
-def reduce_quadruple(q):
-    """One reduction step, strictly shrinking both multiplicities.
-
-    The ray with ratio > -2 is moved into first position and replaced by
-    (-b1, 2*b1 + a1) while the other ray drops to (a2 + b2, b2).  Raises
-    ValueError when the distinguished ratio is exactly -2 (the
-    irreducible family) or q is not a sphere quadruple.
-    """
-    if not is_sphere_quadruple(q):
-        raise ValueError(f"{q} does not satisfy the sphere equation")
-    a1, b1, a2, b2 = canonical_quadruple(q)
-    if a1 == -2 * b1:
-        raise ValueError(f"{(a1, b1, a2, b2)} has ray ratio exactly -2")
-    return (-b1, 2 * b1 + a1, a2 + b2, b2)
 
 
 def pairing_vector(q):

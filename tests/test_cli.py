@@ -581,6 +581,24 @@ def test_a_failed_self_check_exits_1_naming_the_row(capsys, monkeypatch):
     assert "SelfCheckError: Sigma(2, 3, 5): tau minimum with offsets" in err, err
 
 
+@pytest.mark.parametrize("child", [False, True], ids=["main", "python-m"])
+def test_the_domain_warning_is_one_stderr_line(tmp_path, capsys, child):
+    """In process or as ``python -m plumbhf``, whose first frame outside
+    the package is runpy's, the warning is one line naming the graph."""
+    path = graph_file(tmp_path, build_graph([-2, -1, -2], [(0, 1), (1, 2)], name="singular"))
+    if child:
+        argv = [sys.executable, "-m", "plumbhf", "analyze", path]
+        proc = subprocess.run(argv, env=_child_env(), capture_output=True, text=True, timeout=60)
+        code, out, err = proc.returncode, proc.stdout, proc.stderr
+    else:
+        with warnings.catch_warnings():
+            warnings.simplefilter("default")  # the interpreter's own action, also under -W error
+            code, out, err = run(capsys, "analyze", path)
+    assert (code, json.loads(out)["good_initial_count"]) == (0, 0)
+    assert err == ("plumbhf: warning: graph 'singular' is outside the validity domain (negative definite, "
+                   "at most one bad vertex); game counts are not HF+ ranks here\n")
+
+
 def test_module_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "plumbhf", "brieskorn", "2", "3", "5", "--early-stop", "2"],

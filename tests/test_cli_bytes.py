@@ -1,6 +1,8 @@
 """Exact CLI bytes under pytest: one case per check of ``cli_bytes.py``,
 and its stdlib-only runner, which a child runs as ``python tests/cli_bytes.py``."""
 
+import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -17,9 +19,20 @@ def test_cli_bytes_match_recorded_digest(name, tmp_path, monkeypatch):
     assert CHECKS[name](tmp_path) is None
 
 
-def test_the_stdlib_runner_passes_every_check_in_a_child():
-    script = Path(__file__).with_name("cli_bytes.py")
-    run = subprocess.run([sys.executable, str(script)], capture_output=True, text=True, timeout=300)
+@pytest.mark.parametrize("copied", [False, True], ids=["in-tests", "copied"])
+def test_the_stdlib_runner_passes_every_check_in_a_child(copied, tmp_path):
+    """Run where it is, the runner imports the package under ``src/`` next
+    to it; copied with ``support.py`` into a directory of their own, as
+    CI checks an installed package, it imports whichever is on the path,
+    here this checkout's ``src/`` through PYTHONPATH."""
+    here = Path(__file__).parent
+    script, env = here / "cli_bytes.py", None
+    if copied:
+        for name in ("cli_bytes.py", "support.py"):
+            shutil.copy(here / name, tmp_path / name)
+        script, env = tmp_path / "cli_bytes.py", {**os.environ, "PYTHONPATH": str(here.parent / "src")}
+    run = subprocess.run([sys.executable, str(script)], env=env, cwd=tmp_path, capture_output=True,
+                         text=True, timeout=300)
     assert (run.returncode, run.stderr) == (0, "")
     assert run.stdout.splitlines() == [f"ok: {name}" for name in sorted(CHECKS)] + ["15 of 15 byte checks pass"]
 

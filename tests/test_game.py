@@ -315,6 +315,28 @@ def test_non_definite_graph_warns():
         good_initial_count(affine)
 
 
+DOMAIN_WARNING_CALLS = {
+    "analyze": analyze,
+    "good_initial_count": good_initial_count,
+    "AssociationGame.good_initial_count": lambda g: AssociationGame(g).good_initial_count(),
+    "completes_to_good": lambda g: AssociationGame(g).completes_to_good(Association(g, (2, 1, 2))),
+}
+
+
+@pytest.mark.parametrize("call", DOMAIN_WARNING_CALLS.values(), ids=DOMAIN_WARNING_CALLS)
+@pytest.mark.parametrize("name", [None, "singular"])
+def test_the_domain_warning_names_the_graph_at_the_callers_line(call, name):
+    """Each entry point attributes the warning to the first frame outside
+    the package, this file, whatever depth inside the package warns."""
+    g = build_graph([-2, -1, -2], [(0, 1), (1, 2)], name=name)  # singular: not definite
+    label = f"with hash {g.canonical_hash}" if name is None else repr(name)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        call(g)
+    assert [(w.category, w.filename) for w in caught] == [(UserWarning, __file__)]
+    assert str(caught[0].message).startswith(f"graph {label} is outside the validity domain")
+
+
 def test_singular_chain_has_no_good_initials():
     g = chain(-2, -1, -2)
     assert graph_determinant(g) == 0

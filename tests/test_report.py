@@ -314,14 +314,17 @@ def test_a_cache_tail_is_mended_only_by_the_first_run_that_extends_it(tmp_path, 
     assert path.read_bytes().startswith(good) and len(path.read_bytes().splitlines()) == len(merged)
 
 
+def _records(*hashes):
+    """One early-stop record per hash letter."""
+    return [CountRecord(graph_hash=h * 64, early_stop=2, good_initial_count=2, partial=True, det=1,
+                        initial_count=8) for h in hashes]
+
+
 def test_a_run_that_restores_the_loaded_size_keeps_its_record(tmp_path):
     """A torn fragment exactly as long as another run's record: when that
     run has cut the fragment and appended its record, the file has its
     loaded size again, but ends in a newline, so a later run cuts nothing."""
-    a, b, c = (
-        CountRecord(graph_hash=h, early_stop=2, good_initial_count=2, partial=True, det=1, initial_count=8)
-        for h in ("a" * 64, "b" * 64, "c" * 64)
-    )
+    a, b, c = _records("a", "b", "c")
     path = tmp_path / "cache.jsonl"
     path.write_text(a.line() + "x" * len(b.line()))
     early, late = ResultCache(path), ResultCache(path)
@@ -332,6 +335,31 @@ def test_a_run_that_restores_the_loaded_size_keeps_its_record(tmp_path):
     with late:
         late.put(c)
     assert path.read_text() == a.line() + b.line() + c.line()
+
+
+def test_a_file_that_is_only_a_torn_fragment_is_cut_to_nothing(tmp_path):
+    """The torn line is line 1 at offset 0: no record loads, and the first
+    put leaves the file holding exactly its own record."""
+    [a] = _records("a")
+    path = tmp_path / "cache.jsonl"
+    path.write_bytes(b'{"det":1,"early_st')
+    with ResultCache(path) as cache:
+        assert (cache.torn_line, cache.records) == (1, {})
+        cache.put(a)
+    assert path.read_text() == a.line()
+
+
+def test_a_whitespace_last_line_without_its_newline_is_terminated(tmp_path):
+    """A blank last line decodes to nothing, so it is no torn record: the
+    first put ends it with a newline, and a reload skips it."""
+    a, b = _records("a", "b")
+    path = tmp_path / "cache.jsonl"
+    path.write_text(a.line() + " \t")
+    with ResultCache(path) as cache:
+        assert (cache.torn_line, list(cache.records.values())) == (None, [a])
+        cache.put(b)
+    assert path.read_text() == a.line() + " \t\n" + b.line()
+    assert list(ResultCache(path).records.values()) == [a, b]
 
 
 def test_a_second_cache_sees_every_record_the_first_has_put(tmp_path):

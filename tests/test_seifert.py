@@ -26,7 +26,6 @@ from support import (
     coprime_pairs,
     e8,
     is_sphere_quadruple,
-    reduce_quadruple,
     star,
 )
 
@@ -179,35 +178,6 @@ def test_canonical_puts_large_ratio_first():
             if (Fraction(a1, b1) >= -2) != (Fraction(a2, b2) >= -2):
                 c = canonical_quadruple((a1, b1, a2, b2))
                 assert Fraction(c[0], c[1]) >= -2 > Fraction(c[2], c[3])
-
-
-def test_reduce_step_and_base_case():
-    assert reduce_quadruple((5, -3, 3, -1)) == (3, -1, 2, -1)
-    with pytest.raises(ValueError):
-        reduce_quadruple((2, -1, 3, -1))
-    with pytest.raises(ValueError):
-        reduce_quadruple((2, -1, 3, -2))
-
-
-def test_reduce_chain_terminates_at_base_family():
-    for q in brute_quadruples(20):
-        steps = 0
-        while True:
-            try:
-                q = reduce_quadruple(q)
-            except ValueError:
-                break
-            steps += 1
-            assert steps < 50
-        assert canonical_quadruple(q)[:2] == (2, -1)
-
-
-def test_reduce_undoes_its_inverse_move():
-    a1, b1, a2, b2 = (2, -1, 3, -1)
-    parent = (b1 + 2 * a1, -a1, a2 - b2, b2)
-    assert parent == (3, -2, 4, -1)
-    assert is_sphere_quadruple(parent)
-    assert canonical_quadruple(reduce_quadruple(parent)) == (2, -1, 3, -1)
 
 
 def test_enumerate_matches_brute_scan():

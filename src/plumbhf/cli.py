@@ -244,7 +244,7 @@ def main(argv: list[str] | None = None) -> int:
         warnings.showwarning = lambda message, *_: print(f"plumbhf: warning: {message}", file=sys.stderr)
         try:
             return args.handler(args)
-        except (PlumbingError, ValueError, OSError) as exc:
+        except (PlumbingError, ValueError, OSError, Warning) as exc:  # a Warning under -W error
             print(f"plumbhf: {type(exc).__name__}: {exc}", file=sys.stderr)
             return 1
 

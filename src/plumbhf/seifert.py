@@ -25,16 +25,26 @@ reads each quadruple off the rays of Sigma(x, y) for the coprime pairs
 that :func:`coprime_tuples`, the survey's tuple generator, lists, and
 plays on that same star.
 
-The paper's theorem (arXiv:0909.3975) on the invariants: for pairwise
-coprime a_1..a_n with P = prod a_j, N0 = (n-2)*P - sum P/a_j is negative
-only for (2, 3, 5).  For every other tuple Delta(N0 mod P) < 0, with
-Nemethi's Delta(i) = 1 - m*i + sum floor(i*b_j/a_j) (Geom. Topol. 9,
-2005), so tau has a second minimum and the sphere a second good
-initial.  Three fibers p, q, r: S = <qr, pr, pq> is symmetric with
-Frobenius number N0 + pqr, so N0 is not in S (pqr is) but is in N0 - S,
-and Delta(N0) = -1.  For n >= 4 it is a tested proposition, which
+The paper's theorem (arXiv:0909.3975) on the invariants, for every n:
+with Nemethi's Delta(i) = 1 - m*i + sum floor(i*b_j/a_j) (Geom. Topol. 9,
+2005), P = prod a_j and N0 = (n-2)*P - sum P/a_j = -P*chi, where
+chi = 2 - n + sum 1/a_j is the base orbifold's Euler characteristic,
+Delta(N0) = -1.  The sphere equation -m*P + sum b_k*P/a_k = 1, taken
+mod a_j, gives b_j*P/a_j = 1 (mod a_j), and N0 = -P/a_j (mod a_j), so
+N0*b_j = -1 (mod a_j) and floor(N0*b_j/a_j) = (N0*b_j + 1)/a_j - 1.
+Summing,
+
+    Delta(N0) = 1 - n + N0*(-m + sum b_j/a_j) + sum 1/a_j
+              = 1 - n + N0/P + sum 1/a_j = -1,
+
+as N0/P = n - 2 - sum 1/a_j.  For n >= 3, chi >= 0 only on spherical and
+Euclidean bases, and the only pairwise-coprime one is (2, 3, 5), where
+N0 = -1; so N0 >= 1 for every other tuple.  Delta(0) = 1, tau falls at
+N0 and rises for large i (Delta(i + P) = Delta(i) + 1), so tau has a
+second local minimum and the sphere a second good initial.  The proof
+uses only the sphere equation, not :func:`brieskorn`'s normalization.
 ``tests/test_seifert.py::test_only_the_poincare_sphere_lacks_a_delta_witness``
-checks to a <= 20 (four fibers) and a <= 14 (five).
+checks both facts to a <= 100 (three fibers), 20 (four) and 14 (five).
 """
 
 from __future__ import annotations

@@ -6,11 +6,11 @@ raw move rules, a brute scan of the sphere equation) so the production
 code is checked against something it does not share internals with.
 The reference helpers (continued-fraction values, intersection
 matrices, the interior-association bound, the S^3 sphere equation
-and pairing vector on plain (a1, b1, a2, b2) tuples, the Delta-descent
-survey verdict, the canonical hash through the json module, graph-file
-writing) are what the tests compare the package's answers with; no
-command runs them.  ``time_limit`` fails a slow check that runs past
-its bound.
+on plain (a1, b1, a2, b2) tuples, a tuple's Seifert data and Nemethi's
+Delta, the Delta-descent survey verdict, the canonical hash through the
+json module, graph-file writing) are what the tests compare the
+package's answers with; no command runs them.  ``time_limit`` fails a
+slow check that runs past its bound.
 """
 
 import hashlib
@@ -22,9 +22,7 @@ from contextlib import contextmanager
 from fractions import Fraction
 from pathlib import Path
 
-from plumbhf.contfrac import expand_ratio
 from plumbhf.graph import build_graph
-from plumbhf.s3 import pairing_vector_from_rays
 from plumbhf.seifert import coprime_tuples
 
 
@@ -144,24 +142,40 @@ def coprime_pairs(bound):
     return [t for t in coprime_tuples(bound - 2, 2) if sum(t) <= bound]
 
 
-def descent_verdict(params):
-    """The survey verdict of Sigma(params) from Nemethi's Delta alone.
+def brieskorn_data(params):
+    """(m, rays, P, N0) of Sigma(params), solved as brieskorn solves them.
 
-    With P = prod(a), b_j = (P/a_j)^-1 mod a_j shifted into (-a_j, 0) and
-    center m = (sum b_j*P/a_j - 1)/P, Delta(i) = 1 - m*i + sum floor(i*b_j/a_j).
-    The sphere has two good initials iff Delta(i) < 0 for some i; as
-    Delta(i + P) = Delta(i) + 1, only i in 0..P-1 can be the first.
-    Any one such i decides it, so i0 = N0 mod P, with
-    N0 = (n - 2)*P - sum P/a_j, is tried before the scan: it is a witness
-    for every tuple but (2, 3, 5) (see test_seifert).  Shares no code with
-    the graph, the forms or the game.
+    P = prod(a), each ray (a_j, b_j) has b_j = (P/a_j)^-1 mod a_j shifted
+    into (-a_j, 0), the rays stay in the order of ``params``, the center
+    is m = (sum b_j*P/a_j - 1)/P and N0 = (n - 2)*P - sum P/a_j.  Nothing
+    is checked: SeifertInvariants checks the sphere equation.
     """
     product = math.prod(params)
     rays = [(a, pow(product // a, -1, a) - a) for a in params]
     m = (sum(b * (product // a) for a, b in rays) - 1) // product
     n0 = (len(params) - 2) * product - sum(product // a for a in params)
+    return m, rays, product, n0
+
+
+def delta(m, rays, i):
+    """Nemethi's Delta(i) = 1 - m*i + sum floor(i*b_j/a_j) of the invariants."""
+    return 1 - m * i + sum(i * b // a for a, b in rays)
+
+
+def descent_verdict(params):
+    """The survey verdict of Sigma(params) from Nemethi's Delta alone.
+
+    The sphere has two good initials iff Delta(i) < 0 for some i; as
+    Delta(i + P) = Delta(i) + 1, only i in 0..P-1 can be the first.
+    Any one such i decides it, so N0 mod P is tried before the scan:
+    Delta(N0) = -1 on every tuple and N0 >= 1 on every tuple of three or
+    more but (2, 3, 5) (seifert.py's docstring proves both), and then
+    Delta(N0 mod P) <= Delta(N0).  Shares no code with the graph, the
+    forms or the game.
+    """
+    m, rays, product, n0 = brieskorn_data(params)
     for i in itertools.chain([n0 % product], range(product)):
-        if 1 - m * i + sum(i * b // a for a, b in rays) < 0:
+        if delta(m, rays, i) < 0:
             return "nontrivial"
     return "trivial-rank"
 
@@ -319,17 +333,6 @@ def interior_association_count(graph):
             raise ValueError(f"vertex {v} has weight {m} > -2")
         out *= -1 - m
     return out
-
-
-def pairing_vector(q):
-    """The pairing vector of a sphere quadruple's star, from its canonical rays.
-
-    Raises ValueError if q is not a sphere quadruple.
-    """
-    if not is_sphere_quadruple(q):
-        raise ValueError(f"{q} does not satisfy the sphere equation")
-    a1, b1, a2, b2 = canonical_quadruple(q)
-    return pairing_vector_from_rays(expand_ratio(-a1, -b1), expand_ratio(-a2, -b2))
 
 
 def json_canonical_hash(g):

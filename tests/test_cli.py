@@ -144,14 +144,6 @@ def test_brieskorn_not_coprime_exits_1(capsys):
     assert "NotCoprime" in err
 
 
-def test_survey_all_minus_two(capsys):
-    code, out, _ = run(capsys, "all-minus-two", "--max-p", "12")
-    assert code == 0
-    rows = json.loads(out)
-    hits = [r["params"] for r in rows if r["verdict"] == "solution"]
-    assert hits == [[1, 2, 4]]
-
-
 def test_survey_defaults_match_explicit_flags(capsys, monkeypatch):
     monkeypatch.delenv("PLUMB_HF_CACHE", raising=False)
 
@@ -581,22 +573,27 @@ def test_a_failed_self_check_exits_1_naming_the_row(capsys, monkeypatch):
     assert "SelfCheckError: Sigma(2, 3, 5): tau minimum with offsets" in err, err
 
 
-@pytest.mark.parametrize("child", [False, True], ids=["main", "python-m"])
-def test_the_domain_warning_is_one_stderr_line(tmp_path, capsys, child):
+@pytest.mark.parametrize("flags", [None, [], ["-W", "error"]], ids=["main", "python-m", "python-W-error"])
+def test_the_domain_warning_is_one_stderr_line(tmp_path, capsys, flags):
     """In process or as ``python -m plumbhf``, whose first frame outside
-    the package is runpy's, the warning is one line naming the graph."""
+    the package is runpy's, the warning is one line naming the graph.
+    Under ``-W error`` it is an error: one line, exit 1 and no output."""
     path = graph_file(tmp_path, build_graph([-2, -1, -2], [(0, 1), (1, 2)], name="singular"))
-    if child:
-        argv = [sys.executable, "-m", "plumbhf", "analyze", path]
-        proc = subprocess.run(argv, env=_child_env(), capture_output=True, text=True, timeout=60)
-        code, out, err = proc.returncode, proc.stdout, proc.stderr
-    else:
+    if flags is None:
         with warnings.catch_warnings():
             warnings.simplefilter("default")  # the interpreter's own action, also under -W error
             code, out, err = run(capsys, "analyze", path)
-    assert (code, json.loads(out)["good_initial_count"]) == (0, 0)
-    assert err == ("plumbhf: warning: graph 'singular' is outside the validity domain (negative definite, "
-                   "at most one bad vertex); game counts are not HF+ ranks here\n")
+    else:
+        argv = [sys.executable, *flags, "-m", "plumbhf", "analyze", path]
+        proc = subprocess.run(argv, env=_child_env(), capture_output=True, text=True, timeout=60)
+        code, out, err = proc.returncode, proc.stdout, proc.stderr
+    message = ("graph 'singular' is outside the validity domain (negative definite, "
+               "at most one bad vertex); game counts are not HF+ ranks here")
+    if flags == ["-W", "error"]:
+        assert (code, out, err) == (1, "", f"plumbhf: UserWarning: {message}\n")
+    else:
+        assert (code, json.loads(out)["good_initial_count"]) == (0, 0)
+        assert err == f"plumbhf: warning: {message}\n"
 
 
 def test_module_entry_point():

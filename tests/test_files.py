@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -88,6 +89,18 @@ def test_parse_errors_name_the_problem(tmp_path):
         with pytest.raises(ParseError) as err:
             graph_from_obj(obj)
         assert needle in str(err.value)
+
+
+@pytest.mark.parametrize(
+    "weight, edge, message",
+    [(True, [0, 1], "vertices[0].weight: expected integer, got True"),
+     (-2, [0, True], "edges[0]: expected a pair of integer ids")],
+    ids=["weight", "edge-id"],
+)
+def test_a_json_true_is_not_the_integer_1(weight, edge, message):
+    obj = {"vertices": [{"id": 0, "weight": weight}, {"id": 1, "weight": -2}], "edges": [edge]}
+    with pytest.raises(ParseError, match=re.escape(message)):
+        graph_from_obj(obj)
 
 
 def test_parse_wraps_structural_graph_errors():

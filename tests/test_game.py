@@ -8,6 +8,7 @@ import weakref
 
 import pytest
 
+from plumbhf.contfrac import expand_ratio
 from plumbhf.errors import SelfCheckError, TooManyBadVerticesError
 from plumbhf.game import (
     Association,
@@ -25,8 +26,8 @@ from plumbhf.graph import (
     is_negative_definite,
 )
 from plumbhf.report import analyze
-from plumbhf.s3 import reverse_negate
-from plumbhf.seifert import brieskorn, sigma_star, star_graph
+from plumbhf.s3 import pairing_vector_from_rays, reverse_negate
+from plumbhf.seifert import brieskorn, coprime_tuples, sigma_star, star_graph
 from support import (
     brute_initial_states,
     chain,
@@ -35,9 +36,7 @@ from support import (
     interior_association_count,
     oracle_completes,
     oracle_count,
-    pairing_vector,
     random_forest,
-    random_small_star,
     random_unimodular_tree,
     relabeled_forest,
     star,
@@ -140,6 +139,13 @@ def test_counts_frozen_small_cases():
     for p in range(1, 6):
         g = chain(*([-2] * p))
         assert good_initial_count(g).count == p + 1
+    # every lens-space chain is an L-space: one good initial per spin^c
+    # structure, so its count is |det|, here always more than 1 (at most
+    # 5^4 = 625 initials a chain)
+    for p in range(1, 5):
+        for weights in itertools.product(range(-5, -1), repeat=p):
+            g = chain(*weights)
+            assert good_initial_count(g).count == abs(graph_determinant(g)) > 1, weights
 
 
 def test_poincare_unique_initial_is_minimal():
@@ -347,6 +353,15 @@ def test_singular_chain_has_no_good_initials():
     assert r.initial_total == 4
 
 
+@pytest.mark.parametrize("weights", [(-2, 0), (1,), (-2, -3, 2)])
+def test_a_weight_of_zero_or_more_leaves_no_initials(weights):
+    """A vertex with m(v) >= 0 has no offset in 1..-m(v), so no state is initial."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # none of these forms is negative definite
+        r = good_initial_count(chain(*weights))
+    assert (r.count, r.initial_total, r.partial) == (0, 0, False)
+
+
 def test_play_decides_every_state_of_singular_forms():
     """A play that revisits a state is not good; on every state, not only
     the initial ones, the cycle-checked play agrees with the oracle."""
@@ -372,6 +387,22 @@ def test_completes_to_good_validations():
         game.completes_to_good(Association(g, (-2, 0)))  # hits the lower bound
 
 
+def test_a_start_with_an_adjacent_capped_pair_is_one_stopped_play():
+    g = chain(-2, -2, -3)
+    game = AssociationGame(g)
+    assert game.completes_to_good(assoc(g, 2, 2, -1)) is None
+    assert (game.capped_pairs, game.move_cycles) == (1, 0)
+
+
+def test_the_tau_walk_takes_one_period_on_three_ray_stars():
+    """Delta >= -1 = -|det| there, so the stop rule's t stays -1 and the walk
+    ends at step P - 1 (module doc), P = a1*a2*a3 = |det| of the star minus its center."""
+    for t in coprime_tuples(12, 3):
+        game = AssociationGame(sigma_star(t))
+        game.good_initial_count()
+        assert game.tau_steps == math.prod(t)
+
+
 def test_interior_association_count():
     assert interior_association_count(e8()) == 1
     assert interior_association_count(build_graph([-3], [])) == 2
@@ -381,43 +412,21 @@ def test_interior_association_count():
         interior_association_count(chain(-2, -1, -2))
 
 
-def test_interior_bound_holds_on_small_stars():
-    rng = random.Random(33)
-    for _ in range(12):
-        g = random_small_star(rng)
-        bound = interior_association_count(g)
-        assert good_initial_count(g, early_stop=bound).count >= bound
-
-
 def test_pairing_vector_frozen_examples():
-    assert pairing_vector((2, -1, 3, -1)) == (-6, -3, -2)
-    assert pairing_vector((2, -1, 5, -2)) == (-10, -5, -4, -2)
-    assert pairing_vector((3, -2, 4, -1)) == (-12, -8, -4, -3)
-    # canonical order does not depend on the order the rays are given in
-    assert pairing_vector((3, -1, 2, -1)) == (-6, -3, -2)
-    with pytest.raises(ValueError):
-        pairing_vector((4, -2, 3, -1))  # not a sphere quadruple
+    # the weight chains of the rays of (2, -1, 3, -1), (2, -1, 5, -2) and (3, -2, 4, -1)
+    assert pairing_vector_from_rays([-2], [-3]) == (-6, -3, -2)
+    assert pairing_vector_from_rays([-2], [-3, -2]) == (-10, -5, -4, -2)
+    assert pairing_vector_from_rays([-2, -2], [-4]) == (-12, -8, -4, -3)
 
 
 def test_pairing_jumps_two_at_center_moves():
     for t in coprime_pairs(10):
         g = sigma_star(t)
         seq = good_initial_count(g).witnesses[0]
-        pv = pairing_vector(sum(brieskorn(t).rays, ()))
+        pv = pairing_vector_from_rays(*(expand_ratio(-a, -b) for a, b in brieskorn(t).rays))
         values = [sum(x * y for x, y in zip(pv, s.values, strict=True)) for s in seq.states]
         for before, after, moved in zip(values, values[1:], seq.moved):
             assert after - before == (2 if moved == 0 else 0)
-
-
-def test_central_count_is_a1_plus_a2_minus_one():
-    cases = {  # Sigma(x, y): its quadruple (a1, b1, a2, b2) has a1 + a2 = x + y
-        (2, 3): 4,  # (2, -1, 3, -1)
-        (3, 4): 6,  # (3, -2, 4, -1)
-        (2, 5): 6,  # (2, -1, 5, -2)
-    }
-    for pair, expected in cases.items():
-        seq = good_initial_count(sigma_star(pair)).witnesses[0]
-        assert seq.moved.count(0) == expected == sum(pair) - 1
 
 
 def test_reverse_negate_replays():

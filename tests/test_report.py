@@ -1,5 +1,3 @@
-import csv
-import io
 import json
 import re
 from functools import cached_property
@@ -16,13 +14,10 @@ from plumbhf.graph import PlumbingGraph, build_graph
 from plumbhf.report import (
     CountRecord,
     ResultCache,
-    SurveyRow,
     analyze,
     brieskorn_row,
-    csv_text,
     json_text,
     reverify_cache,
-    survey_all_minus_two,
     survey_brieskorn,
 )
 from plumbhf.s3 import S3Row, s3_rows
@@ -137,18 +132,6 @@ def test_analyze_early_stop_sets_partial():
     assert r.early_stop == 1
 
 
-def test_survey_brieskorn_small():
-    rows = survey_brieskorn(max_a=7, rays=3)
-    by_params = {r.params: r for r in rows}
-    assert by_params[(2, 3, 5)].verdict == "trivial-rank"
-    assert by_params[(2, 3, 5)].count == 1
-    assert by_params[(2, 3, 7)].verdict == "nontrivial"
-    assert all(r.verdict == "nontrivial" for p, r in by_params.items() if p != (2, 3, 5))
-    # pairwise-coprime tuples only
-    assert (2, 4, 5) not in by_params
-    assert (2, 4, 7) not in by_params
-
-
 def test_every_survey_verdict_matches_the_delta_descent():
     """A second route to each verdict: Nemethi's Delta from the Seifert
     invariants alone, with no graph, forms or game."""
@@ -166,15 +149,6 @@ def test_every_survey_verdict_matches_the_delta_descent():
     assert all(descent_verdict(p) == "trivial-rank" for p in pairs)
 
 
-def test_survey_all_minus_two_exact():
-    rows = survey_all_minus_two(max_p=12, rays=3)
-    solutions = [r.params for r in rows if r.verdict == "solution"]
-    assert solutions == [(1, 2, 4)]
-    for rays in (4, 5, 6):
-        rows = survey_all_minus_two(max_p=12, rays=rays)
-        assert all(r.verdict == "non-solution" for r in rows)
-
-
 def test_homology_sphere_needs_a_connected_graph():
     # two isolated -1 vertices: |det| = 1, but the forest is not connected
     forest = build_graph([-1, -1], [])
@@ -182,6 +156,7 @@ def test_homology_sphere_needs_a_connected_graph():
     assert r.det == 1
     assert not r.is_homology_sphere
     assert analyze(e8()).is_homology_sphere
+    assert not analyze(build_graph([-2], [])).is_homology_sphere  # connected, |det| = 2
 
 
 def test_readme_library_example_runs(capsys):
@@ -548,68 +523,6 @@ def test_json_text_refuses_what_it_cannot_write_as_json_dumps_would(value):
     subclass, at any depth."""
     with pytest.raises(TypeError):
         json_text(value)
-
-
-def test_csv_and_json_rows_carry_identical_data():
-    rows = survey_brieskorn(max_a=7, rays=3)
-    objs = json.loads(json_text(rows))
-    parsed = list(csv.DictReader(io.StringIO(csv_text(SurveyRow._fields, map(SurveyRow._key, rows)))))
-    assert len(parsed) == len(objs)
-    assert list(parsed[0]) == ["params", "verdict", "count", "partial", "graph_hash", "reason"]
-    for obj, line in zip(objs, parsed):
-        assert line["params"] == ";".join(str(x) for x in obj["params"])
-        assert line["verdict"] == obj["verdict"]
-        assert line["count"] == ("" if obj["count"] is None else str(obj["count"]))
-        assert line["partial"] == ("true" if obj["partial"] else "false")
-        assert line["graph_hash"] == (obj["graph_hash"] or "")
-
-
-def test_report_csv_matches_json_fields():
-    r = analyze(e8())
-    obj = r.to_obj()
-    parsed = list(csv.DictReader(io.StringIO(csv_text(obj.keys(), [obj.values()]))))
-    assert len(parsed) == 1
-    line = parsed[0]
-    assert list(line) == [
-        "name",
-        "graph_hash",
-        "vertex_count",
-        "det",
-        "negative_definite",
-        "bad_vertices",
-        "is_homology_sphere",
-        "initial_count",
-        "good_initial_count",
-        "partial",
-        "good_initials",
-        "elapsed_ms",
-        "early_stop",
-        "assumes_independent_generators",
-    ]
-    assert line["det"] == str(obj["det"])
-    assert line["graph_hash"] == obj["graph_hash"]
-    assert line["good_initial_count"] == str(obj["good_initial_count"])
-    assert line["bad_vertices"] == ";".join(str(v) for v in obj["bad_vertices"])
-    assert line["negative_definite"] == "true"
-    assert line["good_initials"] == ";".join(" ".join(map(str, v)) for v in obj["good_initials"])
-
-
-def test_s3_csv_columns_and_values():
-    rows = s3_rows(8)
-    parsed = list(csv.DictReader(io.StringIO(csv_text(S3Row._fields, map(S3Row._key, rows)))))
-    assert list(parsed[0]) == [
-        "quadruple",
-        "unique_good_initial",
-        "bumped_sums_hold",
-        "central_count_matches",
-        "pairing_jumps_match",
-        "reversal_is_good",
-        "count",
-        "central_moves",
-    ]
-    for row, line in zip(rows, parsed):
-        assert line["quadruple"] == ";".join(str(x) for x in row.quadruple)
-        assert line["count"] == str(row.count)
 
 
 def test_brieskorn_row_skips_invalid_tuples():

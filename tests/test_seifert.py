@@ -21,9 +21,11 @@ from plumbhf.seifert import (
     star_graph,
 )
 from support import (
+    brieskorn_data,
     brute_quadruples,
     canonical_quadruple,
     coprime_pairs,
+    delta,
     e8,
     is_sphere_quadruple,
     star,
@@ -128,6 +130,20 @@ def test_seifert_invariants_sorted_and_validated():
         SeifertInvariants(-1, ((4, -2),))
 
 
+@pytest.mark.parametrize(
+    "center, rays, message",
+    [(0, ((2, -1), (3, -1)), "center weight must be negative, got 0"),
+     (-1, ((2, -2),), r"ray \(2, -2\) needs a >= 2 and -a < b < 0"),
+     (-1, ((3, 0),), r"ray \(3, 0\) needs a >= 2 and -a < b < 0"),
+     (-1, ((1, -1),), r"ray \(1, -1\) needs a >= 2 and -a < b < 0")],
+    ids=["center-0", "b-is-minus-a", "b-is-0", "a-is-1"],
+)
+def test_each_refused_invariant_is_named_at_its_bound(center, rays, message):
+    """Each also fails a later check (the sphere equation or gcd): only the message tells which refused it."""
+    with pytest.raises(ValueError, match=message):
+        SeifertInvariants(center, rays)
+
+
 def test_the_integer_ray_key_orders_every_pair_of_reduced_rays_by_ratio():
     """The ray order fixes a star's vertex ids, and so every graph_hash."""
     rays = [(a, b) for a in range(2, 41) for b in range(1 - a, 0) if math.gcd(a, b) == 1]
@@ -141,9 +157,7 @@ def test_invariants_sort_rays_as_the_cross_multiplied_comparison_did():
     """a/b > c/d iff a*d > c*b, as b, d < 0: the comparison the key replaced."""
     by_ratio = cmp_to_key(lambda r, s: s[0] * r[1] - r[0] * s[1])
     for t in coprime_tuples(30, 3):
-        product = math.prod(t)
-        rays = [(a, pow(product // a, -1, a) - a) for a in t]
-        m = (sum(b * (product // a) for a, b in rays) - 1) // product
+        m, rays, _, _ = brieskorn_data(t)
         for given in (rays, rays[::-1]):
             assert SeifertInvariants(m, tuple(given)).rays == tuple(sorted(rays, key=by_ratio))
 
@@ -225,13 +239,6 @@ def _integer_invariants(m, rays):
         return str(exc)
 
 
-def _brieskorn_data(mults):
-    """(m, rays) as brieskorn solves them, without its definiteness check."""
-    product = math.prod(mults)
-    rays = [(a, pow(product // a, -1, a) - a) for a in mults]
-    return (sum(b * (product // a) for a, b in rays) - 1) // product, rays
-
-
 def test_integer_invariants_match_the_fraction_reference():
     """Same ray order, same accept/reject and same error text as Fractions."""
     rng = random.Random(6)
@@ -239,14 +246,14 @@ def test_integer_invariants_match_the_fraction_reference():
     assert len(tuples) == 1037
     cases = []
     for t in tuples:
-        m, rays = _brieskorn_data(t)
+        m, rays, _, _ = brieskorn_data(t)
         rng.shuffle(rays)
         cases.append((m, tuple(rays)))
     for _ in range(600):
         k = rng.randint(1, 5)
         if rng.random() < 0.5:
             mults = rng.sample([2, 3, 5, 7, 11, 13, 17, 19, 23, 29], k)
-            m, rays = _brieskorn_data(mults)
+            m, rays, _, _ = brieskorn_data(mults)
             if rng.random() < 0.5:  # break the equation
                 m -= rng.randint(1, 3)
         else:
@@ -268,7 +275,7 @@ def test_integer_invariants_match_the_fraction_reference():
 
 def test_star_chains_are_the_fraction_expansions():
     for t in coprime_tuples(30, 3):
-        m, rays = _brieskorn_data(t)
+        m, rays, _, _ = brieskorn_data(t)
         inv = SeifertInvariants(m, tuple(rays))
         weights = [m]
         for a, b in inv.rays:
@@ -292,27 +299,24 @@ def test_direct_stars_equal_the_validated_construction():
     assert len(stars) > 1037 + 100
 
 
-def _delta(inv, i):
-    """Nemethi's Delta(i) = 1 - m*i + sum floor(i*b_j/a_j) of the invariants."""
-    return 1 - inv.center_weight * i + sum(i * b // a for a, b in inv.rays)
-
-
 def test_only_the_poincare_sphere_lacks_a_delta_witness():
-    """The paper's theorem on the invariants alone: Delta(i) < 0 at some i
-    gives a second good initial, and i = N0 mod P, with P = prod(a) and
-    N0 = (n - 2)*P - sum P/a_j, is such an i for every pairwise-coprime
-    tuple of three to five multiplicities checked, but (2, 3, 5).  There
-    N0 = -1, and Delta never falls below 0: HF+ is trivial."""
-    missing = []
+    """The paper's theorem on the invariants, as seifert.py's docstring
+    proves it: with P = prod(a) and N0 = (n - 2)*P - sum P/a_j,
+    Delta(N0) = -1 on every pairwise-coprime tuple, and N0 >= 1 on every
+    tuple of three or more but (2, 3, 5), so tau falls after its first
+    minimum and has a second.  At (2, 3, 5) N0 = -1, and Delta never
+    falls below 0: HF+ is trivial."""
+    below_one = []
     for max_a, rays in ((100, 3), (20, 4), (14, 5)):
         for t in coprime_tuples(max_a, rays):
-            product = math.prod(t)
-            n0 = (rays - 2) * product - sum(product // a for a in t)
-            if _delta(brieskorn(t), n0 % product) >= 0:
-                missing.append((t, n0))
-    assert missing == [((2, 3, 5), -1)]
+            inv = brieskorn(t)
+            n0 = brieskorn_data(t)[3]
+            assert delta(inv.center_weight, inv.rays, n0) == -1, t
+            if n0 < 1:
+                below_one.append((t, n0))
+    assert below_one == [((2, 3, 5), -1)]
     poincare = brieskorn((2, 3, 5))
-    assert min(_delta(poincare, i) for i in range(30)) == 0
+    assert min(delta(poincare.center_weight, poincare.rays, i) for i in range(30)) == 0
 
 
 def test_every_three_ray_star_to_40_is_negative_definite_and_unimodular():

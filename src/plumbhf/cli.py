@@ -80,7 +80,7 @@ def build_parser() -> argparse.ArgumentParser:
             "--early-stop",
             type=partial(_int_at_least, low=low),
             metavar="K",
-            help="stop scanning once K good initials are found (default: scan them all)",
+            help="stop once K good initials are found (default: an exact count)",
         )
         p.add_argument("--emit-sequences", action="store_true")
         _add_output_flags(p)
@@ -108,7 +108,7 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument(
         "--full",
         action="store_true",
-        help="scan every initial association (no early stop)",
+        help="count every good initial exactly (no early stop)",
     )
     p.add_argument(
         "--cache",

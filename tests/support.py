@@ -1,16 +1,27 @@
 """Shared helpers and independent oracles for the test suite.
 
-The oracles reimplement the library's core answers from their
-definitions (cofactor expansion, uncached breadth-first search over the
-raw move rules, a brute scan of the sphere equation) so the production
-code is checked against something it does not share internals with.
-The reference helpers (continued-fraction values, intersection
-matrices, the interior-association bound, the S^3 sphere equation
-on plain (a1, b1, a2, b2) tuples, a tuple's Seifert data and Nemethi's
-Delta, the Delta-descent survey verdict, the canonical hash through the
-json module, graph-file writing) are what the tests compare the
-package's answers with; no command runs them.  ``time_limit`` fails a
-slow check that runs past its bound.
+Graph builders: ``star``, ``chain``, ``e8``, ``blow_up_edge``,
+``blow_up_leaf`` and the seeded draws ``random_forest``,
+``relabeled_forest``, ``random_unimodular_tree`` and
+``random_small_star``.
+
+Oracles reimplement the library's core answers from their definitions,
+so the production code is checked against something it does not share
+internals with: ``cofactor_det`` (cofactor expansion),
+``oracle_completes`` and ``oracle_count`` (uncached breadth-first
+search over the raw move rules), ``brute_initial_states``,
+``brute_quadruples`` (a raw scan of the sphere equation),
+``descent_verdict`` (Nemethi's Delta from the Seifert invariants) and
+``laufer_chi`` (rationality by Laufer's loop, the L-space test of a
+count against |det|).
+
+Reference helpers are what the tests compare the package's answers
+with: ``is_sphere_quadruple``, ``canonical_quadruple``,
+``coprime_pairs``, ``brieskorn_data``, ``delta``,
+``reduced_fractions``, ``eval_cf``, ``intersection_matrix``,
+``interior_association_count``, ``json_canonical_hash``,
+``graph_to_obj`` and ``write_graph_file``.  No command runs them.
+``time_limit`` fails a slow check that runs past its bound.
 """
 
 import hashlib
@@ -22,7 +33,7 @@ from contextlib import contextmanager
 from fractions import Fraction
 from pathlib import Path
 
-from plumbhf.graph import build_graph
+from plumbhf.graph import build_graph, graph_determinant, is_negative_definite
 from plumbhf.seifert import coprime_tuples
 
 
@@ -211,10 +222,6 @@ def random_unimodular_tree(rng, max_vertices=10, max_initials=20_000, nodes=1):
     random shape and random weights in -5..-1 are completed by solving
     for m(r); draws without an integer m(r) <= -1 are redrawn.
     """
-    import math
-
-    from plumbhf.graph import graph_determinant, is_negative_definite
-
     while True:
         n = rng.randint(2, max_vertices)
         edges = [(rng.randrange(v), v) for v in range(1, n)]
@@ -244,8 +251,6 @@ def random_unimodular_tree(rng, max_vertices=10, max_initials=20_000, nodes=1):
 def random_small_star(rng):
     """Negative-definite all-(<= -2) star: rays <= 3, weights >= -5,
     at most 8 vertices.  Retries until the form is negative definite."""
-    from plumbhf.graph import is_negative_definite
-
     while True:
         nrays = rng.randint(1, 3)
         lengths = [rng.randint(1, 3) for _ in range(nrays)]
@@ -282,8 +287,6 @@ def blow_up_leaf(g, u):
 
 def reduced_fractions(limit):
     """All reduced a/b < -1 with |a|, |b| <= limit."""
-    import math
-
     for a in range(2, limit + 1):
         for b in range(1, a):
             if math.gcd(a, b) == 1:
@@ -318,6 +321,33 @@ def intersection_matrix(g):
         rows[u][v] = 1
         rows[v][u] = 1
     return tuple(tuple(r) for r in rows)
+
+
+def laufer_chi(graph):
+    """chi(Z_min) of a connected negative-definite tree, by Laufer's loop.
+
+    Z starts at the sum of all E_v, and E_v is added while (Z, E_v) > 0;
+    the loop ends at the fundamental cycle Z_min (Laufer, Amer. J. Math.
+    94 (1972)).  chi(Z) = -(Z^2 + K.Z)/2 with K.E_v = -m(v) - 2, and the
+    graph is rational iff chi(Z_min) = 1.  With at most one bad vertex,
+    rational is the L-space condition (Nemethi, Geom. Topol. 9 (2005)):
+    the good-initial count is |det| exactly then.  Adjacency comes from
+    graph.edges, not from the package's neighbors.
+    """
+    nbrs = [[] for _ in graph.weights]
+    for u, v in graph.edges:
+        nbrs[u].append(v)
+        nbrs[v].append(u)
+    z = [1] * len(graph.weights)
+
+    def pairing(v):  # (Z, E_v)
+        return z[v] * graph.weights[v] + sum(z[u] for u in nbrs[v])
+
+    while up := [v for v in range(len(z)) if pairing(v) > 0]:
+        z[up[0]] += 1
+    square = sum(z[v] * pairing(v) for v in range(len(z)))
+    canonical = sum(x * (-m - 2) for x, m in zip(z, graph.weights))
+    return -(square + canonical) // 2
 
 
 def interior_association_count(graph):

@@ -18,8 +18,8 @@ from plumbhf.game import good_initial_count, is_good_sequence
 from plumbhf.graph import blow_down, build_graph, is_negative_definite, sha256 as graph_sha256
 from plumbhf.report import CountRecord, SurveyRow, analyze, brieskorn_row, json_text
 from plumbhf.s3 import S3Row
-from plumbhf.seifert import sigma_star
-from support import blow_up_edge, blow_up_leaf, graph_to_obj, oracle_count
+from plumbhf.seifert import brieskorn, sigma_star, star_graph
+from support import blow_up_edge, blow_up_leaf, chain, e8, graph_to_obj, oracle_count, star
 
 # deterministic, and no example database written next to the tests
 PROPERTY = settings(max_examples=100, deadline=None, database=None, derandomize=True)
@@ -100,6 +100,13 @@ def game_forests(draw, max_vertices=7, min_weight=-3, max_bad=1):
 @given(game_forests())
 @example(build_graph([-1, -1], [(0, 1)]))  # singular: a play from (1, 0) cycles
 @example(build_graph([-2, -1, -2], [(0, 1), (1, 2)]))
+@example(e8())
+@example(chain(-2, -3, -2))
+@example(star(-2, [-2], [-3]))
+@example(star(-3, [-2, -2], [-4]))
+@example(sigma_star((2, 5)))  # the quadruple (2, -1, 5, -2)
+@example(star_graph(brieskorn((2, 3, 7))))
+@example(chain(-2, -2, -2))
 def test_count_matches_the_oracle_and_witnesses_replay(g):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # forms that are not negative definite warn

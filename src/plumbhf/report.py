@@ -146,7 +146,9 @@ class CountRecord(Frozen):
                 raise TypeError(f"{name} has the wrong type or value: {x!r}")
         if len(fields) > len(self._fields):
             raise TypeError(f"unknown fields {sorted(fields.keys() - self._fields)}")
-        count, stop = fields["good_initial_count"], fields["early_stop"]
+        count, stop, total = fields["good_initial_count"], fields["early_stop"], fields["initial_count"]
+        if count > total:
+            raise ValueError(f"good_initial_count {count} exceeds initial_count {total}")
         if stop is not None and count > stop:
             raise ValueError(f"good_initial_count {count} exceeds early_stop {stop}")
         if fields["partial"] and count != stop:

@@ -597,10 +597,7 @@ def test_the_domain_warning_is_one_stderr_line(tmp_path, capsys, flags):
 
 
 def test_module_entry_point():
-    proc = subprocess.run(
-        [sys.executable, "-m", "plumbhf", "brieskorn", "2", "3", "5", "--early-stop", "2"],
-        capture_output=True,
-        text=True,
-    )
+    argv = [sys.executable, "-m", "plumbhf", "brieskorn", "2", "3", "5", "--early-stop", "2"]
+    proc = subprocess.run(argv, env=_child_env(), capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["good_initial_count"] == 1

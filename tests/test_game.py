@@ -106,28 +106,27 @@ def test_good_sequence_replay():
     assert not is_good_sequence(broken)
 
 
-def test_counts_frozen_small_cases():
-    assert good_initial_count(build_graph([-1], [])).count == 1
-    assert good_initial_count(build_graph([-2], [])).count == 2
-    assert good_initial_count(build_graph([-3], [])).count == 3
-    assert good_initial_count(e8()).count == 1
+@pytest.mark.parametrize("graphs, counts", [
+    pytest.param([build_graph([w], []) for w in (-1, -2, -3)], [1, 2, 3], id="single-vertex"),
+    pytest.param([e8()], [1], id="e8"),
     # chains of p (-2)-vertices: count equals |det| = p + 1
-    for p in range(1, 6):
-        g = chain(*([-2] * p))
-        assert good_initial_count(g).count == p + 1
-    # every lens-space chain is an L-space: one good initial per spin^c
-    # structure, so its count is |det|, here always more than 1 (at most
-    # 5^4 = 625 initials a chain)
-    for p in range(1, 5):
-        for weights in itertools.product(range(-5, -1), repeat=p):
-            g = chain(*weights)
-            assert good_initial_count(g).count == abs(graph_determinant(g)) > 1, weights
+    pytest.param([chain(*([-2] * p)) for p in range(1, 6)], [2, 3, 4, 5, 6], id="all-minus-two-chains"),
+])
+def test_counts_frozen_small_cases(graphs, counts):
+    assert [good_initial_count(g).count for g in graphs] == counts
 
 
 def test_a_count_is_abs_det_exactly_on_rational_trees():
     """The L-space oracle for counts with |det| > 1: on a connected
     negative-definite tree with at most one bad vertex, the count is |det|
     iff Laufer's loop finds the graph rational (support.laufer_chi)."""
+    # fixed inputs: every lens-space chain of 1 to 4 vertices weighted -2..-5
+    # is rational, so its count is one good initial per spin^c structure,
+    # |det|, here always more than 1 (at most 5^4 = 625 initials a chain)
+    for p in range(1, 5):
+        for weights in itertools.product(range(-5, -1), repeat=p):
+            g = chain(*weights)
+            assert laufer_chi(g) == 1 and good_initial_count(g).count == abs(graph_determinant(g)) > 1, weights
     rng = random.Random(15)
     seen = {"rational, |det| > 1": 0, "not rational": 0}  # both outcomes, and counts past 1
     drawn = 0

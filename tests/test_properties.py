@@ -1,16 +1,12 @@
 """Property tests on random forests: the graph-file object round trip,
 the canonical hash and its sha256, the game's count against the BFS oracle, and blow-up
 invariance of counts; and the CLI's JSON writer and the cache's record
-lines against json.dumps.
-Skipped when hypothesis is not installed."""
+lines against json.dumps."""
 
 import hashlib
 import json
 import warnings
 
-import pytest
-
-pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st
 
 from plumbhf.files import canonical_graph_hash, graph_from_obj
@@ -191,8 +187,9 @@ def test_json_text_writes_a_report_with_sequences_as_json_dumps(params, early_st
 
 @st.composite
 def count_record_fields(draw):
-    """Fields no record refuses: any graph_hash, ints far past 2**63, and
-    partial only where the count stopped at early_stop."""
+    """Fields no record refuses: any graph_hash, ints far past 2**63, no
+    more good initials than initials, and partial only where the count
+    stopped at early_stop."""
     stop = draw(st.none() | st.integers(1, 2**70))
     count = draw(st.integers(0, 2**70 if stop is None else stop))
     return {
@@ -201,7 +198,7 @@ def count_record_fields(draw):
         "good_initial_count": count,
         "partial": count == stop and draw(st.booleans()),
         "det": draw(st.integers(-(2**70), 2**70)),
-        "initial_count": draw(st.integers(0, 2**70)),
+        "initial_count": draw(st.integers(count, 2**70)),
     }
 
 

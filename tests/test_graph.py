@@ -453,10 +453,8 @@ def test_blow_down_merges_degree_two():
 
 
 def test_blow_down_leaves_clean_graphs_alone():
-    g = e8()
-    out = blow_down(g)
-    assert out.weights == g.weights
-    assert out.edges == g.edges
+    for g in (e8(), sigma_star((2, 3, 7))):  # the -1 center of (2, 3, 7) has degree 3
+        assert blow_down(g) is g
 
 
 def test_blow_down_cascades():

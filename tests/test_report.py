@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+import plumbhf.graph
 import plumbhf.report
 import plumbhf.s3
 import plumbhf.seifert
@@ -552,24 +553,27 @@ def _count_calls(monkeypatch, owner, name):
     return calls
 
 
-def test_each_survey_row_builds_sweeps_and_hashes_once(tmp_path, monkeypatch):
+def test_each_survey_row_builds_and_hashes_once_and_sweeps_never(tmp_path, monkeypatch):
+    """A star carries its forms from star_graph, so no row sweeps, cold or
+    warm; the early-stop game never asks for the tau walk's period."""
     invariants = _count_calls(monkeypatch, plumbhf.seifert, "brieskorn")
     stars = _count_calls(monkeypatch, plumbhf.seifert, "star_graph")
-    sweeps = _count_calls(monkeypatch, PlumbingGraph, "forms")
+    sweeps = _count_calls(monkeypatch, plumbhf.graph, "_sweep")
     hashes = _count_calls(monkeypatch, PlumbingGraph, "canonical_hash")
     adjacency = _count_calls(monkeypatch, PlumbingGraph, "neighbors")
     with ResultCache(tmp_path / "cache.jsonl") as cache:
         cold = survey_brieskorn(max_a=12, cache=cache)
     assert len(cold) == 45 and all(r.verdict != "skipped" for r in cold)
-    assert len(invariants) == len(stars) == len(sweeps) == len(hashes) == len(cold)
+    assert len(invariants) == len(stars) == len(hashes) == len(cold)
+    assert sweeps == []
 
     def no_game(graph):
         raise AssertionError("a warm row ran the game")
 
     monkeypatch.setattr(plumbhf.report, "AssociationGame", no_game)
-    assert len(adjacency) == len(cold)  # the game reads it; the sweep orients a star by id
-    del invariants[:], stars[:], sweeps[:], hashes[:], adjacency[:]
+    assert len(adjacency) == len(cold)  # the game reads it
+    del invariants[:], stars[:], hashes[:], adjacency[:]
     warm = survey_brieskorn(max_a=12, cache=cache)
     assert warm == cold
-    assert len(invariants) == len(stars) == len(sweeps) == len(hashes) == len(warm)
-    assert adjacency == []
+    assert len(invariants) == len(stars) == len(hashes) == len(warm)
+    assert sweeps == [] and adjacency == []

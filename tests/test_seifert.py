@@ -8,7 +8,13 @@ import pytest
 import plumbhf.seifert
 from plumbhf.contfrac import expand_cf, expand_ratio
 from plumbhf.errors import NonNegDefiniteError, NotCoprimeError
-from plumbhf.graph import build_graph, graph_determinant, is_negative_definite
+from plumbhf.graph import (
+    PlumbingGraph,
+    build_graph,
+    complement_determinant,
+    graph_determinant,
+    is_negative_definite,
+)
 from plumbhf.report import analyze, brieskorn_row
 from plumbhf.s3 import s3_rows
 from plumbhf.seifert import (
@@ -284,12 +290,26 @@ def test_only_the_poincare_sphere_lacks_a_delta_witness():
     assert min(delta(poincare.center_weight, poincare.rays, i) for i in range(30)) == 0
 
 
-def test_every_star_of_two_or_three_rays_to_40_is_negative_definite_and_unimodular():
-    """A second route to the definiteness check in sigma_star: the forms
-    sweep, on each star as star_graph builds it, reads |det| = 1 and a
-    negative definite form."""
-    tuples = coprime_tuples(40, 2) + coprime_tuples(40, 3)
-    assert len(tuples) == 450 + 2518
-    for t in tuples:
-        det, negative_definite = star_graph(brieskorn(t)).forms
-        assert abs(det) == 1 and negative_definite, t
+# every star of one to five rays in these ranges (star_graph's proof covers all)
+STARS = (coprime_tuples(59, 1) + coprime_tuples(40, 2) + coprime_tuples(40, 3)
+         + coprime_tuples(13, 4) + coprime_tuples(11, 5))
+
+
+def test_every_star_of_one_to_five_rays_stores_the_forms_its_sweep_reads():
+    """A second route to the forms star_graph stores: the sweep, on a
+    graph with the star's weights and edges and nothing stored, reads
+    ((-1)^n, True), so |det| = 1 and a negative definite form."""
+    assert len(STARS) == 58 + 450 + 2518 + 72 + 6
+    for t in STARS:
+        g = star_graph(brieskorn(t))
+        swept = PlumbingGraph(g.weights, g.edges)
+        assert "forms" not in vars(swept)
+        assert g.forms == swept.forms == ((-1) ** g.vertex_count, True), t
+
+
+def test_the_tau_period_of_every_star_is_the_product_of_its_multiplicities():
+    """P = |det(G - v0)|, the period of the tau walk's stop rule, at v0 =
+    the center (a star's only possible bad vertex, and vertex 0): each
+    ray chain of a/b has |det| = a."""
+    for t in STARS:
+        assert abs(complement_determinant(star_graph(brieskorn(t)), 0)) == math.prod(t), t

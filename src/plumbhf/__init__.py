@@ -13,7 +13,7 @@ else is imported from its module (``plumbhf.graph``, ``plumbhf.report``,
 """
 
 from .contfrac import expand_cf
-from .game import Association, AssociationGame, good_initial_count
+from .game import Association, AssociationGame
 from .graph import blow_down, graph_determinant
 from .seifert import brieskorn, star_graph
 

@@ -438,7 +438,3 @@ class AssociationGame:
             graph=self.graph,
         )
 
-
-def good_initial_count(graph: PlumbingGraph, early_stop: int | None = None) -> GoodInitialResult:
-    """One-shot wrapper; see AssociationGame.good_initial_count."""
-    return AssociationGame(graph).good_initial_count(early_stop)

@@ -11,16 +11,17 @@ m(v) > -degree(v)).
 Each per-graph fact is computed once per graph object and kept on it.
 The determinant and definiteness come from one leaf-to-root sweep over
 the tree (:attr:`PlumbingGraph.forms`), a graph's one structural check:
-it refuses edges that are not a forest on 0..n-1, and every fact that
-reads adjacency (``neighbors``, so ``bad``, the game and
-:func:`blow_down`) reads the forms first.  A constructor that knows the
+it refuses anything but a canonical forest on 0..n-1, its edges (low,
+high) pairs in ascending order, and every other fact (``neighbors``, so
+``bad``, the game and :func:`blow_down`; ``is_connected``;
+``canonical_hash``) reads the forms first.  A constructor that knows the
 forms from its input stores them in the new graph's instance dict, where
 the descriptor never runs: :func:`plumbhf.seifert.star_graph` does, for a
 star whose forms the sphere equation fixes, so such a constructor must
-build a forest itself.  Connectedness comes from the component count
-of that forest.  The sweep is one fold of leaves straight off the edge
-list, for every forest and every root: it reads no adjacency list.  The
-bad vertices are :attr:`PlumbingGraph.bad`.  The
+build a canonical forest itself.  Connectedness comes from the
+component count of that forest.  The sweep is one fold of leaves
+straight off the edge list, for every forest and every root: it reads
+no adjacency list.  The bad vertices are :attr:`PlumbingGraph.bad`.  The
 canonical hash, which keys the result cache, is the sha256 of a compact
 JSON serialization formatted directly; sha256 comes from CPython's
 builtin module (``_sha2``, or ``_sha256`` before 3.12), since
@@ -29,12 +30,6 @@ where neither is built.  No matrix is ever built; all arithmetic is exact.
 These facts are :class:`cached_property` attributes: the standard
 descriptor, minus the lock that Python 3.10 and 3.11 take on every
 first read, which costs more than reading a small fact does.
-
-Every constructor (:func:`build_graph`, :func:`blow_down`,
-:func:`plumbhf.seifert.star_graph`, graph files) produces canonical
-edges: (low, high) pairs in sorted order.  :attr:`PlumbingGraph.neighbors`
-relies on them: it lists each vertex's lower neighbors, then its higher
-ones, both ascending, without a sort.
 """
 
 from __future__ import annotations
@@ -129,8 +124,9 @@ def _field_init(cls: type, fields: tuple[str, ...]):
 class PlumbingGraph(Frozen):
     """Immutable weighted forest on vertices 0..n-1.
 
-    Edges are stored as sorted (low, high) pairs in sorted order.  The
-    name is a field, so it is part of equality and ``hash()``, but not of
+    Edges are (low, high) pairs in ascending order; the forms sweep,
+    which every fact reads first, refuses any others.  The name is a
+    field, so it is part of equality and ``hash()``, but not of
     ``canonical_hash``: same-weight, same-edge graphs under two names have
     one canonical hash yet compare unequal.  The empty graph is allowed;
     it denotes the standard 3-sphere.
@@ -146,9 +142,9 @@ class PlumbingGraph(Frozen):
 
     @cached_property
     def neighbors(self) -> tuple[tuple[int, ...], ...]:
-        """Each vertex's neighbors.  The forms are read first: their sweep
-        refuses edges that are not a forest on 0..n-1."""
-        self.forms  # CycleDetectedError or BadIdError unless the edges form a forest
+        """Each vertex's neighbors, ascending, from the canonical edges
+        that the forms sweep, read first, checks."""
+        self.forms  # CycleDetectedError or BadIdError unless a canonical forest
         nbrs: list[list[int]] = [[] for _ in self.weights]
         for u, v in self.edges:
             nbrs[u].append(v)
@@ -185,8 +181,9 @@ class PlumbingGraph(Frozen):
         change the forms.
         The empty graph has det 1 and is vacuously negative definite.
         Raises CycleDetectedError if the edges do not form a forest, and
-        BadIdError for an edge id outside 0..n-1, which only a directly
-        built graph can do.  A constructor that knows the pair from its
+        BadIdError for an edge id outside 0..n-1 or edges that are not
+        ascending (low, high) pairs, which only a directly built graph
+        can have.  A constructor that knows the pair from its
         input stores it instead (:func:`plumbhf.seifert.star_graph`), and
         then no sweep runs.
         """
@@ -202,8 +199,10 @@ class PlumbingGraph(Frozen):
 
         The serialization is the compact, key-sorted JSON of
         ``{"edges": [[u, v], ...], "vertices": [[i, m(i)], ...]}``,
-        formatted here directly.
+        formatted here directly.  The forms are read first, so a graph
+        that is not a canonical forest gets no hash.
         """
+        self.forms  # CycleDetectedError or BadIdError unless a canonical forest
         edges = ",".join(f"[{u},{v}]" for u, v in self.edges)
         vertices = ",".join(f"[{v},{w}]" for v, w in enumerate(self.weights))
         blob = f'{{"edges":[{edges}],"vertices":[{vertices}]}}'
@@ -270,14 +269,15 @@ def _sweep(g: PlumbingGraph, first: int) -> tuple[list[int], list[int], list[int
     vertex's parent is its lower neighbor).  Each fold removes one edge,
     and a cycle, a doubled edge or a self-loop is never folded away, so
     an edge count other than the number of folds raises
-    CycleDetectedError.  An id outside 0..n-1 raises BadIdError.
+    CycleDetectedError.  An id outside 0..n-1, and then a forest whose
+    edges are not ascending (low, high) pairs, raise BadIdError.
     """
     n = g.vertex_count
     deg = [0] * n
     xor = [0] * n
-    for u, v in g.edges:
+    for i, (u, v) in enumerate(g.edges):
         if not (0 <= u < n and 0 <= v < n):
-            raise BadIdError(f"edge ({u}, {v}) references a vertex outside 0..{n - 1}")
+            raise BadIdError(f"edges[{i}]: edge ({u}, {v}) references a vertex outside 0..{n - 1}")
         deg[u] += 1
         deg[v] += 1
         xor[u] ^= v
@@ -299,6 +299,11 @@ def _sweep(g: PlumbingGraph, first: int) -> tuple[list[int], list[int], list[int
     folded = deg.count(1)  # a folded vertex keeps degree 1, and no root has it
     if len(g.edges) != folded:
         raise CycleDetectedError(f"{len(g.edges)} edges on {n} vertices close a cycle")
+    before = (-1, -1)
+    for i, (u, v) in enumerate(g.edges):
+        if not (before < (u, v) and u < v):
+            raise BadIdError(f"edges[{i}]: edge ({u}, {v}) is not a (low, high) pair in ascending order")
+        before = u, v
     roots = [first] if folded == n - 1 else [v for v, k in enumerate(deg) if k != 1]
     return d, e, roots
 

@@ -13,7 +13,6 @@ from plumbhf.game import (
     Association,
     AssociationGame,
     GoodSequence,
-    good_initial_count,
     is_final,
     is_good_sequence,
     is_initial,
@@ -113,7 +112,7 @@ def test_good_sequence_replay():
     pytest.param([chain(*([-2] * p)) for p in range(1, 6)], [2, 3, 4, 5, 6], id="all-minus-two-chains"),
 ])
 def test_counts_frozen_small_cases(graphs, counts):
-    assert [good_initial_count(g).count for g in graphs] == counts
+    assert [AssociationGame(g).good_initial_count().count for g in graphs] == counts
 
 
 def test_a_count_is_abs_det_exactly_on_rational_trees():
@@ -126,7 +125,8 @@ def test_a_count_is_abs_det_exactly_on_rational_trees():
     for p in range(1, 5):
         for weights in itertools.product(range(-5, -1), repeat=p):
             g = chain(*weights)
-            assert laufer_chi(g) == 1 and good_initial_count(g).count == abs(graph_determinant(g)) > 1, weights
+            count = AssociationGame(g).good_initial_count().count
+            assert laufer_chi(g) == 1 and count == abs(graph_determinant(g)) > 1, weights
     rng = random.Random(15)
     seen = {"rational, |det| > 1": 0, "not rational": 0}  # both outcomes, and counts past 1
     drawn = 0
@@ -136,14 +136,14 @@ def test_a_count_is_abs_det_exactly_on_rational_trees():
             continue
         drawn += 1
         det, rational = abs(graph_determinant(g)), laufer_chi(g) == 1
-        assert (good_initial_count(g).count == det) == rational, g
+        assert (AssociationGame(g).good_initial_count().count == det) == rational, g
         seen["rational, |det| > 1"] += rational and det > 1
         seen["not rational"] += not rational
     assert seen["rational, |det| > 1"] >= 300 and seen["not rational"] >= 10, seen
 
 
 def test_poincare_unique_initial_is_minimal():
-    r = good_initial_count(e8())
+    r = AssociationGame(e8()).good_initial_count()
     assert r.count == 1
     assert r.initials[0].values == tuple(w + 2 for w in e8().weights)
     assert r.initial_total == 256
@@ -152,7 +152,7 @@ def test_poincare_unique_initial_is_minimal():
 
 def test_237_exact_count_and_initials():
     g = star_graph(brieskorn((2, 3, 7)))
-    r = good_initial_count(g)
+    r = AssociationGame(g).good_initial_count()
     assert r.count == 2
     assert r.initial_total == 42
     assert [a.values for a in r.initials] == [(1, 0, -1, -5), (1, 0, -1, -3)]
@@ -162,33 +162,33 @@ def test_237_exact_count_and_initials():
 
 def test_early_stop_semantics():
     g = build_graph([-5], [])  # count 5
-    full = good_initial_count(g)
+    full = AssociationGame(g).good_initial_count()
     assert full.count == 5 and not full.partial
-    part = good_initial_count(g, early_stop=2)
+    part = AssociationGame(g).good_initial_count(early_stop=2)
     assert part.count == 2 and part.partial
     assert part.initials == full.initials[:2]
     # an early_stop above the true count still yields the exact count
-    over = good_initial_count(g, early_stop=9)
+    over = AssociationGame(g).good_initial_count(early_stop=9)
     assert over.count == 5 and not over.partial
     with pytest.raises(ValueError):
-        good_initial_count(g, early_stop=0)
+        AssociationGame(g).good_initial_count(early_stop=0)
 
 
 def test_early_stop_partial_edge_cases():
     """Partial iff the stop leaves a later initial unscanned, counting the
     skipped initials with an adjacent capped pair as unscanned."""
-    r = good_initial_count(chain(-2, -2), early_stop=3)
+    r = AssociationGame(chain(-2, -2)).good_initial_count(early_stop=3)
     assert r.count == 3 and r.partial  # (2, 2) has a capped pair, never scanned
-    assert not good_initial_count(build_graph([-5], []), early_stop=5).partial
+    assert not AssociationGame(build_graph([-5], [])).good_initial_count(early_stop=5).partial
     isolated = build_graph([-2, -2], [])
-    assert good_initial_count(isolated).count == 4
-    assert not good_initial_count(isolated, early_stop=4).partial
-    assert good_initial_count(isolated, early_stop=3).partial
+    assert AssociationGame(isolated).good_initial_count().count == 4
+    assert not AssociationGame(isolated).good_initial_count(early_stop=4).partial
+    assert AssociationGame(isolated).good_initial_count(early_stop=3).partial
 
 
 def test_play_moves_the_lowest_capped_vertex():
     """Witnesses are pinned: each step moves the lowest capped vertex."""
-    r = good_initial_count(build_graph([-2, -2, -2], [(0, 2)]))
+    r = AssociationGame(build_graph([-2, -2, -2], [(0, 2)])).good_initial_count()
     assert r.initials[-1].values == (2, 2, 0)
     assert r.witnesses[-1].moved == (0, 1, 2)
 
@@ -293,18 +293,17 @@ def test_repeated_calls_on_one_game_agree():
 def test_two_bad_vertices_refused():
     g = chain(-2, -1, -2, -1, -2)
     with pytest.raises(TooManyBadVerticesError):
-        good_initial_count(g)
+        AssociationGame(g).good_initial_count()
 
 
 def test_non_definite_graph_warns():
     affine = star(-2, [-2, -2], [-2, -2], [-2, -2])
     with pytest.warns(UserWarning):
-        good_initial_count(affine)
+        AssociationGame(affine).good_initial_count()
 
 
 DOMAIN_WARNING_CALLS = {
     "analyze": analyze,
-    "good_initial_count": good_initial_count,
     "AssociationGame.good_initial_count": lambda g: AssociationGame(g).good_initial_count(),
     "completes_to_good": lambda g: AssociationGame(g).completes_to_good(Association(g, (2, 1, 2))),
 }
@@ -339,7 +338,7 @@ def test_a_weight_of_zero_or_more_leaves_no_initials(weights):
     """A vertex with m(v) >= 0 has no offset in 1..-m(v), so no state is initial."""
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # none of these forms is negative definite
-        r = good_initial_count(chain(*weights))
+        r = AssociationGame(chain(*weights)).good_initial_count()
     assert (r.count, r.initial_total, r.partial) == (0, 0, False)
 
 
@@ -402,7 +401,7 @@ def test_pairing_vector_frozen_examples():
 
 def test_reverse_negate_replays():
     g = sigma_star((3, 4))  # the quadruple (3, -2, 4, -1)
-    seq = good_initial_count(g).witnesses[0]
+    seq = AssociationGame(g).good_initial_count().witnesses[0]
     rev = reverse_negate(seq)
     assert is_good_sequence(rev)
     assert rev.states[0].values == tuple(-x for x in seq.states[-1].values)
@@ -423,7 +422,7 @@ def test_a_bad_play_raises_instead_of_returning_a_witness(monkeypatch, start, pl
     offsets = ((start[0] + 2) // 2,)
     with pytest.raises(SelfCheckError, match=re.escape(f"play {play} from offsets {offsets} fails the replay")):
         AssociationGame(g).completes_to_good(assoc(g, *start))
-    result = good_initial_count(g)
+    result = AssociationGame(g).good_initial_count()
     assert result.count == 2
     with pytest.raises(SelfCheckError, match="fails the replay"):
         result.witnesses
@@ -478,7 +477,7 @@ def test_tau_matches_the_scan_on_random_unimodular_trees():
         two_nodes += sum(len(ns) >= 3 for ns in g.neighbors) >= 2
         no_bad += not g.bad
         ranked += _assert_tau_equals_scan(g).count >= 2
-    assert good_initial_count(deep).count == 192
+    assert AssociationGame(deep).good_initial_count().count == 192
     assert two_nodes >= 50 and no_bad >= 10 and ranked >= 50
 
 
@@ -494,12 +493,12 @@ def test_scan_runs_outside_the_tau_domain():
         r = game.good_initial_count(early_stop)
         assert game.tau_steps == game.laufer_steps == 0
         assert r == game._count(game._initial_states(), early_stop)
-    assert good_initial_count(forest).count == 1
+    assert AssociationGame(forest).good_initial_count().count == 1
 
 
 def test_a_tau_initial_whose_play_fails_raises(monkeypatch):
     g = sigma_star((2, 3, 7))
-    initial = good_initial_count(g).initials[1]
+    initial = AssociationGame(g).good_initial_count().initials[1]
     offsets = tuple((x - m) // 2 for m, x in zip(g.weights, initial.values))
     play = AssociationGame._play
 
@@ -522,10 +521,10 @@ def test_a_good_start_out_of_range_raises(monkeypatch, state):
     monkeypatch.setattr(AssociationGame, "_initial_states", lambda self: iter([state]))
     monkeypatch.setattr(AssociationGame, "_play", lambda self, state: [])
     with pytest.raises(SelfCheckError, match="is not an initial state"):
-        good_initial_count(e8(), early_stop=1)
+        AssociationGame(e8()).good_initial_count(early_stop=1)
     monkeypatch.setattr(AssociationGame, "_tau_states", lambda self: [tuple(state)])
     with pytest.raises(SelfCheckError, match="is not an initial state"):
-        good_initial_count(e8())
+        AssociationGame(e8()).good_initial_count()
 
 
 def test_each_kept_start_is_checked_once(monkeypatch):

@@ -10,7 +10,7 @@ import warnings
 from hypothesis import example, given, settings, strategies as st
 
 from plumbhf.files import canonical_graph_hash, graph_from_obj
-from plumbhf.game import good_initial_count, is_good_sequence
+from plumbhf.game import AssociationGame, is_good_sequence
 from plumbhf.graph import blow_down, build_graph, is_negative_definite, sha256 as graph_sha256
 from plumbhf.report import CountRecord, SurveyRow, analyze, brieskorn_row, json_text
 from plumbhf.s3 import S3Row
@@ -106,7 +106,7 @@ def game_forests(draw, max_vertices=7, min_weight=-3, max_bad=1):
 def test_count_matches_the_oracle_and_witnesses_replay(g):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # forms that are not negative definite warn
-        result = good_initial_count(g)
+        result = AssociationGame(g).good_initial_count()
     assert result.count == oracle_count(g)
     assert len(result.witnesses) == result.count
     assert all(is_good_sequence(w) for w in result.witnesses)
@@ -125,7 +125,8 @@ def test_count_survives_blow_ups(g, data):
     else:
         bigger = blow_up_leaf(g, data.draw(st.integers(0, g.vertex_count - 1)))
     assert len(bigger.bad) <= 1
-    assert good_initial_count(bigger).count == good_initial_count(g).count
+    count = AssociationGame(g).good_initial_count().count
+    assert AssociationGame(bigger).good_initial_count().count == count
 
 
 # quotes, backslashes, control characters, non-ASCII and lone surrogates

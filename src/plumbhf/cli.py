@@ -2,11 +2,12 @@
 
 Five subcommands: analyze (one graph file), brieskorn (one multiplicity
 tuple), survey (the Brieskorn sweep), all-minus-two (the all-(-2) star
-scan), s3 (two-ray property harness).  Exit codes: 0 all rows computed,
-2 some rows skipped, 1 invocation error, failed computation (a failed
-engine self-check included) or an s3 row that fails one of its
-properties.  Output is UTF-8 whatever the locale; a warning is one
-``plumbhf: warning:`` line on stderr.
+scan), s3 (two-ray property harness).  Exit codes: 0 every row computed,
+1 invocation error, failed computation (a failed engine self-check
+included), a cache mismatch found by --reverify-sample or an s3 row that
+fails one of its properties.  Output is UTF-8 whatever the locale; a
+warning is one ``plumbhf: warning:`` line on stderr.  The module entry is
+``python -m plumbhf``; ``python -m plumbhf.cli`` refuses with exit 1.
 """
 
 from __future__ import annotations
@@ -39,8 +40,7 @@ CACHE_ENV = "PLUMB_HF_CACHE"
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse exits 2 on bad usage; this front end reserves 2 for
-    partially skipped runs, so usage errors exit 1 instead."""
+    """argparse exits 2 on bad usage; here every invocation error exits 1."""
 
     def error(self, message: str) -> None:
         self.print_usage(sys.stderr)
@@ -213,7 +213,7 @@ def _cmd_survey(args) -> int:
                 for line in problems:
                     print(line, file=sys.stderr)
                 return 1
-    return 2 if any(r.verdict == "skipped" for r in rows) else 0
+    return 0
 
 
 def _cmd_all_minus_two(args) -> int:
@@ -248,3 +248,6 @@ def main(argv: list[str] | None = None) -> int:
             print(f"plumbhf: {type(exc).__name__}: {exc}", file=sys.stderr)
             return 1
 
+
+if __name__ == "__main__":  # run as python -m plumbhf.cli, which would otherwise do nothing
+    sys.exit("plumbhf: the module entry is python -m plumbhf, not python -m plumbhf.cli")

@@ -34,7 +34,7 @@ try:  # the C encoder json.encoder itself uses; importing json would load its de
 except ImportError:
     from json.encoder import encode_basestring_ascii
 
-from .errors import ParseError, PlumbingError, SelfCheckError
+from .errors import ParseError, SelfCheckError
 from .files import canonical_graph_hash
 from .game import AssociationGame
 from .graph import (
@@ -277,8 +277,8 @@ def brieskorn_row(
 ) -> SurveyRow:
     """Analyze one Brieskorn sphere and classify it.
 
-    A PlumbingError makes the row ``skipped``, except a SelfCheckError,
-    a fault of the engine, which is raised again naming the params.
+    A refused tuple raises the PlumbingError of ``sigma_star``; a
+    SelfCheckError, a fault of the engine, is raised again naming the params.
     """
     params = tuple(multiplicities)
     try:
@@ -297,12 +297,6 @@ def brieskorn_row(
         )
     except SelfCheckError as exc:
         raise SelfCheckError(f"Sigma{params}: {exc}") from exc
-    except PlumbingError as exc:
-        return SurveyRow(
-            params=params,
-            verdict="skipped",
-            reason=f"{type(exc).__name__}: {exc}",
-        )
 
 
 def survey_brieskorn(
@@ -350,7 +344,7 @@ def reverify_cache(
     stored for such a graph is.  Timing fields are not compared.
     """
     import random
-    params_by_hash = {r.graph_hash: r.params for r in rows if r.graph_hash}
+    params_by_hash = {r.graph_hash: r.params for r in rows}
     eligible = sorted(
         (rec for rec in cache.records.values() if rec.graph_hash in params_by_hash),
         key=lambda r: (r.graph_hash, r.early_stop is None, r.early_stop or 0),  # None sorts after every K

@@ -564,7 +564,7 @@ def test_a_failed_output_write_leaves_the_target_as_it_was(tmp_path):
 
 def test_a_failed_self_check_exits_1_naming_the_row(capsys, monkeypatch):
     """A play that the engine itself then refuses is its fault, not the
-    row's: the survey stops with exit 1 instead of skipping the row."""
+    row's: the survey stops with exit 1, its message naming the row."""
     from plumbhf.game import AssociationGame
 
     monkeypatch.setattr(AssociationGame, "_play", lambda self, offsets: None)
@@ -596,8 +596,19 @@ def test_the_domain_warning_is_one_stderr_line(tmp_path, capsys, flags):
         assert err == f"plumbhf: warning: {message}\n"
 
 
-def test_module_entry_point():
-    argv = [sys.executable, "-m", "plumbhf", "brieskorn", "2", "3", "5", "--early-stop", "2"]
+@pytest.mark.parametrize(
+    "flags, module",
+    [([], "plumbhf"), ([], "plumbhf.cli"), (["-X", "dev", "-W", "error"], "plumbhf.cli")],
+    ids=["plumbhf", "plumbhf.cli", "plumbhf.cli-X-dev-W-error"],
+)
+def test_module_entry_point(flags, module):
+    """``python -m plumbhf`` runs; ``python -m plumbhf.cli`` refuses with one
+    line naming the module entry, also under ``-X dev -W error``."""
+    argv = [sys.executable, *flags, "-m", module, "brieskorn", "2", "3", "5", "--early-stop", "2"]
     proc = subprocess.run(argv, env=_child_env(), capture_output=True, text=True, timeout=60)
-    assert proc.returncode == 0
-    assert json.loads(proc.stdout)["good_initial_count"] == 1
+    if module == "plumbhf":
+        assert proc.returncode == 0
+        assert json.loads(proc.stdout)["good_initial_count"] == 1
+    else:
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert proc.stderr == "plumbhf: the module entry is python -m plumbhf, not python -m plumbhf.cli\n"

@@ -9,7 +9,7 @@ import plumbhf.graph
 import plumbhf.report
 import plumbhf.s3
 import plumbhf.seifert
-from plumbhf.errors import ParseError
+from plumbhf.errors import NotCoprimeError, ParseError
 from plumbhf.game import AssociationGame
 from plumbhf.graph import PlumbingGraph, build_graph
 from plumbhf.report import (
@@ -530,10 +530,12 @@ def test_json_text_refuses_what_it_cannot_write_as_json_dumps_would(value):
         json_text(value)
 
 
-def test_brieskorn_row_skips_invalid_tuples():
-    row = brieskorn_row((2, 4, 5))
-    assert row.verdict == "skipped"
-    assert "NotCoprime" in row.reason
+def test_brieskorn_row_refuses_a_tuple_that_is_not_coprime(tmp_path):
+    """A refused tuple raises as brieskorn does, before the cache opens a file."""
+    path = tmp_path / "cache.jsonl"
+    with ResultCache(path) as cache, pytest.raises(NotCoprimeError, match=r"gcd\(2, 4\) > 1"):
+        brieskorn_row((2, 4, 5), cache=cache)
+    assert not path.exists()
 
 
 def _count_calls(monkeypatch, owner, name):
@@ -563,7 +565,7 @@ def test_each_survey_row_builds_and_hashes_once_and_sweeps_never(tmp_path, monke
     adjacency = _count_calls(monkeypatch, PlumbingGraph, "neighbors")
     with ResultCache(tmp_path / "cache.jsonl") as cache:
         cold = survey_brieskorn(max_a=12, cache=cache)
-    assert len(cold) == 45 and all(r.verdict != "skipped" for r in cold)
+    assert len(cold) == 45
     assert len(invariants) == len(stars) == len(hashes) == len(cold)
     assert sweeps == []
 

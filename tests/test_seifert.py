@@ -87,8 +87,8 @@ def test_sigma_star_alone_checks_definiteness(monkeypatch):
     with pytest.raises(NonNegDefiniteError, match=r"star of \(2, 3, 5\) is not negative definite"):
         sigma_star((2, 3, 5))
     assert brieskorn((2, 3, 5)).center_weight == -2  # the invariants need no star
-    row = brieskorn_row((2, 3, 5))
-    assert row.verdict == "skipped" and row.reason.startswith("NonNegDefiniteError")
+    with pytest.raises(NonNegDefiniteError):
+        brieskorn_row((2, 3, 5))
 
 
 def test_star_graph_poincare_is_e8():

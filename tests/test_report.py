@@ -1,7 +1,12 @@
 import json
+import marshal
+import os
 import re
+import threading
+import time
 from functools import cached_property
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -9,7 +14,7 @@ import plumbhf.graph
 import plumbhf.report
 import plumbhf.s3
 import plumbhf.seifert
-from plumbhf.errors import NotCoprimeError, ParseError
+from plumbhf.errors import NotCoprimeError, ParseError, SelfCheckError
 from plumbhf.game import AssociationGame
 from plumbhf.graph import PlumbingGraph, build_graph
 from plumbhf.report import (
@@ -579,3 +584,116 @@ def test_each_survey_row_builds_and_hashes_once_and_sweeps_never(tmp_path, monke
     assert warm == cold
     assert len(invariants) == len(stars) == len(hashes) == len(warm)
     assert sweeps == [] and adjacency == []
+
+
+# -- the forked survey worker: past SPLIT_ROWS rows to compute, a survey
+# forks one worker for the second half of its tuples
+
+SPLIT_MAX_A = 25  # 619 rows; the worker's half starts at tuple 309
+
+
+def _survey_bytes(path, max_a=SPLIT_MAX_A):
+    """The JSON text of an early-stop survey's rows, and its cache file's bytes."""
+    with ResultCache(path) as cache:
+        rows = survey_brieskorn(max_a=max_a, cache=cache)
+    return json_text(rows), path.read_bytes()
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("kept", [(), (0, 150, 300, 320, 500, 618)], ids=["empty-cache", "resumed-cache"])
+def test_a_split_survey_writes_the_rows_and_cache_of_a_serial_one(tmp_path, monkeypatch, kept):
+    """Into an empty cache, and resuming from one holding three records of
+    each half."""
+    with monkeypatch.context() as m:
+        m.delattr(os, "fork")  # a serial survey
+        lines = _survey_bytes(tmp_path / "full.jsonl")[1].splitlines(keepends=True)
+    for name in ("split.jsonl", "serial.jsonl"):
+        (tmp_path / name).write_bytes(b"".join(lines[i] for i in kept))
+    forks = _count_calls(monkeypatch, os, "fork")
+    counts = _count_calls(monkeypatch, plumbhf.report, "analyze")  # in this process only
+    with time_limit(60):
+        split = _survey_bytes(tmp_path / "split.jsonl")
+    assert len(forks) == 1
+    assert len(counts) == 309 - sum(i < 309 for i in kept)  # the worker's records were used
+    _no_child_left()
+    monkeypatch.delattr(os, "fork")  # a serial survey from here on
+    assert split == _survey_bytes(tmp_path / "serial.jsonl")
+    assert len(split[1].splitlines()) == len(lines)
+
+
+@pytest.mark.parametrize(
+    "at, fault",
+    [(400, SelfCheckError("planted")), (100, SelfCheckError("planted")), (100, KeyboardInterrupt())],
+    ids=["worker-half", "parent-half", "parent-interrupted"],
+)
+def test_a_fault_in_either_half_raises_as_a_serial_survey_and_leaves_no_process(tmp_path, monkeypatch, at, fault):
+    """A worker that fails hands its half back, which the parent computes
+    and fails on; a parent that fails stops and reaps the worker, which
+    would otherwise hang on its first tuple.  Either way the message and
+    the cache lines are the serial run's."""
+    tuples = plumbhf.seifert.coprime_tuples(SPLIT_MAX_A, 3)
+    name, first_of_worker = f"sigma{tuples[at]}", f"sigma{tuples[309]}"
+    real = plumbhf.report.analyze
+
+    def analyze(graph, **kwargs):
+        if graph.name == name:
+            raise fault
+        if graph.name == first_of_worker and at < 309:
+            time.sleep(60)
+        return real(graph, **kwargs)
+
+    monkeypatch.setattr(plumbhf.report, "analyze", analyze)
+    expected = re.escape(f"Sigma{tuples[at]}: planted") if isinstance(fault, SelfCheckError) else None
+    forks = _count_calls(monkeypatch, os, "fork")
+    with time_limit(20), pytest.raises(type(fault), match=expected):
+        _survey_bytes(tmp_path / "split.jsonl")
+    assert len(forks) == 1
+    _no_child_left()
+    monkeypatch.delattr(os, "fork")  # a serial survey from here on
+    with pytest.raises(type(fault), match=expected):
+        _survey_bytes(tmp_path / "serial.jsonl")
+    assert (tmp_path / "split.jsonl").read_bytes() == (tmp_path / "serial.jsonl").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "dumps",
+    [lambda keys: marshal.dumps(keys[:-1]), lambda keys: b"\xff", lambda keys: marshal.dumps([k[:5] for k in keys])],
+    ids=["a-record-short", "not-marshal", "a-field-short"],
+)
+def test_a_worker_that_sends_bad_records_has_its_half_computed_again(tmp_path, monkeypatch, dumps):
+    monkeypatch.setattr(plumbhf.report, "marshal", SimpleNamespace(dumps=dumps, loads=marshal.loads))
+    forks = _count_calls(monkeypatch, os, "fork")
+    with time_limit(60):
+        split = _survey_bytes(tmp_path / "split.jsonl")
+    assert len(forks) == 1
+    _no_child_left()
+    monkeypatch.delattr(os, "fork")  # a serial survey from here on
+    assert split == _survey_bytes(tmp_path / "serial.jsonl")
+
+
+def test_a_small_warm_or_threaded_survey_stays_in_one_process(tmp_path, monkeypatch):
+    """Nothing forks for a cold a <= 12 survey (45 rows, the benchmark's
+    self-test), a warm a <= 30 one (1,037 rows, all hits) or a survey
+    run while another thread is alive."""
+    with ResultCache(tmp_path / "cache.jsonl") as cache:
+        cold = survey_brieskorn(max_a=30, cache=cache)
+
+        def no_fork():
+            raise AssertionError("the survey forked")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        assert survey_brieskorn(max_a=30, cache=cache) == cold
+    assert len(_survey_bytes(tmp_path / "small.jsonl", max_a=12)[1].splitlines()) == 45
+    stop = threading.Event()
+    thread = threading.Thread(target=stop.wait)
+    thread.start()
+    try:
+        assert survey_brieskorn(max_a=30) == cold
+    finally:
+        stop.set()
+        thread.join(timeout=10)
+    assert not thread.is_alive()

@@ -17,8 +17,8 @@ graph hash and early_stop setting.  A cache keeps one append handle,
 opened on its first put; close it, or use it as a context manager.
 ``json`` is imported at the first cache line there is to decode, so a
 cold survey into an empty or new cache file never loads it.  A survey
-with at least SPLIT_ROWS rows left to compute, on two or more CPUs,
-forks one worker for the second half of its tuples (see
+of at least SPLIT_ROWS tuples, warm or cold, on two or more CPUs, forks
+one worker for the second half of its tuples (see
 :func:`survey_brieskorn`); rows and cache lines keep tuple order and a
 one-process run's bytes, and a killed run keeps a prefix of the cache
 lines, none written by the worker.  The S^3 harness rows are in
@@ -54,9 +54,11 @@ from .graph import (
 from .seifert import coprime_tuples, sigma_star
 
 ASSUMPTION_NOTE = "good initial associations are assumed linearly independent in Ker(U)"
-# Rows left to compute from which a survey forks a worker for half of them:
+# Tuples from which a survey, warm or cold, forks a worker for half of them:
 # on 2 CPUs a cold survey split at 119 rows gained nothing, at 297 about 2%
-# and from 363 rows on about 5% of its wall time.
+# and from 363 rows on about 5% of its wall time.  It stays above 45, the
+# rows of the benchmark's traced a <= 12 survey, whose per-row call counts
+# are those of one process.
 SPLIT_ROWS = 400
 
 
@@ -293,27 +295,27 @@ def brieskorn_row(
     SelfCheckError, a fault of the engine, is raised again naming the params.
     """
     params = tuple(multiplicities)
-    rec, new = _brieskorn_record(params, early_stop, cache)
-    if new and cache is not None:
-        cache.put(rec)
-    return _brieskorn_survey_row(params, rec)
+    return _put_row(params, _brieskorn_record(params, early_stop, cache), cache)
 
 
 def _brieskorn_record(
     params: tuple[int, ...], early_stop: int | None, cache: ResultCache | None
-) -> tuple[CountRecord, bool]:
-    """The record of one tuple and whether it is new: the cache's, else a count not yet stored."""
+) -> CountRecord:
+    """The record of one tuple: the cache's, else a fresh count, not yet put.
+
+    A SelfCheckError is raised again naming the params."""
     try:
         graph = sigma_star(params)
         rec = cache.get(canonical_graph_hash(graph), early_stop) if cache is not None else None
-        if rec is not None:
-            return rec, False
-        return analyze(graph, early_stop=early_stop).record(), True
+        return rec if rec is not None else analyze(graph, early_stop=early_stop).record()
     except SelfCheckError as exc:
         raise SelfCheckError(f"Sigma{params}: {exc}") from exc
 
 
-def _brieskorn_survey_row(params: tuple[int, ...], rec: CountRecord) -> SurveyRow:
+def _put_row(params: tuple[int, ...], rec: CountRecord, cache: ResultCache | None) -> SurveyRow:
+    """The row of ``rec``, once ``cache`` holds it (a put skips a key it holds)."""
+    if cache is not None:
+        cache.put(rec)
     return SurveyRow(
         params=params,
         verdict=brieskorn_verdict(rec.good_initial_count),
@@ -331,7 +333,7 @@ def survey_brieskorn(
 ) -> list[SurveyRow]:
     """One row per pairwise-coprime multiplicity tuple within the bound, in tuple order.
 
-    With at least SPLIT_ROWS rows to compute on two or more CPUs (see
+    With at least SPLIT_ROWS tuples, warm or cold, on two or more CPUs (see
     :func:`_splits`), a forked worker computes the records of the second
     half of the tuples while this process computes the first half,
     storing its new counts as it goes; then it stores the worker's
@@ -347,7 +349,7 @@ def survey_brieskorn(
     if early_stop is not None and early_stop < 2:
         raise ValueError(f"early_stop must be at least 2, got {early_stop}: a verdict needs two")
     tuples = coprime_tuples(max_a, rays)
-    if not _splits(len(tuples), early_stop, cache):
+    if not _splits(len(tuples)):
         return [brieskorn_row(t, early_stop=early_stop, cache=cache) for t in tuples]
     half = len(tuples) // 2
     theirs = tuples[half:]
@@ -373,26 +375,20 @@ def survey_brieskorn(
         records = []
     if len(records) != len(theirs):  # the worker failed: compute its half here, raising as serial does
         return rows + [brieskorn_row(t, early_stop=early_stop, cache=cache) for t in theirs]
-    for params, rec in zip(theirs, records):
-        if cache is not None:
-            cache.put(rec)  # a cache hit's key is held already, so only new counts are written
-        rows.append(_brieskorn_survey_row(params, rec))
-    return rows
+    return rows + [_put_row(params, rec, cache) for params, rec in zip(theirs, records)]
 
 
-def _splits(rows: int, early_stop: int | None, cache: ResultCache | None) -> bool:
-    """Whether a survey of ``rows`` rows forks a worker: where ``os.fork`` exists,
-    no other thread runs (a fork copies only the calling thread), at least
-    two CPUs are usable, and at least SPLIT_ROWS rows are left to compute
-    after one cache hit for each stored record of this ``early_stop``."""
+def _splits(rows: int) -> bool:
+    """Whether a survey of ``rows`` tuples, warm or cold, forks a worker: where
+    ``os.fork`` exists, no other thread runs (a fork copies only the calling
+    thread), at least two CPUs are usable, and ``rows`` is at least SPLIT_ROWS."""
     if not hasattr(os, "fork"):
         return False
     threading = sys.modules.get("threading")
     if threading is not None and threading.active_count() > 1:
         return False
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    stored = 0 if cache is None else sum(stop == early_stop for _, stop in cache.records)
-    return cpus >= 2 and rows - stored >= SPLIT_ROWS
+    return cpus >= 2 and rows >= SPLIT_ROWS
 
 
 def _survey_worker(tuples, early_stop, cache, read_end: int, write_end: int) -> None:
@@ -407,7 +403,7 @@ def _survey_worker(tuples, early_stop, cache, read_end: int, write_end: int) -> 
     status = 1
     try:
         os.close(read_end)
-        data = marshal.dumps([CountRecord._key(_brieskorn_record(t, early_stop, cache)[0]) for t in tuples])
+        data = marshal.dumps([CountRecord._key(_brieskorn_record(t, early_stop, cache)) for t in tuples])
         with open(write_end, "wb") as pipe:
             pipe.write(data)
         status = 0
@@ -440,7 +436,7 @@ def reverify_cache(
 
     Only records of the Brieskorn ``rows`` of this run are eligible, since
     each graph is rebuilt from its row's params; every early_stop setting
-    stored for such a graph is.  Timing fields are not compared.
+    kept for such a graph is.  Timing fields are not compared.
     """
     import random
     params_by_hash = {r.graph_hash: r.params for r in rows}
@@ -451,8 +447,7 @@ def reverify_cache(
     rng = random.Random(0)  # a fixed seed, so a rerun checks the same records
     problems = []
     for rec in rng.sample(eligible, min(sample, len(eligible))):
-        graph = sigma_star(params_by_hash[rec.graph_hash])
-        fresh = analyze(graph, early_stop=rec.early_stop).record()
+        fresh = _brieskorn_record(params_by_hash[rec.graph_hash], rec.early_stop, None)
         wrong = [f"{name}: cached {getattr(rec, name)}, recomputed {getattr(fresh, name)}"
                  for name in rec._fields if getattr(rec, name) != getattr(fresh, name)]
         if wrong:

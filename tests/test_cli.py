@@ -573,6 +573,20 @@ def test_a_failed_self_check_exits_1_naming_the_row(capsys, monkeypatch):
     assert "SelfCheckError: Sigma(2, 3, 5): tau minimum with offsets" in err, err
 
 
+def test_a_failed_self_check_in_a_recheck_exits_1_naming_the_row(tmp_path, capsys, monkeypatch):
+    """A --reverify-sample count takes its record from the survey's own
+    step, so an engine fault there names the row as a survey row's does."""
+    from plumbhf.game import AssociationGame
+
+    argv = ["survey", "--full", "--max-a", "7", "--cache", str(tmp_path / "c.jsonl")]
+    code, cold, _ = run(capsys, *argv)
+    assert code == 0
+    monkeypatch.setattr(AssociationGame, "_play", lambda self, offsets: None)
+    code, out, err = run(capsys, *argv, "--reverify-sample", "20")
+    assert code == 1 and out == cold  # every row a cache hit: the recheck is the first count
+    assert "SelfCheckError: Sigma(5, 6, 7): tau minimum with offsets" in err, err
+
+
 @pytest.mark.parametrize("flags", [None, [], ["-W", "error"]], ids=["main", "python-m", "python-W-error"])
 def test_the_domain_warning_is_one_stderr_line(tmp_path, capsys, flags):
     """In process or as ``python -m plumbhf``, whose first frame outside

@@ -586,16 +586,16 @@ def test_each_survey_row_builds_and_hashes_once_and_sweeps_never(tmp_path, monke
     assert sweeps == [] and adjacency == []
 
 
-# -- the forked survey worker: past SPLIT_ROWS rows to compute, a survey
-# forks one worker for the second half of its tuples
+# -- the forked survey worker: from SPLIT_ROWS tuples on, a survey, warm or
+# cold, forks one worker for the second half of its tuples
 
 SPLIT_MAX_A = 25  # 619 rows; the worker's half starts at tuple 309
 
 
-def _survey_bytes(path, max_a=SPLIT_MAX_A):
+def _survey_bytes(path, max_a=SPLIT_MAX_A, rays=3):
     """The JSON text of an early-stop survey's rows, and its cache file's bytes."""
     with ResultCache(path) as cache:
-        rows = survey_brieskorn(max_a=max_a, cache=cache)
+        rows = survey_brieskorn(max_a=max_a, rays=rays, cache=cache)
     return json_text(rows), path.read_bytes()
 
 
@@ -675,24 +675,41 @@ def test_a_worker_that_sends_bad_records_has_its_half_computed_again(tmp_path, m
     assert split == _survey_bytes(tmp_path / "serial.jsonl")
 
 
-def test_a_small_warm_or_threaded_survey_stays_in_one_process(tmp_path, monkeypatch):
+@pytest.mark.parametrize("filled", [(30, 3), (24, 4)], ids=["warm", "mixed-cache"])
+def test_a_survey_splits_by_its_tuple_count_whatever_its_cache_holds(tmp_path, monkeypatch, filled):
+    """An a <= 30 survey (1,037 tuples) forks once into a cache holding its
+    own records, and into one holding the 963 four-ray a <= 24 ones, and
+    writes a serial run's rows and cache bytes; a warm run writes none."""
+    with monkeypatch.context() as m:
+        m.delattr(os, "fork")  # a serial survey
+        first = _survey_bytes(tmp_path / "filled.jsonl", *filled)
+        for name in ("split.jsonl", "serial.jsonl"):
+            (tmp_path / name).write_bytes(first[1])
+        serial = _survey_bytes(tmp_path / "serial.jsonl", max_a=30)
+    forks = _count_calls(monkeypatch, os, "fork")
+    with time_limit(60):
+        split = _survey_bytes(tmp_path / "split.jsonl", max_a=30)
+    assert len(forks) == 1
+    _no_child_left()
+    assert split == serial
+    if filled == (30, 3):
+        assert split == first  # the cold run's rows, and not a cache byte written
+
+
+def test_a_small_or_threaded_survey_stays_in_one_process(tmp_path, monkeypatch):
     """Nothing forks for a cold a <= 12 survey (45 rows, the benchmark's
-    self-test), a warm a <= 30 one (1,037 rows, all hits) or a survey
-    run while another thread is alive."""
-    with ResultCache(tmp_path / "cache.jsonl") as cache:
-        cold = survey_brieskorn(max_a=30, cache=cache)
+    self-test) or an a <= 30 one run while another thread is alive."""
 
-        def no_fork():
-            raise AssertionError("the survey forked")
+    def no_fork():
+        raise AssertionError("the survey forked")
 
-        monkeypatch.setattr(os, "fork", no_fork)
-        assert survey_brieskorn(max_a=30, cache=cache) == cold
+    monkeypatch.setattr(os, "fork", no_fork)
     assert len(_survey_bytes(tmp_path / "small.jsonl", max_a=12)[1].splitlines()) == 45
     stop = threading.Event()
     thread = threading.Thread(target=stop.wait)
     thread.start()
     try:
-        assert survey_brieskorn(max_a=30) == cold
+        assert len(survey_brieskorn(max_a=30)) == 1037
     finally:
         stop.set()
         thread.join(timeout=10)

@@ -16,13 +16,13 @@ The survey cache is a JSONL file of :class:`CountRecord` lines, one per
 graph hash and early_stop setting.  A cache keeps one append handle,
 opened on its first put; close it, or use it as a context manager.
 ``json`` is imported at the first cache line there is to decode, so a
-cold survey into an empty or new cache file never loads it.  A survey
-of at least SPLIT_ROWS tuples, warm or cold, on two or more CPUs, forks
-one worker for the second half of its tuples (see
-:func:`survey_brieskorn`); rows and cache lines keep tuple order and a
-one-process run's bytes, and a killed run keeps a prefix of the cache
-lines, none written by the worker.  The S^3 harness rows are in
-:mod:`plumbhf.s3`.
+cold survey into an empty or new cache file never loads it.  A survey of
+at least SPLIT_ROWS tuples forks a worker for half of them
+(:func:`survey_brieskorn`), whose exit status alone decides that half and
+which stops before its next tuple once the survey's process is gone.  Rows
+and cache lines keep a one-process run's bytes; a killed run leaves a
+prefix of the cache lines, none written by the worker.  The S^3 harness
+rows are in :mod:`plumbhf.s3`.
 """
 
 from __future__ import annotations
@@ -54,11 +54,12 @@ from .graph import (
 from .seifert import coprime_tuples, sigma_star
 
 ASSUMPTION_NOTE = "good initial associations are assumed linearly independent in Ker(U)"
-# Tuples from which a survey, warm or cold, forks a worker for half of them:
-# on 2 CPUs a cold survey split at 119 rows gained nothing, at 297 about 2%
-# and from 363 rows on about 5% of its wall time.  It stays above 45, the
-# rows of the benchmark's traced a <= 12 survey, whose per-row call counts
-# are those of one process.
+# Tuples from which a survey, warm or cold, forks a worker for half of them,
+# which exits once the survey's process is gone and whose status alone decides
+# that half.  On 2 CPUs a cold survey split at 119 rows gained nothing, at 297
+# about 2% and from 363 on about 5% of its wall time; a warm a <= 30 one kept
+# its wall time for 15% more CPU.  It stays above 45, the rows of the
+# benchmark's traced a <= 12 survey, whose call counts are one process's.
 SPLIT_ROWS = 400
 
 
@@ -334,15 +335,14 @@ def survey_brieskorn(
     """One row per pairwise-coprime multiplicity tuple within the bound, in tuple order.
 
     With at least SPLIT_ROWS tuples, warm or cold, on two or more CPUs (see
-    :func:`_splits`), a forked worker computes the records of the second
-    half of the tuples while this process computes the first half,
-    storing its new counts as it goes; then it stores the worker's
-    records and makes their rows, in tuple order.  So the rows and the
-    cache lines, in tuple order, are a serial run's bytes, and a killed
-    run keeps this process's prefix of cache lines and nothing of the
-    worker's.  A worker that fails hands its half back, and this process
-    computes it, raising as a serial run would; a failure or interrupt
-    here kills and reaps the worker, so no run leaves a process behind.
+    :func:`_splits`), a forked worker computes the records of the second half
+    of the tuples while this process computes and stores the first; then it
+    stores the worker's records and makes their rows.  So rows and cache lines
+    are a serial run's bytes, and a killed run keeps a prefix of the cache
+    lines, written by this process alone.  The worker's exit status alone
+    decides its half: if not 0, this process computes it, raising as a serial
+    run would.  A failure or interrupt here kills and reaps the worker; the
+    worker of a survey killed outright exits before its next tuple.
     """
     if rays < 3:
         raise ValueError(f"rays must be at least 3, got {rays}: fewer fibers give S^3 (count 1)")
@@ -354,9 +354,10 @@ def survey_brieskorn(
     half = len(tuples) // 2
     theirs = tuples[half:]
     read_end, write_end = os.pipe()
+    parent = os.getpid()
     pid = os.fork()
     if pid == 0:
-        _survey_worker(theirs, early_stop, cache, read_end, write_end)
+        _survey_worker(theirs, early_stop, cache, parent, read_end, write_end)
     os.close(write_end)
     try:
         with open(read_end, "rb") as pipe:
@@ -368,14 +369,10 @@ def survey_brieskorn(
         raise
     finally:
         status = os.waitpid(pid, 0)[1]
-    try:  # each record passes the checks a cache line passes
-        records = [CountRecord(**dict(zip(CountRecord._fields, key, strict=True)))
-                   for key in marshal.loads(data)] if status == 0 else []
-    except (EOFError, KeyError, TypeError, ValueError):
-        records = []
-    if len(records) != len(theirs):  # the worker failed: compute its half here, raising as serial does
+    if status != 0:  # the worker failed: compute its half here, raising as serial does
         return rows + [brieskorn_row(t, early_stop=early_stop, cache=cache) for t in theirs]
-    return rows + [_put_row(params, rec, cache) for params, rec in zip(theirs, records)]
+    records = [CountRecord(**dict(zip(CountRecord._fields, key, strict=True))) for key in marshal.loads(data)]
+    return rows + [_put_row(params, rec, cache) for params, rec in zip(theirs, records, strict=True)]
 
 
 def _splits(rows: int) -> bool:
@@ -391,21 +388,25 @@ def _splits(rows: int) -> bool:
     return cpus >= 2 and rows >= SPLIT_ROWS
 
 
-def _survey_worker(tuples, early_stop, cache, read_end: int, write_end: int) -> None:
+def _survey_worker(tuples, early_stop, cache, parent: int, read_end: int, write_end: int) -> None:
     """In the forked worker: the records of ``tuples``, as their field tuples
-    in one ``marshal`` write down the pipe, then ``os._exit``.
+    in one ``marshal`` write down the pipe, then ``os._exit(0)``.
 
-    Any failure exits 1 and writes nothing else: the survey then computes
-    these tuples itself.  ``os._exit`` runs no ``atexit`` hook and flushes
-    none of the inherited buffers, so nothing the parent holds is written
-    twice, and the worker never writes the cache.
+    A failure, or a survey process ``parent`` gone before the next tuple,
+    exits 1 having written nothing.  ``os._exit`` runs no ``atexit`` hook
+    and flushes none of the inherited buffers, so nothing the parent holds
+    is written twice, and the worker never writes the cache.
     """
     status = 1
     try:
         os.close(read_end)
-        data = marshal.dumps([CountRecord._key(_brieskorn_record(t, early_stop, cache)) for t in tuples])
+        keys = []
+        for t in tuples:
+            if os.getppid() != parent:  # a survey killed outright could not stop this process
+                os._exit(1)
+            keys.append(CountRecord._key(_brieskorn_record(t, early_stop, cache)))
         with open(write_end, "wb") as pipe:
-            pipe.write(data)
+            pipe.write(marshal.dumps(keys))
         status = 0
     finally:
         os._exit(status)

@@ -4,9 +4,12 @@ import io
 import json
 import os
 import re
+import select
 import shlex
+import signal
 import subprocess
 import sys
+import time
 import warnings
 from pathlib import Path
 from types import SimpleNamespace
@@ -535,6 +538,34 @@ def test_an_unbuffered_stdout_closed_early_exits_1():
     proc.stdout.close()
     _, err = proc.communicate(timeout=60)
     assert proc.returncode == 1 and "BrokenPipeError" in err, err
+
+
+def test_a_survey_killed_outright_leaves_no_worker_running(tmp_path):
+    """SIGTERM ends a split survey's process with no cleanup run; its worker
+    exits before its next tuple, so a pipe end that both inherited is closed
+    well before the worker's half (about 10 s of CPU) could be done."""
+    cache = tmp_path / "cache.jsonl"
+    argv = [sys.executable, "-m", "plumbhf", "survey", "--full", "--max-a", "30", "--cache", str(cache)]
+    read_end, write_end = os.pipe()
+    proc = subprocess.Popen(
+        argv, env=_child_env(), stdout=subprocess.DEVNULL, start_new_session=True, pass_fds=[write_end]
+    )
+    os.close(write_end)
+    try:
+        with time_limit(60):
+            while not (cache.exists() and cache.stat().st_size):  # the worker is forked before any row
+                assert proc.poll() is None, "the survey ended before its first cache line"
+                time.sleep(0.01)
+        os.kill(proc.pid, signal.SIGTERM)  # the survey's process alone
+        assert select.select([read_end], [], [], 3)[0], "the pipe is still open 3 s after the kill"
+        assert os.read(read_end, 1) == b""  # end of file: every holder of the write end has exited
+    finally:
+        try:
+            os.killpg(proc.pid, signal.SIGKILL)
+        except ProcessLookupError:
+            pass
+        proc.wait()
+        os.close(read_end)
 
 
 @pytest.mark.skipif(sys.platform == "win32", reason="needs a POSIX file size limit")

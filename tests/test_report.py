@@ -2,6 +2,7 @@ import json
 import marshal
 import os
 import re
+import signal
 import threading
 import time
 from functools import cached_property
@@ -589,7 +590,7 @@ def test_each_survey_row_builds_and_hashes_once_and_sweeps_never(tmp_path, monke
 # -- the forked survey worker: from SPLIT_ROWS tuples on, a survey, warm or
 # cold, forks one worker for the second half of its tuples
 
-SPLIT_MAX_A = 25  # 619 rows; the worker's half starts at tuple 309
+SPLIT_MAX_A = 30  # 1,037 rows; the worker's half starts at tuple 518
 
 
 def _survey_bytes(path, max_a=SPLIT_MAX_A, rays=3):
@@ -604,30 +605,55 @@ def _no_child_left():
         os.waitpid(-1, os.WNOHANG)
 
 
-@pytest.mark.parametrize("kept", [(), (0, 150, 300, 320, 500, 618)], ids=["empty-cache", "resumed-cache"])
-def test_a_split_survey_writes_the_rows_and_cache_of_a_serial_one(tmp_path, monkeypatch, kept):
-    """Into an empty cache, and resuming from one holding three records of
-    each half."""
+@pytest.mark.parametrize("case", ["empty", "resumed", "warm", "mixed", "worker-killed"])
+def test_a_split_survey_writes_the_rows_and_cache_of_a_serial_one(tmp_path, monkeypatch, case):
+    """From an empty cache, one holding three records of each half, one
+    holding every record (warm), and one holding the 963 records of the
+    four-ray a <= 24 survey (mixed); and from an empty cache with a worker
+    killed part way, whose half this process then computes."""
     with monkeypatch.context() as m:
-        m.delattr(os, "fork")  # a serial survey
-        lines = _survey_bytes(tmp_path / "full.jsonl")[1].splitlines(keepends=True)
-    for name in ("split.jsonl", "serial.jsonl"):
-        (tmp_path / name).write_bytes(b"".join(lines[i] for i in kept))
+        m.delattr(os, "fork")  # serial surveys
+        cold = _survey_bytes(tmp_path / "cold.jsonl")
+        lines = cold[1].splitlines(keepends=True)
+        if case == "resumed":
+            start = b"".join(lines[i] for i in (0, 250, 500, 520, 800, 1036))
+        elif case == "warm":
+            start = cold[1]
+        elif case == "mixed":
+            start = _survey_bytes(tmp_path / "four-ray.jsonl", 24, 4)[1]
+        else:
+            start = b""
+        for name in ("split.jsonl", "serial.jsonl"):
+            (tmp_path / name).write_bytes(start)
+        serial = _survey_bytes(tmp_path / "serial.jsonl")
+    if case == "worker-killed":
+        real, parent = plumbhf.report.analyze, os.getpid()
+        victim = f"sigma{plumbhf.seifert.coprime_tuples(SPLIT_MAX_A, 3)[800]}"
+
+        def analyze(graph, **kwargs):
+            if graph.name == victim and os.getpid() != parent:  # in the worker, as an OOM kill would
+                os.kill(os.getpid(), signal.SIGKILL)
+            return real(graph, **kwargs)
+
+        monkeypatch.setattr(plumbhf.report, "analyze", analyze)
     forks = _count_calls(monkeypatch, os, "fork")
     counts = _count_calls(monkeypatch, plumbhf.report, "analyze")  # in this process only
     with time_limit(60):
         split = _survey_bytes(tmp_path / "split.jsonl")
     assert len(forks) == 1
-    assert len(counts) == 309 - sum(i < 309 for i in kept)  # the worker's records were used
     _no_child_left()
-    monkeypatch.delattr(os, "fork")  # a serial survey from here on
-    assert split == _survey_bytes(tmp_path / "serial.jsonl")
-    assert len(split[1].splitlines()) == len(lines)
+    assert split == serial
+    held = set(start.splitlines(keepends=True))
+    assert len(split[1].splitlines()) == len(held | set(lines))
+    computed_here = lines if case == "worker-killed" else lines[:518]  # else the worker's records were used
+    assert len(counts) == sum(line not in held for line in computed_here)
+    if case == "warm":
+        assert split == cold  # the cold rows, and not a cache byte written
 
 
 @pytest.mark.parametrize(
     "at, fault",
-    [(400, SelfCheckError("planted")), (100, SelfCheckError("planted")), (100, KeyboardInterrupt())],
+    [(800, SelfCheckError("planted")), (100, SelfCheckError("planted")), (100, KeyboardInterrupt())],
     ids=["worker-half", "parent-half", "parent-interrupted"],
 )
 def test_a_fault_in_either_half_raises_as_a_serial_survey_and_leaves_no_process(tmp_path, monkeypatch, at, fault):
@@ -636,13 +662,13 @@ def test_a_fault_in_either_half_raises_as_a_serial_survey_and_leaves_no_process(
     would otherwise hang on its first tuple.  Either way the message and
     the cache lines are the serial run's."""
     tuples = plumbhf.seifert.coprime_tuples(SPLIT_MAX_A, 3)
-    name, first_of_worker = f"sigma{tuples[at]}", f"sigma{tuples[309]}"
+    name, first_of_worker = f"sigma{tuples[at]}", f"sigma{tuples[518]}"
     real = plumbhf.report.analyze
 
     def analyze(graph, **kwargs):
         if graph.name == name:
             raise fault
-        if graph.name == first_of_worker and at < 309:
+        if graph.name == first_of_worker and at < 518:
             time.sleep(60)
         return real(graph, **kwargs)
 
@@ -664,36 +690,17 @@ def test_a_fault_in_either_half_raises_as_a_serial_survey_and_leaves_no_process(
     [lambda keys: marshal.dumps(keys[:-1]), lambda keys: b"\xff", lambda keys: marshal.dumps([k[:5] for k in keys])],
     ids=["a-record-short", "not-marshal", "a-field-short"],
 )
-def test_a_worker_that_sends_bad_records_has_its_half_computed_again(tmp_path, monkeypatch, dumps):
+def test_a_worker_that_exits_0_with_bad_records_fails_the_survey_and_leaves_a_cache_prefix(
+    tmp_path, monkeypatch, dumps
+):
+    """Only its exit status decides a worker's half: records that do not
+    match its tuples raise, and are never replaced by a recount."""
     monkeypatch.setattr(plumbhf.report, "marshal", SimpleNamespace(dumps=dumps, loads=marshal.loads))
-    forks = _count_calls(monkeypatch, os, "fork")
-    with time_limit(60):
-        split = _survey_bytes(tmp_path / "split.jsonl")
-    assert len(forks) == 1
+    with time_limit(60), pytest.raises(ValueError):
+        _survey_bytes(tmp_path / "split.jsonl")
     _no_child_left()
     monkeypatch.delattr(os, "fork")  # a serial survey from here on
-    assert split == _survey_bytes(tmp_path / "serial.jsonl")
-
-
-@pytest.mark.parametrize("filled", [(30, 3), (24, 4)], ids=["warm", "mixed-cache"])
-def test_a_survey_splits_by_its_tuple_count_whatever_its_cache_holds(tmp_path, monkeypatch, filled):
-    """An a <= 30 survey (1,037 tuples) forks once into a cache holding its
-    own records, and into one holding the 963 four-ray a <= 24 ones, and
-    writes a serial run's rows and cache bytes; a warm run writes none."""
-    with monkeypatch.context() as m:
-        m.delattr(os, "fork")  # a serial survey
-        first = _survey_bytes(tmp_path / "filled.jsonl", *filled)
-        for name in ("split.jsonl", "serial.jsonl"):
-            (tmp_path / name).write_bytes(first[1])
-        serial = _survey_bytes(tmp_path / "serial.jsonl", max_a=30)
-    forks = _count_calls(monkeypatch, os, "fork")
-    with time_limit(60):
-        split = _survey_bytes(tmp_path / "split.jsonl", max_a=30)
-    assert len(forks) == 1
-    _no_child_left()
-    assert split == serial
-    if filled == (30, 3):
-        assert split == first  # the cold run's rows, and not a cache byte written
+    assert _survey_bytes(tmp_path / "serial.jsonl")[1].startswith((tmp_path / "split.jsonl").read_bytes())
 
 
 def test_a_small_or_threaded_survey_stays_in_one_process(tmp_path, monkeypatch):

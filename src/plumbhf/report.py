@@ -16,13 +16,15 @@ The survey cache is a JSONL file of :class:`CountRecord` lines, one per
 graph hash and early_stop setting.  A cache keeps one append handle,
 opened on its first put; close it, or use it as a context manager.
 ``json`` is imported at the first cache line there is to decode, so a
-cold survey into an empty or new cache file never loads it.  A survey of
-at least SPLIT_ROWS tuples forks a worker for half of them
-(:func:`survey_brieskorn`), whose exit status alone decides that half and
-which stops before its next tuple once the survey's process is gone.  Rows
-and cache lines keep a one-process run's bytes; a killed run leaves a
-prefix of the cache lines, none written by the worker.  The S^3 harness
-rows are in :mod:`plumbhf.s3`.
+cold survey into an empty or new cache file never loads it.  A survey
+serves its cache hits in one process; at its first miss, with at least
+SPLIT_ROWS tuples left, it forks a worker for the second half of those
+(:func:`survey_brieskorn`), so a warm survey never forks.  The worker's
+exit status alone decides its half, and it stops before its next tuple
+once the survey's process is gone.  Rows and cache lines keep a
+one-process run's bytes; a killed run leaves a prefix of the cache
+lines, none written by the worker.  The S^3 harness rows are in
+:mod:`plumbhf.s3`.
 """
 
 from __future__ import annotations
@@ -54,11 +56,11 @@ from .graph import (
 from .seifert import coprime_tuples, sigma_star
 
 ASSUMPTION_NOTE = "good initial associations are assumed linearly independent in Ker(U)"
-# Tuples from which a survey, warm or cold, forks a worker for half of them,
-# which exits once the survey's process is gone and whose status alone decides
-# that half.  On 2 CPUs a cold survey split at 119 rows gained nothing, at 297
-# about 2% and from 363 on about 5% of its wall time; a warm a <= 30 one kept
-# its wall time for 15% more CPU.  It stays above 45, the rows of the
+# Tuples left at a survey's first cache miss, that one included, from which
+# it forks a worker for the second half of them, which exits once the
+# survey's process is gone and whose status alone decides that half.  On 2
+# CPUs a cold survey split at 119 rows gained nothing, at 297 about 2% and
+# from 363 on about 5% of its wall time.  It stays above 45, the rows of the
 # benchmark's traced a <= 12 survey, whose call counts are one process's.
 SPLIT_ROWS = 400
 
@@ -296,25 +298,32 @@ def brieskorn_row(
     SelfCheckError, a fault of the engine, is raised again naming the params.
     """
     params = tuple(multiplicities)
-    return _put_row(params, _brieskorn_record(params, early_stop, cache), cache)
+    graph, rec = _lookup(params, early_stop, cache)
+    if rec is not None:
+        return _row(params, rec)
+    return _row(params, _count(params, graph, early_stop), cache)
 
 
-def _brieskorn_record(
+def _lookup(
     params: tuple[int, ...], early_stop: int | None, cache: ResultCache | None
-) -> CountRecord:
-    """The record of one tuple: the cache's, else a fresh count, not yet put.
+) -> tuple[PlumbingGraph, CountRecord | None]:
+    """The star of one tuple, and the record ``cache`` holds for it, if any."""
+    graph = sigma_star(params)
+    return graph, cache.get(canonical_graph_hash(graph), early_stop) if cache is not None else None
+
+
+def _count(params: tuple[int, ...], graph: PlumbingGraph, early_stop: int | None) -> CountRecord:
+    """A fresh count of ``graph``, the star of ``params``, not yet put.
 
     A SelfCheckError is raised again naming the params."""
     try:
-        graph = sigma_star(params)
-        rec = cache.get(canonical_graph_hash(graph), early_stop) if cache is not None else None
-        return rec if rec is not None else analyze(graph, early_stop=early_stop).record()
+        return analyze(graph, early_stop=early_stop).record()
     except SelfCheckError as exc:
         raise SelfCheckError(f"Sigma{params}: {exc}") from exc
 
 
-def _put_row(params: tuple[int, ...], rec: CountRecord, cache: ResultCache | None) -> SurveyRow:
-    """The row of ``rec``, once ``cache`` holds it (a put skips a key it holds)."""
+def _row(params: tuple[int, ...], rec: CountRecord, cache: ResultCache | None = None) -> SurveyRow:
+    """The row of ``rec``, a computed one first put in ``cache`` (a put skips a key it holds)."""
     if cache is not None:
         cache.put(rec)
     return SurveyRow(
@@ -334,23 +343,44 @@ def survey_brieskorn(
 ) -> list[SurveyRow]:
     """One row per pairwise-coprime multiplicity tuple within the bound, in tuple order.
 
-    With at least SPLIT_ROWS tuples, warm or cold, on two or more CPUs (see
+    This process serves the cache's hits up to the first miss.  If at least
+    SPLIT_ROWS tuples are left from there, on two or more CPUs (see
     :func:`_splits`), a forked worker computes the records of the second half
-    of the tuples while this process computes and stores the first; then it
-    stores the worker's records and makes their rows.  So rows and cache lines
-    are a serial run's bytes, and a killed run keeps a prefix of the cache
-    lines, written by this process alone.  The worker's exit status alone
-    decides its half: if not 0, this process computes it, raising as a serial
-    run would.  A failure or interrupt here kills and reaps the worker; the
-    worker of a survey killed outright exits before its next tuple.
+    of them while this process computes and stores the first; then it
+    stores the worker's records and makes their rows.  Otherwise this
+    process computes the rest alone.  So a warm survey never forks, rows and
+    cache lines are a serial run's bytes, and a killed run keeps a prefix of
+    the cache lines, written by this process alone.  The worker's exit status
+    alone decides its half: if not 0, this process computes it, raising as a
+    serial run would.  A failure or interrupt here kills and reaps the
+    worker; the worker of a survey killed outright exits before its next tuple.
     """
     if rays < 3:
         raise ValueError(f"rays must be at least 3, got {rays}: fewer fibers give S^3 (count 1)")
     if early_stop is not None and early_stop < 2:
         raise ValueError(f"early_stop must be at least 2, got {early_stop}: a verdict needs two")
     tuples = coprime_tuples(max_a, rays)
-    if not _splits(len(tuples)):
-        return [brieskorn_row(t, early_stop=early_stop, cache=cache) for t in tuples]
+    rows = []
+    for i, params in enumerate(tuples):
+        graph, rec = _lookup(params, early_stop, cache)
+        if rec is None:  # the first miss decides, once, how the tuples left are computed
+            rest = tuples[i:]
+            if _splits(len(rest)):
+                return rows + _split_rows(rest, graph, early_stop, cache)
+            return rows + _rows(rest, graph, early_stop, cache)
+        rows.append(_row(params, rec))
+    return rows
+
+
+def _rows(tuples, graph: PlumbingGraph, early_stop, cache) -> list[SurveyRow]:
+    """The rows of ``tuples`` in this process, the first a miss whose star is ``graph``."""
+    first = _row(tuples[0], _count(tuples[0], graph, early_stop), cache)
+    return [first] + [brieskorn_row(t, early_stop=early_stop, cache=cache) for t in tuples[1:]]
+
+
+def _split_rows(tuples, graph: PlumbingGraph, early_stop, cache) -> list[SurveyRow]:
+    """The rows of ``tuples`` from two processes: this one computes the first
+    half (see :func:`_rows`), a forked worker the records of the second."""
     half = len(tuples) // 2
     theirs = tuples[half:]
     read_end, write_end = os.pipe()
@@ -361,7 +391,7 @@ def survey_brieskorn(
     os.close(write_end)
     try:
         with open(read_end, "rb") as pipe:
-            rows = [brieskorn_row(t, early_stop=early_stop, cache=cache) for t in tuples[:half]]
+            rows = _rows(tuples[:half], graph, early_stop, cache)
             data = pipe.read()
     except BaseException:  # this process failed or was interrupted: stop the worker, then raise
         from signal import SIGKILL  # loaded on this path only
@@ -372,13 +402,17 @@ def survey_brieskorn(
     if status != 0:  # the worker failed: compute its half here, raising as serial does
         return rows + [brieskorn_row(t, early_stop=early_stop, cache=cache) for t in theirs]
     records = [CountRecord(**dict(zip(CountRecord._fields, key, strict=True))) for key in marshal.loads(data)]
-    return rows + [_put_row(params, rec, cache) for params, rec in zip(theirs, records, strict=True)]
+    if len(records) != len(theirs):  # checked before any of them is stored
+        raise ValueError(f"the worker's half from Sigma{theirs[0]} has {len(theirs)} tuples "
+                         f"but {len(records)} records")
+    return rows + [_row(params, rec, cache) for params, rec in zip(theirs, records)]
 
 
 def _splits(rows: int) -> bool:
-    """Whether a survey of ``rows`` tuples, warm or cold, forks a worker: where
-    ``os.fork`` exists, no other thread runs (a fork copies only the calling
-    thread), at least two CPUs are usable, and ``rows`` is at least SPLIT_ROWS."""
+    """Whether a survey whose first miss leaves ``rows`` tuples, that one
+    included, forks a worker: where ``os.fork`` exists, no other thread runs
+    (a fork copies only the calling thread), at least two CPUs are usable,
+    and ``rows`` is at least SPLIT_ROWS."""
     if not hasattr(os, "fork"):
         return False
     threading = sys.modules.get("threading")
@@ -404,7 +438,8 @@ def _survey_worker(tuples, early_stop, cache, parent: int, read_end: int, write_
         for t in tuples:
             if os.getppid() != parent:  # a survey killed outright could not stop this process
                 os._exit(1)
-            keys.append(CountRecord._key(_brieskorn_record(t, early_stop, cache)))
+            graph, rec = _lookup(t, early_stop, cache)
+            keys.append(CountRecord._key(rec if rec is not None else _count(t, graph, early_stop)))
         with open(write_end, "wb") as pipe:
             pipe.write(marshal.dumps(keys))
         status = 0
@@ -448,7 +483,8 @@ def reverify_cache(
     rng = random.Random(0)  # a fixed seed, so a rerun checks the same records
     problems = []
     for rec in rng.sample(eligible, min(sample, len(eligible))):
-        fresh = _brieskorn_record(params_by_hash[rec.graph_hash], rec.early_stop, None)
+        params = params_by_hash[rec.graph_hash]
+        fresh = _count(params, sigma_star(params), rec.early_stop)
         wrong = [f"{name}: cached {getattr(rec, name)}, recomputed {getattr(fresh, name)}"
                  for name in rec._fields if getattr(rec, name) != getattr(fresh, name)]
         if wrong:

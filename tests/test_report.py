@@ -587,10 +587,11 @@ def test_each_survey_row_builds_and_hashes_once_and_sweeps_never(tmp_path, monke
     assert sweeps == [] and adjacency == []
 
 
-# -- the forked survey worker: from SPLIT_ROWS tuples on, a survey, warm or
-# cold, forks one worker for the second half of its tuples
+# -- the forked survey worker: a survey serves cache hits in one process,
+# and at its first miss, with at least SPLIT_ROWS tuples left, forks one
+# worker for the second half of those
 
-SPLIT_MAX_A = 30  # 1,037 rows; the worker's half starts at tuple 518
+SPLIT_MAX_A = 30  # 1,037 rows; from an empty cache the worker's half starts at tuple 518
 
 
 def _survey_bytes(path, max_a=SPLIT_MAX_A, rays=3):
@@ -605,12 +606,20 @@ def _no_child_left():
         os.waitpid(-1, os.WNOHANG)
 
 
-@pytest.mark.parametrize("case", ["empty", "resumed", "warm", "mixed", "worker-killed"])
+# case: the tuple at which the survey forks, its first miss, or None where it never forks
+SPLIT_CASES = {
+    "empty": 0, "resumed": 1, "warm": None, "mixed": 0, "worker-killed": 0, "prefix-300": 300, "prefix-700": None,
+}
+
+
+@pytest.mark.parametrize("case", SPLIT_CASES)
 def test_a_split_survey_writes_the_rows_and_cache_of_a_serial_one(tmp_path, monkeypatch, case):
     """From an empty cache, one holding three records of each half, one
-    holding every record (warm), and one holding the 963 records of the
-    four-ray a <= 24 survey (mixed); and from an empty cache with a worker
-    killed part way, whose half this process then computes."""
+    holding every record (warm), one holding the 963 records of the
+    four-ray a <= 24 survey (mixed), and ones holding the first 300 or 700
+    records, of which the second leaves 337 tuples, too few to fork for;
+    and from an empty cache with a worker killed part way, whose half this
+    process then computes.  Only computed records are put."""
     with monkeypatch.context() as m:
         m.delattr(os, "fork")  # serial surveys
         cold = _survey_bytes(tmp_path / "cold.jsonl")
@@ -621,6 +630,8 @@ def test_a_split_survey_writes_the_rows_and_cache_of_a_serial_one(tmp_path, monk
             start = cold[1]
         elif case == "mixed":
             start = _survey_bytes(tmp_path / "four-ray.jsonl", 24, 4)[1]
+        elif case.startswith("prefix-"):
+            start = b"".join(lines[: int(case[len("prefix-"):])])
         else:
             start = b""
         for name in ("split.jsonl", "serial.jsonl"):
@@ -636,17 +647,28 @@ def test_a_split_survey_writes_the_rows_and_cache_of_a_serial_one(tmp_path, monk
             return real(graph, **kwargs)
 
         monkeypatch.setattr(plumbhf.report, "analyze", analyze)
-    forks = _count_calls(monkeypatch, os, "fork")
-    counts = _count_calls(monkeypatch, plumbhf.report, "analyze")  # in this process only
+    stars = _count_calls(monkeypatch, plumbhf.report, "sigma_star")  # in this process only
+    counts = _count_calls(monkeypatch, plumbhf.report, "analyze")
+    puts = _count_calls(monkeypatch, ResultCache, "put")
+    forks, fork = [], os.fork
+
+    def counted_fork():
+        forks.append(len(stars) - 1)  # the tuple whose star was built last
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counted_fork)
     with time_limit(60):
         split = _survey_bytes(tmp_path / "split.jsonl")
-    assert len(forks) == 1
+    at = SPLIT_CASES[case]
+    assert forks == ([] if at is None else [at])
     _no_child_left()
     assert split == serial
     held = set(start.splitlines(keepends=True))
     assert len(split[1].splitlines()) == len(held | set(lines))
-    computed_here = lines if case == "worker-killed" else lines[:518]  # else the worker's records were used
+    theirs = 0 if at is None or case == "worker-killed" else len(lines) - (at + (len(lines) - at) // 2)
+    computed_here = lines[: len(lines) - theirs]  # the worker's records were used for the rest
     assert len(counts) == sum(line not in held for line in computed_here)
+    assert len(puts) == len(counts) + theirs  # a hit served here is never put
     if case == "warm":
         assert split == cold  # the cold rows, and not a cache byte written
 
@@ -686,21 +708,31 @@ def test_a_fault_in_either_half_raises_as_a_serial_survey_and_leaves_no_process(
 
 
 @pytest.mark.parametrize(
-    "dumps",
-    [lambda keys: marshal.dumps(keys[:-1]), lambda keys: b"\xff", lambda keys: marshal.dumps([k[:5] for k in keys])],
+    "dumps, message",
+    [
+        (
+            lambda keys: marshal.dumps(keys[:-1]),
+            re.escape(f"the worker's half from Sigma{plumbhf.seifert.coprime_tuples(SPLIT_MAX_A, 3)[518]} "
+                      "has 519 tuples but 518 records"),
+        ),
+        (lambda keys: b"\xff", None),
+        (lambda keys: marshal.dumps([k[:5] for k in keys]), None),
+    ],
     ids=["a-record-short", "not-marshal", "a-field-short"],
 )
 def test_a_worker_that_exits_0_with_bad_records_fails_the_survey_and_leaves_a_cache_prefix(
-    tmp_path, monkeypatch, dumps
+    tmp_path, monkeypatch, dumps, message
 ):
     """Only its exit status decides a worker's half: records that do not
-    match its tuples raise, and are never replaced by a recount."""
+    match its tuples raise before any of them is stored, and are never
+    replaced by a recount.  So the cache holds this process's half alone."""
     monkeypatch.setattr(plumbhf.report, "marshal", SimpleNamespace(dumps=dumps, loads=marshal.loads))
-    with time_limit(60), pytest.raises(ValueError):
+    with time_limit(60), pytest.raises(ValueError, match=message):
         _survey_bytes(tmp_path / "split.jsonl")
     _no_child_left()
     monkeypatch.delattr(os, "fork")  # a serial survey from here on
-    assert _survey_bytes(tmp_path / "serial.jsonl")[1].startswith((tmp_path / "split.jsonl").read_bytes())
+    serial = _survey_bytes(tmp_path / "serial.jsonl")[1].splitlines(keepends=True)
+    assert (tmp_path / "split.jsonl").read_bytes() == b"".join(serial[:518])
 
 
 def test_a_small_or_threaded_survey_stays_in_one_process(tmp_path, monkeypatch):

@@ -16,15 +16,9 @@ The survey cache is a JSONL file of :class:`CountRecord` lines, one per
 graph hash and early_stop setting.  A cache keeps one append handle,
 opened on its first put; close it, or use it as a context manager.
 ``json`` is imported at the first cache line there is to decode, so a
-cold survey into an empty or new cache file never loads it.  A survey
-serves its cache hits in one process; at its first miss, with at least
-SPLIT_ROWS tuples left, it forks a worker for the second half of those
-(:func:`survey_brieskorn`), so a warm survey never forks.  The worker's
-exit status alone decides its half, and it stops before its next tuple
-once the survey's process is gone.  Rows and cache lines keep a
-one-process run's bytes; a killed run leaves a prefix of the cache
-lines, none written by the worker.  The S^3 harness rows are in
-:mod:`plumbhf.s3`.
+cold survey into an empty or new cache file never loads it.  When a
+survey forks a worker for half of its rows is stated in full in
+:func:`survey_brieskorn`.  The S^3 harness rows are in :mod:`plumbhf.s3`.
 """
 
 from __future__ import annotations
@@ -56,12 +50,9 @@ from .graph import (
 from .seifert import coprime_tuples, sigma_star
 
 ASSUMPTION_NOTE = "good initial associations are assumed linearly independent in Ker(U)"
-# Tuples left at a survey's first cache miss, that one included, from which
-# it forks a worker for the second half of them, which exits once the
-# survey's process is gone and whose status alone decides that half.  On 2
-# CPUs a cold survey split at 119 rows gained nothing, at 297 about 2% and
-# from 363 on about 5% of its wall time.  It stays above 45, the rows of the
-# benchmark's traced a <= 12 survey, whose call counts are one process's.
+# On 2 CPUs a cold survey split at 119 rows gained nothing, at 297 about 2%
+# and from 363 on about 5% of its wall time.  It stays above 45, the rows of
+# the benchmark's traced a <= 12 survey, whose call counts are one process's.
 SPLIT_ROWS = 400
 
 
@@ -292,16 +283,13 @@ def brieskorn_row(
     early_stop: int | None = 2,
     cache: ResultCache | None = None,
 ) -> SurveyRow:
-    """Analyze one Brieskorn sphere and classify it, storing a new count in ``cache``.
+    """Analyze one Brieskorn sphere and classify it, storing a new count in
+    ``cache``: the survey's loop on one tuple.
 
     A refused tuple raises the PlumbingError of ``sigma_star``; a
     SelfCheckError, a fault of the engine, is raised again naming the params.
     """
-    params = tuple(multiplicities)
-    graph, rec = _lookup(params, early_stop, cache)
-    if rec is not None:
-        return _row(params, rec)
-    return _row(params, _count(params, graph, early_stop), cache)
+    return _survey_rows([tuple(multiplicities)], early_stop, cache)[0]
 
 
 def _lookup(
@@ -322,19 +310,6 @@ def _count(params: tuple[int, ...], graph: PlumbingGraph, early_stop: int | None
         raise SelfCheckError(f"Sigma{params}: {exc}") from exc
 
 
-def _row(params: tuple[int, ...], rec: CountRecord, cache: ResultCache | None = None) -> SurveyRow:
-    """The row of ``rec``, a computed one first put in ``cache`` (a put skips a key it holds)."""
-    if cache is not None:
-        cache.put(rec)
-    return SurveyRow(
-        params=params,
-        verdict=brieskorn_verdict(rec.good_initial_count),
-        count=rec.good_initial_count,
-        partial=rec.partial,
-        graph_hash=rec.graph_hash,
-    )
-
-
 def survey_brieskorn(
     max_a: int = 30,
     rays: int = 3,
@@ -343,75 +318,74 @@ def survey_brieskorn(
 ) -> list[SurveyRow]:
     """One row per pairwise-coprime multiplicity tuple within the bound, in tuple order.
 
-    This process serves the cache's hits up to the first miss.  If at least
-    SPLIT_ROWS tuples are left from there, on two or more CPUs (see
-    :func:`_splits`), a forked worker computes the records of the second half
-    of them while this process computes and stores the first; then it
-    stores the worker's records and makes their rows.  Otherwise this
-    process computes the rest alone.  So a warm survey never forks, rows and
-    cache lines are a serial run's bytes, and a killed run keeps a prefix of
-    the cache lines, written by this process alone.  The worker's exit status
-    alone decides its half: if not 0, this process computes it, raising as a
-    serial run would.  A failure or interrupt here kills and reaps the
-    worker; the worker of a survey killed outright exits before its next tuple.
+    Each row comes from a record the cache holds, a count made here, or a
+    forked worker's record; the last two are stored.  At the first cache miss only, if at least SPLIT_ROWS
+    tuples are left, that one included, and :func:`_splits` allows a fork,
+    a worker computes the records of the second half of them while this
+    process computes the first; a fork that fails leaves them all here.  So
+    a warm survey never forks and a cold one forks at tuple 0.  At the
+    worker's first tuple this process reads its records and reaps it.  Its
+    exit status alone decides its half: at 0 its records, checked to be one
+    per tuple before any is stored, make the rest of the rows; otherwise
+    this process computes them, raising as a serial run would.  A failure
+    or interrupt here kills and reaps the worker, and the worker of a
+    survey killed outright exits before its next tuple.  Rows and cache
+    lines are a one-process run's bytes, and a killed run keeps a prefix
+    of the cache lines, all written by this process.
     """
     if rays < 3:
         raise ValueError(f"rays must be at least 3, got {rays}: fewer fibers give S^3 (count 1)")
     if early_stop is not None and early_stop < 2:
         raise ValueError(f"early_stop must be at least 2, got {early_stop}: a verdict needs two")
-    tuples = coprime_tuples(max_a, rays)
-    rows = []
-    for i, params in enumerate(tuples):
-        graph, rec = _lookup(params, early_stop, cache)
-        if rec is None:  # the first miss decides, once, how the tuples left are computed
-            rest = tuples[i:]
-            if _splits(len(rest)):
-                return rows + _split_rows(rest, graph, early_stop, cache)
-            return rows + _rows(rest, graph, early_stop, cache)
-        rows.append(_row(params, rec))
+    return _survey_rows(coprime_tuples(max_a, rays), early_stop, cache)
+
+
+def _survey_rows(tuples, early_stop, cache) -> list[SurveyRow]:
+    """The rows of ``tuples``, as :func:`survey_brieskorn` makes them."""
+    rows, theirs, missed = [], [], False
+    worker, start = None, 0  # a forked worker's pid and pipe until its half is read, and its first tuple
+    try:
+        for i, params in enumerate(tuples):
+            if worker is not None and i == start:
+                with worker[1] as pipe:
+                    data = pipe.read()
+                status = os.waitpid(worker[0], 0)[1]
+                worker = None
+                if status == 0:  # otherwise the worker's tuples are computed here, raising as serial does
+                    theirs = [CountRecord(**dict(zip(CountRecord._fields, key, strict=True)))
+                              for key in marshal.loads(data)]
+                    if len(theirs) != len(tuples) - i:  # checked before any of them is stored
+                        raise ValueError(f"the worker's half from Sigma{params} has {len(tuples) - i} "
+                                         f"tuples but {len(theirs)} records")
+                    theirs.reverse()
+            held = None
+            if theirs:
+                rec = theirs.pop()
+            else:
+                graph, held = _lookup(params, early_stop, cache)
+                if held is None and not missed:
+                    missed, start = True, i + (len(tuples) - i) // 2
+                    worker = _fork(tuples[start:], early_stop, cache) if _splits(len(tuples) - i) else None
+                rec = held if held is not None else _count(params, graph, early_stop)
+            if held is None and cache is not None:  # a put skips a key the cache holds
+                cache.put(rec)
+            rows.append(SurveyRow(params=params, verdict=brieskorn_verdict(rec.good_initial_count),
+                                  count=rec.good_initial_count, partial=rec.partial, graph_hash=rec.graph_hash))
+    except BaseException:  # this process failed or was interrupted: stop the worker, then raise
+        if worker is not None:
+            from signal import SIGKILL  # loaded on this path only
+            os.kill(worker[0], SIGKILL)
+        raise
+    finally:
+        if worker is not None:
+            worker[1].close()
+            os.waitpid(worker[0], 0)
     return rows
 
 
-def _rows(tuples, graph: PlumbingGraph, early_stop, cache) -> list[SurveyRow]:
-    """The rows of ``tuples`` in this process, the first a miss whose star is ``graph``."""
-    first = _row(tuples[0], _count(tuples[0], graph, early_stop), cache)
-    return [first] + [brieskorn_row(t, early_stop=early_stop, cache=cache) for t in tuples[1:]]
-
-
-def _split_rows(tuples, graph: PlumbingGraph, early_stop, cache) -> list[SurveyRow]:
-    """The rows of ``tuples`` from two processes: this one computes the first
-    half (see :func:`_rows`), a forked worker the records of the second."""
-    half = len(tuples) // 2
-    theirs = tuples[half:]
-    read_end, write_end = os.pipe()
-    parent = os.getpid()
-    pid = os.fork()
-    if pid == 0:
-        _survey_worker(theirs, early_stop, cache, parent, read_end, write_end)
-    os.close(write_end)
-    try:
-        with open(read_end, "rb") as pipe:
-            rows = _rows(tuples[:half], graph, early_stop, cache)
-            data = pipe.read()
-    except BaseException:  # this process failed or was interrupted: stop the worker, then raise
-        from signal import SIGKILL  # loaded on this path only
-        os.kill(pid, SIGKILL)
-        raise
-    finally:
-        status = os.waitpid(pid, 0)[1]
-    if status != 0:  # the worker failed: compute its half here, raising as serial does
-        return rows + [brieskorn_row(t, early_stop=early_stop, cache=cache) for t in theirs]
-    records = [CountRecord(**dict(zip(CountRecord._fields, key, strict=True))) for key in marshal.loads(data)]
-    if len(records) != len(theirs):  # checked before any of them is stored
-        raise ValueError(f"the worker's half from Sigma{theirs[0]} has {len(theirs)} tuples "
-                         f"but {len(records)} records")
-    return rows + [_row(params, rec, cache) for params, rec in zip(theirs, records)]
-
-
 def _splits(rows: int) -> bool:
-    """Whether a survey whose first miss leaves ``rows`` tuples, that one
-    included, forks a worker: where ``os.fork`` exists, no other thread runs
-    (a fork copies only the calling thread), at least two CPUs are usable,
+    """Whether ``rows`` tuples left at a survey's first miss fork a worker:
+    ``os.fork`` exists, no other thread runs, at least two CPUs are usable,
     and ``rows`` is at least SPLIT_ROWS."""
     if not hasattr(os, "fork"):
         return False
@@ -422,15 +396,27 @@ def _splits(rows: int) -> bool:
     return cpus >= 2 and rows >= SPLIT_ROWS
 
 
-def _survey_worker(tuples, early_stop, cache, parent: int, read_end: int, write_end: int) -> None:
-    """In the forked worker: the records of ``tuples``, as their field tuples
-    in one ``marshal`` write down the pipe, then ``os._exit(0)``.
+def _fork(tuples, early_stop, cache):
+    """Fork a worker for the records of ``tuples``; return its pid and the
+    read end of its pipe, or None if the fork fails.
 
-    A failure, or a survey process ``parent`` gone before the next tuple,
-    exits 1 having written nothing.  ``os._exit`` runs no ``atexit`` hook
-    and flushes none of the inherited buffers, so nothing the parent holds
-    is written twice, and the worker never writes the cache.
+    The worker writes the records' field tuples in one ``marshal`` write
+    and exits 0, or exits 1 having written nothing on a failure or once
+    the process that forked it is gone.  It leaves by ``os._exit``, which
+    runs no ``atexit`` hook and flushes no inherited buffer, and never
+    writes the cache.
     """
+    read_end, write_end = os.pipe()
+    parent = os.getpid()
+    try:
+        pid = os.fork()
+    except OSError:  # EAGAIN or ENOMEM under a process or memory limit
+        os.close(read_end)
+        os.close(write_end)
+        return None
+    if pid != 0:
+        os.close(write_end)
+        return pid, open(read_end, "rb")
     status = 1
     try:
         os.close(read_end)

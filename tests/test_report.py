@@ -1,3 +1,4 @@
+import errno
 import json
 import marshal
 import os
@@ -544,6 +545,23 @@ def test_brieskorn_row_refuses_a_tuple_that_is_not_coprime(tmp_path):
     assert not path.exists()
 
 
+def test_brieskorn_row_counts_once_and_then_serves_its_record(tmp_path, monkeypatch):
+    """The first call on (2, 3, 7) runs analyze once and writes one line; a
+    second runs no analyze, puts nothing and returns an equal row; one with
+    early_stop=None is another key, so it writes a second line."""
+    path = tmp_path / "cache.jsonl"
+    counts = _count_calls(monkeypatch, plumbhf.report, "analyze")
+    puts = _count_calls(monkeypatch, ResultCache, "put")
+    with ResultCache(path) as cache:
+        first = brieskorn_row((2, 3, 7), cache=cache)
+        assert (len(counts), len(puts), len(path.read_bytes().splitlines())) == (1, 1, 1)
+        assert brieskorn_row((2, 3, 7), cache=cache) == first
+        assert (len(counts), len(puts), len(path.read_bytes().splitlines())) == (1, 1, 1)
+        full = brieskorn_row((2, 3, 7), early_stop=None, cache=cache)
+    assert (len(counts), len(path.read_bytes().splitlines())) == (2, 2)
+    assert full.graph_hash == first.graph_hash
+
+
 def _count_calls(monkeypatch, owner, name):
     """Wrap owner.name (a function or a cached_property) to record its calls."""
     calls = []
@@ -737,13 +755,18 @@ def test_a_worker_that_exits_0_with_bad_records_fails_the_survey_and_leaves_a_ca
 
 def test_a_small_or_threaded_survey_stays_in_one_process(tmp_path, monkeypatch):
     """Nothing forks for a cold a <= 12 survey (45 rows, the benchmark's
-    self-test) or an a <= 30 one run while another thread is alive."""
+    self-test), an a <= 30 one on one usable CPU, or an a <= 30 one run
+    while another thread is alive."""
 
     def no_fork():
         raise AssertionError("the survey forked")
 
     monkeypatch.setattr(os, "fork", no_fork)
     assert len(_survey_bytes(tmp_path / "small.jsonl", max_a=12)[1].splitlines()) == 45
+    with monkeypatch.context() as m:
+        m.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        m.setattr(os, "cpu_count", lambda: 1)
+        assert len(_survey_bytes(tmp_path / "one-cpu.jsonl")[1].splitlines()) == 1037
     stop = threading.Event()
     thread = threading.Thread(target=stop.wait)
     thread.start()
@@ -753,3 +776,29 @@ def test_a_small_or_threaded_survey_stays_in_one_process(tmp_path, monkeypatch):
         stop.set()
         thread.join(timeout=10)
     assert not thread.is_alive()
+
+
+def test_a_survey_whose_fork_fails_computes_every_row_here(tmp_path, monkeypatch, capsys):
+    """fork(2) fails with EAGAIN or ENOMEM under a process or memory limit:
+    the survey closes both ends of the worker's pipe and computes the rest
+    itself, silently and with a serial run's bytes."""
+    with monkeypatch.context() as m:
+        m.delattr(os, "fork")  # a serial survey
+        serial = _survey_bytes(tmp_path / "serial.jsonl")
+    fds, pipe = [], os.pipe
+
+    def recorded_pipe():
+        fds.extend(pipe())
+        return tuple(fds[-2:])
+
+    def failed_fork():
+        raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
+
+    monkeypatch.setattr(os, "pipe", recorded_pipe)
+    monkeypatch.setattr(os, "fork", failed_fork)
+    assert _survey_bytes(tmp_path / "split.jsonl") == serial
+    assert len(fds) == 2
+    for fd in fds:
+        with pytest.raises(OSError):
+            os.fstat(fd)
+    assert capsys.readouterr() == ("", "")
